@@ -59,8 +59,6 @@ from .phase_space import (
     SpectralResolutionWarning,
     State,
     build_grid,
-    grad_v,
-    grad_x,
     integrate_mu,
     load_state,
     project_pi,
@@ -74,7 +72,6 @@ from .verifier import (
     check_projection_inequalities,
     check_transport_polynomial,
     fit_decay,
-    random_state,
     run_suite,
     semigroup_derivative,
 )

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import kernels
 from .functionals import PIndex
 from .phase_space import Grid, grad_x_spatial, integrate_x
 
@@ -303,10 +304,7 @@ class ConstantEstimate:
 
 
 def _spatial_entropy(rho: np.ndarray, p: PIndex, grid: Grid) -> float:
-    if p.is_log:
-        return integrate_x(rho * np.log(rho) - rho + 1.0, grid)
-    pp = p.p
-    return integrate_x((rho**pp - 1.0 - pp * (rho - 1.0)) / (pp * (pp - 1.0)), grid)
+    return integrate_x(kernels.convex_entropy_density(rho, p.p), grid)
 
 
 def _spatial_fisher(rho: np.ndarray, p: PIndex, grid: Grid) -> float:

@@ -13,15 +13,17 @@ import argparse
 import configparser
 import hashlib
 import json
+import math
 import os
 import sys
-
-import numpy as np
 
 from . import __version__
 from .certificate import (
     estimate_functional_constant,
     optimize_rate,
+    paper_constants_bgk,
+    paper_constants_bgk_p,
+    paper_constants_fp,
 )
 from .functionals import (
     PIndex,
@@ -34,6 +36,7 @@ from .initial import cosine, equilibrium, random_band_limited, velocity_perturba
 from .integrator import (
     Schedule,
     SimulationError,
+    default_dt,
     load_trajectory,
     save_trajectory,
     simulate,
@@ -64,30 +67,58 @@ def _config_hash(path) -> str:
         return hashlib.sha256(f.read()).hexdigest()
 
 
-def _grid_from_config(cfg) -> GridSpec:
-    sec = cfg["grid"] if cfg.has_section("grid") else {}
+def _value(cfg, section, key, parse, default=None):
+    """`key` of `section` read by `parse`, or `default` read the same way
+    when the key is absent; None when both are."""
+    value = cfg.get(section, key, fallback=default)
+    if value is None:
+        return None
     try:
-        return GridSpec(
-            dim=int(sec.get("dim", 1)),
-            nx=int(sec.get("nx", 64)),
-            nv=int(sec.get("nv", 32)),
-        )
+        return parse(value)
     except ValueError as exc:
-        raise ConfigError(f"invalid grid section: {exc}") from exc
+        raise ConfigError(f"[{section}] {key} = {value!r}: {exc}") from exc
+
+
+def _finite_float(text) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError("expected a finite number")
+    return value
+
+
+def _validated(what, build, **kwargs):
+    """build(**kwargs), reporting the ValueError of a rejected value as a
+    ConfigError."""
+    try:
+        return build(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"invalid {what}: {exc}") from exc
+
+
+def _seed(cfg, section, override) -> int:
+    """--seed, else the section's seed, else HYPOFLOW_SEED, else 0."""
+    if override is not None:
+        return override
+    return _value(cfg, section, "seed", int, os.environ.get("HYPOFLOW_SEED", "0"))
+
+
+def _grid_from_config(cfg) -> GridSpec:
+    return _validated(
+        "grid section", GridSpec,
+        dim=_value(cfg, "grid", "dim", int, 1),
+        nx=_value(cfg, "grid", "nx", int, 64),
+        nv=_value(cfg, "grid", "nv", int, 32),
+    )
 
 
 def _model_from_config(cfg):
-    sec = cfg["model"] if cfg.has_section("model") else {}
-    kind = sec.get("kind", "bgk").strip().lower()
-    p = PIndex.parse(sec.get("p", "boltzmann"))
+    kind = cfg.get("model", "kind", fallback="bgk").strip().lower()
+    p = _value(cfg, "model", "p", PIndex.parse, "boltzmann")
     if kind == "bgk":
-        lam_text = sec.get("lambda", None)
-        if lam_text is None:
+        lam = _value(cfg, "model", "lambda", _finite_float)
+        if lam is None:
             raise ConfigError("the relaxation model needs lambda")
-        lam = float(lam_text)
-        if lam <= 0:
-            raise ConfigError(f"lambda must be positive, got {lam}")
-        return BGK(lam), p
+        return _validated("model", BGK, rate=lam), p
     if kind in ("fokker-planck", "fp"):
         if p.is_log:
             raise ConfigError(
@@ -98,34 +129,29 @@ def _model_from_config(cfg):
 
 
 def _initial_from_config(cfg, grid, seed_override):
-    sec = cfg["initial"] if cfg.has_section("initial") else {}
-    family = sec.get("family", "cosine").strip().lower()
-    seed = seed_override
-    if seed is None:
-        seed = int(sec.get("seed", os.environ.get("HYPOFLOW_SEED", "0")))
-    try:
-        if family == "equilibrium":
-            state = equilibrium(grid)
-        elif family == "cosine":
-            state = cosine(
-                grid,
-                amplitude=float(sec.get("amplitude", 0.5)),
-                v_amplitude=float(sec.get("v_amplitude", 0.0)),
-            )
-        elif family == "velocity":
-            state = velocity_perturbation(
-                grid, amplitude=float(sec.get("amplitude", 0.3)))
-        elif family == "random":
-            state = random_band_limited(
-                grid, seed,
-                amplitude=float(sec.get("amplitude", 0.25)),
-                x_modes=int(sec.get("x_modes", 2)),
-                v_degree=int(sec.get("v_degree", 2)),
-            )
-        else:
-            raise ConfigError(f"unknown initial family {family!r}")
-    except ValueError as exc:
-        raise ConfigError(f"invalid initial data: {exc}") from exc
+    family = cfg.get("initial", "family", fallback="cosine").strip().lower()
+    seed = _seed(cfg, "initial", seed_override)
+    if family == "equilibrium":
+        state = equilibrium(grid)
+    elif family == "cosine":
+        state = _validated(
+            "initial data", cosine, grid=grid,
+            amplitude=_value(cfg, "initial", "amplitude", _finite_float, 0.5),
+            v_amplitude=_value(cfg, "initial", "v_amplitude", _finite_float, 0.0),
+        )
+    elif family == "velocity":
+        state = _validated(
+            "initial data", velocity_perturbation, grid=grid,
+            amplitude=_value(cfg, "initial", "amplitude", _finite_float, 0.3))
+    elif family == "random":
+        state = _validated(
+            "initial data", random_band_limited, grid=grid, seed=seed,
+            amplitude=_value(cfg, "initial", "amplitude", _finite_float, 0.25),
+            x_modes=_value(cfg, "initial", "x_modes", int, 2),
+            v_degree=_value(cfg, "initial", "v_degree", int, 2),
+        )
+    else:
+        raise ConfigError(f"unknown initial family {family!r}")
     if float(state.h.min()) < 0.1:
         raise ConfigError(
             f"initial amplitudes must keep h >= 0.1 everywhere; "
@@ -134,18 +160,13 @@ def _initial_from_config(cfg, grid, seed_override):
 
 
 def _schedule_from_config(cfg, collision) -> Schedule:
-    sec = cfg["schedule"] if cfg.has_section("schedule") else {}
-    rate = collision.rate if isinstance(collision, BGK) else 1.0
-    default_dt = 0.01 * min(1.0, 1.0 / rate)
-    try:
-        return Schedule(
-            dt=float(sec.get("dt", default_dt)),
-            t_end=float(sec.get("t_end", 10.0)),
-            snapshot_every=int(sec.get("snapshot_every", 10)),
-            collision=collision,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"invalid schedule: {exc}") from exc
+    return _validated(
+        "schedule", Schedule,
+        dt=_value(cfg, "schedule", "dt", _finite_float, default_dt(collision)),
+        t_end=_value(cfg, "schedule", "t_end", _finite_float, 10.0),
+        snapshot_every=_value(cfg, "schedule", "snapshot_every", int, 10),
+        collision=collision,
+    )
 
 
 def _output_dir(cfg, override) -> str:
@@ -170,6 +191,10 @@ def _write_manifest(outdir, config_path, grid_spec, seed, extra=None):
         f.write("\n")
 
 
+def _model_name(collision) -> str:
+    return "fokker-planck" if isinstance(collision, FokkerPlanck) else "bgk"
+
+
 def _model_tag(collision, p: PIndex) -> str:
     if isinstance(collision, BGK):
         return "bgk-log" if p.is_log else "bgk-power"
@@ -178,26 +203,18 @@ def _model_tag(collision, p: PIndex) -> str:
 
 def _certificate_inputs(cfg, grid, collision, p):
     """Resolve the functional constant and splitter, honoring overrides."""
-    sec = cfg["certificate"] if cfg.has_section("certificate") else {}
-    C_text = sec.get("c", sec.get("C", None))
-    eta_text = sec.get("eta", None)
-    if isinstance(collision, BGK):
-        if C_text is not None:
-            C = float(C_text)
-        else:
-            est = estimate_functional_constant(grid, p)
+    C = _value(cfg, "certificate", "c", _finite_float)
+    eta = _value(cfg, "certificate", "eta", _finite_float)
+    if C is None:
+        est = estimate_functional_constant(grid, p)
+        if isinstance(collision, BGK):
             # certificates consume the coercivity orientation of the
             # spatial inequality
             C = est.coercivity
-    else:
-        if C_text is not None:
-            C = float(C_text)
         else:
-            est = estimate_functional_constant(grid, p)
             # phase-space ratio constant: the Gaussian direction dominates
             # the product measure at 1/2
             C = max(est.value, 0.5)
-    eta = float(eta_text) if eta_text is not None else None
     return C, eta
 
 
@@ -208,12 +225,10 @@ def _certify(cfg, grid, collision, p):
         return optimize_rate(model,
                              lam=collision.rate if isinstance(collision, BGK) else None,
                              p=p.p, C=C)
-    from .certificate import paper_constants_bgk, paper_constants_bgk_p
     if model == "bgk-log":
         return paper_constants_bgk(collision.rate, C=C, eta=eta)
     if model == "bgk-power":
         return paper_constants_bgk_p(collision.rate, p.p, C=C, eta=eta)
-    from .certificate import paper_constants_fp
     return paper_constants_fp(C=C, p=p.p)
 
 
@@ -227,7 +242,7 @@ def cmd_simulate(args) -> int:
     outdir = _output_dir(cfg, args.output_dir)
     os.makedirs(outdir, exist_ok=True)
 
-    model = "fokker-planck" if isinstance(collision, FokkerPlanck) else "bgk"
+    model = _model_name(collision)
     try:
         traj = simulate(initial, schedule)
     except (SimulationError, PositivityError) as exc:
@@ -272,22 +287,20 @@ def cmd_verify(args) -> int:
     spec = _grid_from_config(cfg)
     grid = build_grid(spec)
     collision, p = _model_from_config(cfg)
+    n_states = _value(cfg, "verify", "n_states", int, 100)
+    if n_states < 1:
+        raise ConfigError(f"n_states must be at least 1, got {n_states}")
+    amplitude = _value(cfg, "verify", "amplitude", _finite_float, 0.25)
+    corruption = _value(cfg, "verify", "corruption", _finite_float, 0.0)
+    seed0 = _seed(cfg, "verify", args.seed)
     outdir = _output_dir(cfg, args.output_dir)
     os.makedirs(outdir, exist_ok=True)
-
-    sec = cfg["verify"] if cfg.has_section("verify") else {}
-    n_states = int(sec.get("n_states", 100))
-    amplitude = float(sec.get("amplitude", 0.25))
-    corruption = float(sec.get("corruption", 0.0))
-    seed0 = args.seed
-    if seed0 is None:
-        seed0 = int(sec.get("seed", os.environ.get("HYPOFLOW_SEED", "0")))
 
     C = None
     if isinstance(collision, BGK):
         C = estimate_functional_constant(grid, p).value
 
-    model = "fokker-planck" if isinstance(collision, FokkerPlanck) else "bgk"
+    model = _model_name(collision)
     results = run_suite(
         grid, model, p,
         lam=collision.rate if isinstance(collision, BGK) else None,
@@ -309,21 +322,23 @@ def cmd_verify(args) -> int:
 
 def cmd_fit_decay(args) -> int:
     cfg = _load_config(args.config)
-    sec = cfg["fit"] if cfg.has_section("fit") else {}
-    traj_dir = sec.get("trajectory", None)
+    traj_dir = cfg.get("fit", "trajectory", fallback=None)
     if traj_dir is None:
         raise ConfigError("the fit section needs a trajectory directory")
     if not os.path.isdir(traj_dir):
         raise ConfigError(f"trajectory directory not found: {traj_dir}")
     collision, p = _model_from_config(cfg)
-    traj = load_trajectory(traj_dir)
-    t_lo = float(sec.get("t_start", traj.times[0]))
-    t_hi = float(sec.get("t_end", traj.times[-1]))
-    name = sec.get("functional", "entropy").strip()
+    try:
+        traj = load_trajectory(traj_dir)
+    except (OSError, KeyError, ValueError) as exc:
+        raise ConfigError(f"unreadable trajectory in {traj_dir}: {exc}") from exc
+    t_lo = _value(cfg, "fit", "t_start", _finite_float, traj.times[0])
+    t_hi = _value(cfg, "fit", "t_end", _finite_float, traj.times[-1])
+    name = cfg.get("fit", "functional", fallback="entropy").strip()
     outdir = _output_dir(cfg, args.output_dir)
     os.makedirs(outdir, exist_ok=True)
 
-    model = "fokker-planck" if isinstance(collision, FokkerPlanck) else "bgk"
+    model = _model_name(collision)
     if name == "composite":
         grid = traj.snapshots[0][1].grid
         cert = _certify(cfg, grid, collision, p)

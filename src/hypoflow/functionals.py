@@ -106,9 +106,7 @@ class FunctionalReport:
 def entropy(state: State, p: PIndex = BOLTZMANN) -> float:
     """Relative entropy of the state against equilibrium."""
     require_bounded_below(state.h)
-    if p.is_log:
-        return kernels.entropy_log(state.h, state.grid.v_weights)
-    return kernels.entropy_power(state.h, state.grid.v_weights, p.p)
+    return kernels.entropy(state.h, state.grid.v_weights, p.p)
 
 
 def fisher_components(state: State, p: PIndex = BOLTZMANN,
@@ -144,10 +142,7 @@ def projected_entropy(state: State, p: PIndex = BOLTZMANN,
     if pih is None:
         pih = project_pi(state)
     require_bounded_below(pih, "velocity average of h")
-    if p.is_log:
-        return integrate_x(pih * np.log(pih) - pih + 1.0, grid)
-    pp = p.p
-    return integrate_x((pih**pp - 1.0 - pp * (pih - 1.0)) / (pp * (pp - 1.0)), grid)
+    return integrate_x(kernels.convex_entropy_density(pih, p.p), grid)
 
 
 def projected_entropy_rate(state: State, p: PIndex = BOLTZMANN,
@@ -336,10 +331,6 @@ def write_report_json(reports: list[FunctionalReport], path) -> None:
     with open(path, "w") as f:
         json.dump(data, f, indent=1, sort_keys=True)
         f.write("\n")
-
-
-def total_fisher(report: FunctionalReport) -> float:
-    return report.fisher_x + report.fisher_v
 
 
 def composite_value(report: FunctionalReport, a1: float, a2: float, a3: float,

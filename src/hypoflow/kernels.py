@@ -1,54 +1,37 @@
-"""Fused quadrature kernels for the entropy/Fisher functionals.
+"""Quadrature kernels for the entropy/Fisher functionals.
 
 Every reduction here is a weighted sum over the (x, v) lattice of a
-pointwise expression in the density and its gradients. The numba path
-compiles the fused loops; the numpy path is an exact vectorized mirror
-used when numba is unavailable or HYPOFLOW_BACKEND=numpy is set.
-Selection happens once at import.
+pointwise expression in the density and its gradients, vectorized in
+numpy.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_requested = os.environ.get("HYPOFLOW_BACKEND", "").strip().lower()
-if _requested not in ("", "numba", "numpy"):
-    raise ValueError(f"HYPOFLOW_BACKEND must be 'numba' or 'numpy', got {_requested!r}")
-
-if _requested != "numpy":
-    try:
-        from numba import njit
-        HAS_NUMBA = True
-    except ImportError:  # pragma: no cover - exercised via env flag instead
-        if _requested == "numba":
-            raise
-        HAS_NUMBA = False
-else:
-    HAS_NUMBA = False
-
-BACKEND = "numba" if HAS_NUMBA else "numpy"
+# Name of the array library behind the kernels; run environments record it.
+BACKEND = "numpy"
 
 
-# --- numpy reference implementations ---------------------------------------
+def convex_entropy_density(u, p: float | None):
+    """Pointwise convex entropy integrand; p=None selects the log entropy.
 
-def _np_weighted_mean(f, wv):
-    return float(f @ wv) / f.shape[0] if f.ndim == 1 else float((f @ wv).sum()) / f.shape[0]
-
-
-def _np_entropy_log(h, wv):
-    # h log h - h + 1: equals h log h in integral under unit mass, but is
-    # pointwise nonnegative, so near-equilibrium roundoff cannot flip signs
-    return float(((h * np.log(h) - h + 1.0) @ wv).sum()) / h.shape[0]
-
-
-def _np_entropy_power(h, wv, p):
-    # convex rearrangement of (h^p - h)/(p(p-1)), same integral at unit mass
-    return float((((h**p - 1.0 - p * (h - 1.0)) / (p * (p - 1.0))) @ wv).sum()) / h.shape[0]
+    u log u - u + 1 and (u^p - 1 - p(u - 1))/(p(p-1)) have the same
+    integrals as u log u and (u^p - u)/(p(p-1)) under unit mass, but are
+    pointwise nonnegative, so near-equilibrium roundoff cannot flip signs.
+    """
+    if p is None:
+        return u * np.log(u) - u + 1.0
+    return (u**p - 1.0 - p * (u - 1.0)) / (p * (p - 1.0))
 
 
-def _np_fisher(h, gx, gv, wv, e):
+def entropy(h, wv, p: float | None) -> float:
+    """Quadrature of the convex entropy integrand of h."""
+    return float((convex_entropy_density(h, p) @ wv).sum()) / h.shape[0]
+
+
+def fisher(h, gx, gv, wv, e: float):
+    """Weighted squares and cross term of the two gradients; weight h**e."""
     w = h**e
     gx2 = (gx * gx).sum(axis=0)
     gv2 = (gv * gv).sum(axis=0)
@@ -60,15 +43,16 @@ def _np_fisher(h, gx, gv, wv, e):
     return ix, iv, im
 
 
-def _np_weighted_fisher(h, g, wv, e, fac):
+def weighted_fisher(h, g, wv, e: float, fac) -> float:
+    """Quadrature of h**e |g|^2 fac for a pointwise factor field fac."""
     w = h**e * fac
     g2 = (g * g).sum(axis=0)
     return float(((w * g2) @ wv).sum()) / h.shape[0]
 
 
-def _np_pi_ratio_x(h, gx, gpi, pih, wv):
-    # |grad_x(pi h) - (pi h / h) grad_x h|^2 / pi h, the relative spatial
-    # Fisher information of h against its velocity average
+def pi_ratio_x(h, gx, gpi, pih, wv) -> float:
+    """|grad_x(pi h) - (pi h / h) grad_x h|^2 / pi h, the relative spatial
+    Fisher information of h against its velocity average."""
     acc = np.zeros_like(h)
     for i in range(gx.shape[0]):
         diff = gpi[i][:, None] - (pih[:, None] / h) * gx[i]
@@ -76,8 +60,8 @@ def _np_pi_ratio_x(h, gx, gpi, pih, wv):
     return float(((acc / pih[:, None]) @ wv).sum()) / h.shape[0]
 
 
-def _np_cross_dissipation(h, gx, gpi, pih, wv, p):
-    # | (pi h)^(p-2) grad(pi h) - h^(p-2) grad h |^2 (pi h)^(2-p)
+def cross_dissipation(h, gx, gpi, pih, wv, p: float) -> float:
+    """| (pi h)^(p-2) grad(pi h) - h^(p-2) grad h |^2 (pi h)^(2-p)."""
     acc = np.zeros_like(h)
     wpi = pih**(p - 2.0)
     wh = h**(p - 2.0)
@@ -87,16 +71,17 @@ def _np_cross_dissipation(h, gx, gpi, pih, wv, p):
     return float(((acc * pih[:, None]**(2.0 - p)) @ wv).sum()) / h.shape[0]
 
 
-def _np_quartic(h, ga, gb, wv, p):
+def quartic(h, ga, gb, wv, p: float) -> float:
+    """Quadrature of h^(p-4) |ga|^2 |gb|^2."""
     ga2 = (ga * ga).sum(axis=0)
     gb2 = (gb * gb).sum(axis=0)
     return float(((h**(p - 4.0) * ga2 * gb2) @ wv).sum()) / h.shape[0]
 
 
-def _np_hessian_norm(h, hess, ga, gb, wv, p):
-    # Frobenius norm^2 of h^(p-2) hess + (p-2) h^(p-3) ga (x) gb,
-    # weighted by h^(2-p): the squared second derivative of the entropy
-    # variable h^(p-1)/(p-1), expanded by the chain rule
+def hessian_norm(h, hess, ga, gb, wv, p: float) -> float:
+    """Frobenius norm^2 of h^(p-2) hess + (p-2) h^(p-3) ga (x) gb,
+    weighted by h^(2-p): the squared second derivative of the entropy
+    variable h^(p-1)/(p-1), expanded by the chain rule."""
     d = ga.shape[0]
     w1 = h**(p - 2.0)
     w2 = (p - 2.0) * h**(p - 3.0)
@@ -106,210 +91,3 @@ def _np_hessian_norm(h, hess, ga, gb, wv, p):
             t = w1 * hess[i, j] + w2 * ga[i] * gb[j]
             acc += t * t
     return float(((acc * h**(2.0 - p)) @ wv).sum()) / h.shape[0]
-
-
-_NUMPY_IMPLS = {
-    "weighted_mean": _np_weighted_mean,
-    "entropy_log": _np_entropy_log,
-    "entropy_power": _np_entropy_power,
-    "fisher": _np_fisher,
-    "weighted_fisher": _np_weighted_fisher,
-    "pi_ratio_x": _np_pi_ratio_x,
-    "cross_dissipation": _np_cross_dissipation,
-    "quartic": _np_quartic,
-    "hessian_norm": _np_hessian_norm,
-}
-
-
-# --- numba implementations --------------------------------------------------
-
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def _nb_weighted_mean(f, wv):
-        nx, nv = f.shape
-        s = 0.0
-        for x in range(nx):
-            for v in range(nv):
-                s += wv[v] * f[x, v]
-        return s / nx
-
-    @njit(cache=True)
-    def _nb_entropy_log(h, wv):
-        nx, nv = h.shape
-        s = 0.0
-        for x in range(nx):
-            for v in range(nv):
-                s += wv[v] * (h[x, v] * np.log(h[x, v]) - h[x, v] + 1.0)
-        return s / nx
-
-    @njit(cache=True)
-    def _nb_entropy_power(h, wv, p):
-        nx, nv = h.shape
-        c = 1.0 / (p * (p - 1.0))
-        s = 0.0
-        for x in range(nx):
-            for v in range(nv):
-                s += wv[v] * (h[x, v] ** p - 1.0 - p * (h[x, v] - 1.0)) * c
-        return s / nx
-
-    @njit(cache=True)
-    def _nb_fisher(h, gx, gv, wv, e):
-        d, nx, nv = gx.shape
-        sx = 0.0
-        sv = 0.0
-        sm = 0.0
-        for x in range(nx):
-            for v in range(nv):
-                w = wv[v] * h[x, v] ** e
-                ax = 0.0
-                av = 0.0
-                am = 0.0
-                for i in range(d):
-                    ax += gx[i, x, v] * gx[i, x, v]
-                    av += gv[i, x, v] * gv[i, x, v]
-                    am += gx[i, x, v] * gv[i, x, v]
-                sx += w * ax
-                sv += w * av
-                sm += w * am
-        return sx / nx, sv / nx, sm / nx
-
-    @njit(cache=True)
-    def _nb_weighted_fisher(h, g, wv, e, fac):
-        d, nx, nv = g.shape
-        s = 0.0
-        for x in range(nx):
-            for v in range(nv):
-                a = 0.0
-                for i in range(d):
-                    a += g[i, x, v] * g[i, x, v]
-                s += wv[v] * h[x, v] ** e * fac[x, v] * a
-        return s / nx
-
-    @njit(cache=True)
-    def _nb_pi_ratio_x(h, gx, gpi, pih, wv):
-        d, nx, nv = gx.shape
-        s = 0.0
-        for x in range(nx):
-            for v in range(nv):
-                r = pih[x] / h[x, v]
-                a = 0.0
-                for i in range(d):
-                    diff = gpi[i, x] - r * gx[i, x, v]
-                    a += diff * diff
-                s += wv[v] * a / pih[x]
-        return s / nx
-
-    @njit(cache=True)
-    def _nb_cross_dissipation(h, gx, gpi, pih, wv, p):
-        d, nx, nv = gx.shape
-        s = 0.0
-        for x in range(nx):
-            wpi = pih[x] ** (p - 2.0)
-            cpi = pih[x] ** (2.0 - p)
-            for v in range(nv):
-                wh = h[x, v] ** (p - 2.0)
-                a = 0.0
-                for i in range(d):
-                    diff = wpi * gpi[i, x] - wh * gx[i, x, v]
-                    a += diff * diff
-                s += wv[v] * cpi * a
-        return s / nx
-
-    @njit(cache=True)
-    def _nb_quartic(h, ga, gb, wv, p):
-        d, nx, nv = ga.shape
-        s = 0.0
-        for x in range(nx):
-            for v in range(nv):
-                a = 0.0
-                b = 0.0
-                for i in range(d):
-                    a += ga[i, x, v] * ga[i, x, v]
-                    b += gb[i, x, v] * gb[i, x, v]
-                s += wv[v] * h[x, v] ** (p - 4.0) * a * b
-        return s / nx
-
-    @njit(cache=True)
-    def _nb_hessian_norm(h, hess, ga, gb, wv, p):
-        d = ga.shape[0]
-        nx, nv = h.shape
-        s = 0.0
-        for x in range(nx):
-            for v in range(nv):
-                w1 = h[x, v] ** (p - 2.0)
-                w2 = (p - 2.0) * h[x, v] ** (p - 3.0)
-                a = 0.0
-                for i in range(d):
-                    for j in range(d):
-                        t = w1 * hess[i, j, x, v] + w2 * ga[i, x, v] * gb[j, x, v]
-                        a += t * t
-                s += wv[v] * h[x, v] ** (2.0 - p) * a
-        return s / nx
-
-    _NUMBA_IMPLS = {
-        "weighted_mean": _nb_weighted_mean,
-        "entropy_log": _nb_entropy_log,
-        "entropy_power": _nb_entropy_power,
-        "fisher": _nb_fisher,
-        "weighted_fisher": _nb_weighted_fisher,
-        "pi_ratio_x": _nb_pi_ratio_x,
-        "cross_dissipation": _nb_cross_dissipation,
-        "quartic": _nb_quartic,
-        "hessian_norm": _nb_hessian_norm,
-    }
-
-_ACTIVE = _NUMBA_IMPLS if BACKEND == "numba" else _NUMPY_IMPLS
-
-
-def _ascontig(a):
-    return np.ascontiguousarray(a, dtype=np.float64)
-
-
-def weighted_mean(f, wv) -> float:
-    """Mean over x of the v-quadrature of a nodal field."""
-    return float(_ACTIVE["weighted_mean"](_ascontig(f), _ascontig(wv)))
-
-
-def entropy_log(h, wv) -> float:
-    return float(_ACTIVE["entropy_log"](_ascontig(h), _ascontig(wv)))
-
-
-def entropy_power(h, wv, p: float) -> float:
-    return float(_ACTIVE["entropy_power"](_ascontig(h), _ascontig(wv), float(p)))
-
-
-def fisher(h, gx, gv, wv, e: float):
-    """Weighted squares and cross term of the two gradients; weight h**e."""
-    return tuple(
-        float(t) for t in _ACTIVE["fisher"](
-            _ascontig(h), _ascontig(gx), _ascontig(gv), _ascontig(wv), float(e))
-    )
-
-
-def weighted_fisher(h, g, wv, e: float, fac) -> float:
-    """Quadrature of h**e |g|^2 fac for a pointwise factor field fac."""
-    return float(_ACTIVE["weighted_fisher"](
-        _ascontig(h), _ascontig(g), _ascontig(wv), float(e), _ascontig(fac)))
-
-
-def pi_ratio_x(h, gx, gpi, pih, wv) -> float:
-    return float(_ACTIVE["pi_ratio_x"](
-        _ascontig(h), _ascontig(gx), _ascontig(gpi), _ascontig(pih), _ascontig(wv)))
-
-
-def cross_dissipation(h, gx, gpi, pih, wv, p: float) -> float:
-    return float(_ACTIVE["cross_dissipation"](
-        _ascontig(h), _ascontig(gx), _ascontig(gpi), _ascontig(pih),
-        _ascontig(wv), float(p)))
-
-
-def quartic(h, ga, gb, wv, p: float) -> float:
-    return float(_ACTIVE["quartic"](
-        _ascontig(h), _ascontig(ga), _ascontig(gb), _ascontig(wv), float(p)))
-
-
-def hessian_norm(h, hess, ga, gb, wv, p: float) -> float:
-    return float(_ACTIVE["hessian_norm"](
-        _ascontig(h), _ascontig(hess), _ascontig(ga), _ascontig(gb),
-        _ascontig(wv), float(p)))

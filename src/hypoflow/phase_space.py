@@ -212,11 +212,6 @@ def project_pi(state_or_h, grid: Grid | None = None) -> np.ndarray:
     return h @ grid.v_weights
 
 
-def broadcast_spatial(spatial: np.ndarray, grid: Grid) -> np.ndarray:
-    """Extend a spatial field to the full phase-space array, constant in v."""
-    return np.repeat(spatial[:, None], grid.nv_total, axis=1)
-
-
 def grad_x_field(fld: np.ndarray, grid: Grid) -> np.ndarray:
     """Fourier gradient along every spatial axis; returns (dim, nx_total, nv_total)."""
     d = grid.dim
@@ -326,16 +321,6 @@ def hermite_tail_fraction(fld: np.ndarray, grid: Grid) -> float:
     return tail_norm / total
 
 
-def grad_x(state: State) -> np.ndarray:
-    """Spatial gradient of the state's field; (dim, nx_total, nv_total)."""
-    return grad_x_field(state.h, state.grid)
-
-
-def grad_v(state: State, warn: bool = True) -> np.ndarray:
-    """Velocity gradient of the state's field; (dim, nx_total, nv_total)."""
-    return grad_v_field(state.h, state.grid, warn=warn)
-
-
 def require_bounded_below(fld: np.ndarray, what: str = "h") -> None:
     """Guard for integrands with negative powers of the density."""
     m = float(fld.min())
@@ -392,6 +377,7 @@ def save_state(state: State, path) -> None:
 
 
 def load_state(path, grid: Grid | None = None) -> State:
+    """Read a snapshot; when a grid is given, the header must describe it."""
     with open(path) as f:
         magic = f.readline().strip()
         if magic != SNAPSHOT_MAGIC:
@@ -399,8 +385,14 @@ def load_state(path, grid: Grid | None = None) -> State:
         header = dict(tok.split("=", 1) for tok in f.readline().split())
         spec = GridSpec(dim=int(header["dim"]), nx=int(header["nx"]),
                         nv=int(header["nv"]), period=float(header["period"]))
-        if grid is None or grid.spec != spec:
+        if grid is None:
             grid = build_grid(spec)
+        elif grid.spec != spec:
+            raise ValueError(f"{path}: snapshot header {spec} disagrees with "
+                             f"the expected grid {grid.spec}")
         vals = np.loadtxt(f)
+    expect = grid.nx_total * grid.nv_total
+    if vals.size != expect:
+        raise ValueError(f"{path}: {vals.size} values, expected {expect}")
     h = vals.reshape(grid.nx_total, grid.nv_total)
     return State(grid, h, time=float(header["time"]))

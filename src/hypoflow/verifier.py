@@ -418,13 +418,6 @@ def fit_decay(trajectory: Trajectory,
     )
 
 
-def random_state(grid: Grid, seed: int, amplitude: float = 0.25,
-                 x_modes: int = 2, v_degree: int = 2) -> State:
-    """Seeded positive unit-mass field: exp of a band-limited exponent."""
-    return random_band_limited(grid, seed, amplitude=amplitude,
-                               x_modes=x_modes, v_degree=v_degree)
-
-
 def run_suite(grid: Grid, model: str, p: PIndex, lam: float | None = None,
               n_states: int = 100, seed0: int = 0,
               splitters: tuple = (0.1, 1.0, 10.0),
@@ -453,7 +446,7 @@ def run_suite(grid: Grid, model: str, p: PIndex, lam: float | None = None,
         raise ValueError(f"unknown model {model!r}")
 
     def one_state(seed: int) -> list[LemmaCheckResult]:
-        state = random_state(grid, seed, amplitude=amplitude)
+        state = random_band_limited(grid, seed, amplitude=amplitude)
         res: list[LemmaCheckResult] = []
         if model == "bgk":
             res += check_lemma_table(state, Transport(), p,

@@ -23,7 +23,7 @@ from hypoflow import (
     optimize_rate,
     paper_constants_bgk,
     paper_constants_fp,
-    random_state,
+    random_band_limited,
     run_suite,
     simulate,
     GridSpec,
@@ -113,7 +113,7 @@ def test_criterion_03_lemma_suite_power(grid, coercivity_constant):
         failed += [r for r in results if not r.passed]
     # the correction weight vanishes identically at p = 2
     for seed in range(5):
-        s = random_state(grid, seed)
+        s = random_band_limited(grid, seed)
         cx, cv, _ = correction_terms(s, 2.0)
         if abs(cx) > 1e-12 or abs(cv) > 1e-12:
             failed.append(("p2 correction nonzero", cx, cv))
@@ -133,7 +133,7 @@ def test_criterion_04_transport_polynomial(grid):
     tr = Transport()
     worst_const, worst_lin, worst_quad = 0.0, 0.0, 0.0
     for seed in range(5):
-        s = random_state(grid, seed, x_modes=1)
+        s = random_band_limited(grid, seed, x_modes=1)
         rep0 = build_report(s, BOLTZMANN, model="bgk")
         ix, im, iv = [], [], []
         for t in times:
@@ -270,7 +270,7 @@ def test_criterion_08_diffusion_certificate(grid):
 def test_criterion_09_quadratic_consistency(grid):
     worst = 0.0
     for seed in range(20):
-        s = random_state(grid, seed)
+        s = random_band_limited(grid, seed)
         h2 = entropy(s, PIndex(2.0))
         direct = 0.5 * integrate_mu((s.h - 1.0) ** 2, grid)
         worst = max(worst, abs(h2 - direct))

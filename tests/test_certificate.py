@@ -203,12 +203,12 @@ class TestCertificateChainOnStates:
     actual random states."""
 
     def test_weighted_combination_equivalent_to_fisher(self, grid_accept=None):
-        from hypoflow import GridSpec, build_grid, build_report, random_state
+        from hypoflow import GridSpec, build_grid, build_report, random_band_limited
         from hypoflow.functionals import composite_value
         grid = build_grid(GridSpec(dim=1, nx=64, nv=32))
         cert = optimize_rate("bgk-log", lam=1.0, C=1e9)
         for seed in range(20):
-            s = random_state(grid, seed)
+            s = random_band_limited(grid, seed)
             rep = build_report(s, BOLTZMANN, model="bgk")
             fisher = rep.fisher_x + rep.fisher_v
             j = (cert.A1 * rep.fisher_x + cert.A2 * rep.fisher_mixed
@@ -219,13 +219,13 @@ class TestCertificateChainOnStates:
     def test_phase_space_entropy_fisher_bound(self):
         # the full-measure constant is the larger of the torus estimate and
         # the Gaussian-direction value one half
-        from hypoflow import GridSpec, build_grid, build_report, random_state
+        from hypoflow import GridSpec, build_grid, build_report, random_band_limited
         grid = build_grid(GridSpec(dim=1, nx=64, nv=32))
         for p in (BOLTZMANN, PIndex(1.5)):
             est = estimate_functional_constant(grid, p)
             C_full = max(est.value, 0.5)
             for seed in range(20):
-                s = random_state(grid, seed)
+                s = random_band_limited(grid, seed)
                 rep_model = "bgk"
                 from hypoflow import entropy, fisher_components
                 h = entropy(s, p)

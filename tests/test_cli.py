@@ -223,6 +223,59 @@ class TestFitDecay:
         assert fit["rate"] > 1.0 / 36.0
 
 
+def _one_config_error_line(capsys):
+    err = capsys.readouterr().err
+    lines = err.splitlines()
+    return (len(lines) == 1 and lines[0].startswith("configuration error:")
+            and "Traceback" not in err)
+
+
+@pytest.mark.parametrize("command,old,new", [
+    ("verify", "lambda = 1.0", "lambda = fast"),
+    ("verify", "lambda = 1.0", "lambda = nan"),
+    ("verify", "p = boltzmann", "p = 3"),
+    ("verify", "n_states = 2", "n_states = many"),
+    ("verify", "n_states = 2", "n_states = 0"),
+    ("simulate", "nx = 32", "nx = many"),
+    ("simulate", "amplitude = 0.5", "amplitude = half"),
+    ("simulate", "dt = 0.01", "dt = soon"),
+    ("simulate", "t_end = 5.0", "t_end = inf"),
+    ("certify", "C = 1000000.0", "C = large"),
+])
+def test_bad_config_value_is_config_error(tmp_path, capsys, command, old, new):
+    text = (BASE.format(out=tmp_path / "o") + "\n[verify]\nn_states = 2\n"
+            + "\n[certificate]\nC = 1000000.0\n")
+    assert text.count(old) == 1
+    cfg = write_config(tmp_path, text.replace(old, new))
+    assert main([command, cfg]) == 1
+    assert _one_config_error_line(capsys)
+
+
+def _truncate(path):
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines[: len(lines) // 2]))
+
+
+def _move_period(path):
+    text = path.read_text()
+    assert " period=1.0 " in text
+    path.write_text(text.replace(" period=1.0 ", " period=2.0 ", 1))
+
+
+@pytest.mark.parametrize("damage", [_truncate, _move_period],
+                         ids=["truncated", "mismatched-header"])
+def test_damaged_snapshot_is_config_error(tmp_path, capsys, damage):
+    out = tmp_path / "sim"
+    text = BASE.format(out=out).replace("t_end = 5.0", "t_end = 1.0")
+    assert main(["simulate", write_config(tmp_path, text)]) == 0
+    damage(out / "trajectory" / "snapshot_000001.txt")
+    fit_text = text + f"\n[fit]\ntrajectory = {out / 'trajectory'}\n"
+    fit_cfg = write_config(tmp_path, fit_text, name="fit.ini")
+    capsys.readouterr()
+    assert main(["fit-decay", fit_cfg, "--output-dir", str(tmp_path / "fit")]) == 1
+    assert _one_config_error_line(capsys)
+
+
 class TestEstimateConstant:
     def test_writes_constant(self, tmp_path):
         out = tmp_path / "out"

@@ -17,7 +17,7 @@ from hypoflow import (
     fp_dissipation_terms,
     projected_entropy_rate,
     projected_quantities,
-    random_state,
+    random_band_limited,
 )
 from hypoflow.functionals import (
     FunctionalReport,
@@ -198,7 +198,7 @@ class TestCorrectionTerms:
 
     def test_nonnegative_on_random_states(self, grid_small):
         for seed in range(20):
-            s = random_state(grid_small, seed)
+            s = random_band_limited(grid_small, seed)
             cx, cv, vs = correction_terms(s, 1.5)
             assert cx >= -1e-14 and cv >= -1e-14 and vs >= 0.0
 
@@ -239,7 +239,7 @@ class TestSecondOrderTerms:
         # entropy variable holds pointwise against a spectral evaluation
         # of the composite field
         p = 1.5
-        s = random_state(grid_accept, seed=5, amplitude=0.2)
+        s = random_band_limited(grid_accept, seed=5, amplitude=0.2)
         grid = grid_accept
         gx = grad_x_field(s.h, grid)
         gv = grad_v_field(s.h, grid)
@@ -259,7 +259,7 @@ class TestSecondOrderTerms:
 
     def test_quartic_signs(self, grid_small):
         for seed in range(10):
-            s = random_state(grid_small, seed)
+            s = random_band_limited(grid_small, seed)
             vals = fp_dissipation_terms(s, 1.5)
             assert all(v >= -1e-16 for v in vals)
 
@@ -269,7 +269,7 @@ class TestReportInvariants:
     def test_sign_and_ordering_invariants(self, grid_accept, p):
         # runs the documented sign/ordering constraints over seeded states
         for seed in range(100):
-            s = random_state(grid_accept, seed)
+            s = random_band_limited(grid_accept, seed)
             rep = build_report(s, p, model="bgk")
             assert rep.entropy >= 0.0
             assert rep.fisher_x >= 0.0 and rep.fisher_v >= 0.0
@@ -291,7 +291,7 @@ class TestReportInvariants:
         # pushing the velocity integral through the relative term recovers
         # the projection gap
         for seed in range(10):
-            s = random_state(grid_accept, seed)
+            s = random_band_limited(grid_accept, seed)
             rep = build_report(s, BOLTZMANN, model="bgk")
             h = s.h
             pih = h @ grid_accept.v_weights
@@ -306,7 +306,7 @@ class TestReportInvariants:
             assert lhs == pytest.approx(gap, rel=1e-8, abs=1e-10)
 
     def test_p_to_one_continuity(self, grid_accept):
-        s = random_state(grid_accept, seed=3)
+        s = random_band_limited(grid_accept, seed=3)
         h_log = entropy(s, BOLTZMANN)
         h_near = entropy(s, PIndex(1.001))
         assert abs(h_near - h_log) / h_log < 0.01
@@ -318,7 +318,7 @@ class TestReportInvariants:
 
 class TestFokkerPlanckReport:
     def test_model_selects_entries(self, grid_small):
-        s = random_state(grid_small, 0)
+        s = random_band_limited(grid_small, 0)
         rep = build_report(s, PIndex(1.5), model="fokker-planck")
         assert rep.hess_xv is not None and rep.hess_xv >= 0.0
         assert rep.cross_dissipation is None
@@ -329,12 +329,12 @@ class TestFokkerPlanckReport:
 
     def test_unknown_model_rejected(self, grid_small):
         with pytest.raises(ValueError):
-            build_report(random_state(grid_small, 0), BOLTZMANN, model="nope")
+            build_report(random_band_limited(grid_small, 0), BOLTZMANN, model="nope")
 
 
 class TestReportSerialization:
     def test_csv_roundtrip_columns(self, grid_small, tmp_path):
-        s = random_state(grid_small, 0)
+        s = random_band_limited(grid_small, 0)
         reps = [build_report(s, BOLTZMANN, model="bgk"),
                 build_report(s, PIndex(1.5), model="bgk")]
         path = tmp_path / "reports.csv"
@@ -353,7 +353,7 @@ class TestReportSerialization:
 
     def test_json_output(self, grid_small, tmp_path):
         import json
-        s = random_state(grid_small, 0)
+        s = random_band_limited(grid_small, 0)
         path = tmp_path / "reports.json"
         write_report_json([build_report(s, BOLTZMANN, model="bgk")], path)
         data = json.loads(path.read_text())
@@ -363,7 +363,7 @@ class TestReportSerialization:
 
 def test_projected_entropy_rate_matches_divergence_form(grid_accept):
     # cross-check the pairing against an independently assembled divergence
-    s = random_state(grid_accept, seed=11)
+    s = random_band_limited(grid_accept, seed=11)
     rate = projected_entropy_rate(s, BOLTZMANN)
     pih = s.h @ grid_accept.v_weights
     u = local_mean_velocity(s)[0]

@@ -15,7 +15,7 @@ from hypoflow import (
     check_projection_inequalities,
     check_transport_polynomial,
     fit_decay,
-    random_state,
+    random_band_limited,
     run_suite,
     semigroup_derivative,
     simulate,
@@ -27,14 +27,14 @@ from hypoflow.verifier import check_correction_weight, save_results, summarize
 
 class TestSemigroupDerivative:
     def test_transport_keeps_fisher_x(self, grid_accept):
-        s = random_state(grid_accept, 0)
+        s = random_band_limited(grid_accept, 0)
         d = semigroup_derivative(
             s, Transport(),
             lambda st: build_report(st, BOLTZMANN, model="bgk").fisher_x)
         assert abs(d) < 1e-6
 
     def test_transport_drifts_fisher_v(self, grid_accept):
-        s = random_state(grid_accept, 1)
+        s = random_band_limited(grid_accept, 1)
         rep = build_report(s, BOLTZMANN, model="bgk")
         d = semigroup_derivative(
             s, Transport(),
@@ -52,7 +52,7 @@ class TestSemigroupDerivative:
     def test_ou_entropy_dissipates_velocity_fisher(self, grid_accept):
         # the power entropy dissipates exactly the velocity Fisher part
         p = PIndex(1.5)
-        s = random_state(grid_accept, 2)
+        s = random_band_limited(grid_accept, 2)
         d = semigroup_derivative(s, FokkerPlanck(), lambda st: entropy(st, p))
         iv = build_report(s, p, model="fokker-planck").fisher_v
         assert d == pytest.approx(-iv, rel=1e-5, abs=1e-8)
@@ -61,25 +61,25 @@ class TestSemigroupDerivative:
 class TestLemmaTables:
     @pytest.mark.parametrize("p", [BOLTZMANN, PIndex(1.5)])
     def test_transport_rows(self, grid_accept, p):
-        s = random_state(grid_accept, 3)
+        s = random_band_limited(grid_accept, 3)
         for r in check_lemma_table(s, Transport(), p):
             assert r.passed, (r.check_id, r.residual_or_slack)
 
     @pytest.mark.parametrize("p", [BOLTZMANN, PIndex(1.5), PIndex(2.0)])
     @pytest.mark.parametrize("lam", [0.5, 2.0])
     def test_relaxation_rows(self, grid_accept, p, lam):
-        s = random_state(grid_accept, 4)
+        s = random_band_limited(grid_accept, 4)
         for r in check_lemma_table(s, BGK(lam), p):
             assert r.passed, (r.check_id, r.residual_or_slack)
 
     @pytest.mark.parametrize("p", [PIndex(1.5), PIndex(2.0)])
     def test_diffusion_rows(self, grid_accept, p):
-        s = random_state(grid_accept, 5)
+        s = random_band_limited(grid_accept, 5)
         for r in check_lemma_table(s, FokkerPlanck(), p):
             assert r.passed, (r.check_id, r.residual_or_slack)
 
     def test_diffusion_rejects_log_entropy(self, grid_accept):
-        s = random_state(grid_accept, 5)
+        s = random_band_limited(grid_accept, 5)
         with pytest.raises(ValueError):
             check_lemma_table(s, FokkerPlanck(), BOLTZMANN)
 
@@ -93,7 +93,7 @@ class TestLemmaTables:
         # relaxation velocity-Fisher row: the flow's derivative has real
         # curvature there, so the Richardson residual scales like the
         # probe squared
-        s = random_state(grid_accept, 6)
+        s = random_band_limited(grid_accept, 6)
         rep = build_report(s, BOLTZMANN, model="bgk")
         expect = -1.0 * (rep.fisher_v + rep.fisher_v_ratio)
         func = lambda st: build_report(st, BOLTZMANN, model="bgk").fisher_v
@@ -109,7 +109,7 @@ class TestLemmaTables:
         fine = build_grid(GridSpec(dim=1, nx=64, nv=32))
         worst = {}
         for tag, grid in (("coarse", coarse), ("fine", fine)):
-            s = random_state(grid, 7, amplitude=0.3)
+            s = random_band_limited(grid, 7, amplitude=0.3)
             rows = check_lemma_table(s, BGK(1.0), PIndex(1.5))
             worst[tag] = max(abs(r.residual_or_slack) for r in rows
                              if r.kind == "equality")
@@ -120,7 +120,7 @@ class TestProjectionChecks:
     @pytest.mark.parametrize("p", [BOLTZMANN, PIndex(1.5)])
     def test_pass_on_random_states(self, grid_accept, p):
         for seed in range(5):
-            s = random_state(grid_accept, seed)
+            s = random_band_limited(grid_accept, seed)
             for r in check_projection_inequalities(s, p, C=0.014):
                 assert r.passed, (r.check_id, r.residual_or_slack)
 
@@ -142,7 +142,7 @@ class TestMixedTerm:
     @pytest.mark.parametrize("eta", [0.1, 1.0, 10.0])
     def test_sweep(self, grid_accept, p, eta):
         for seed in range(10):
-            r = check_mixed_term(random_state(grid_accept, seed), eta, p)
+            r = check_mixed_term(random_band_limited(grid_accept, seed), eta, p)
             assert r.passed, r.residual_or_slack
 
     def test_rejects_bad_eta(self, grid_accept):
@@ -152,19 +152,19 @@ class TestMixedTerm:
 
 class TestTransportPolynomial:
     def test_exact_at_time_zero(self, grid_accept):
-        s = random_state(grid_accept, 8, x_modes=1)
+        s = random_band_limited(grid_accept, 8, x_modes=1)
         rows = check_transport_polynomial(s, [0.0])
         for r in rows[:3]:
             assert abs(r.residual_or_slack) < 1e-12
 
     def test_laws_hold(self, grid_accept):
-        s = random_state(grid_accept, 9, x_modes=1)
+        s = random_band_limited(grid_accept, 9, x_modes=1)
         rows = check_transport_polynomial(s, np.linspace(0.0, 0.5, 11))
         for r in rows:
             assert r.passed, (r.check_id, r.residual_or_slack)
 
     def test_aliasing_flagged_for_wide_band(self, grid_accept):
-        s = random_state(grid_accept, 9, x_modes=2)
+        s = random_band_limited(grid_accept, 9, x_modes=2)
         rows = check_transport_polynomial(s, np.linspace(0.0, 0.5, 6))
         assert rows[0].params["aliasing_warning"]
 
@@ -245,13 +245,13 @@ class TestSuite:
 
 class TestTwoDimensionalChecks:
     def test_lemma_rows_2d(self, grid_2d):
-        s = random_state(grid_2d, 0, amplitude=0.2)
+        s = random_band_limited(grid_2d, 0, amplitude=0.2)
         for r in check_lemma_table(s, BGK(1.0), BOLTZMANN,
                                    abs_tol=1e-5, rel_tol=1e-3):
             assert r.passed, (r.check_id, r.residual_or_slack)
 
     def test_mixed_term_2d(self, grid_2d):
-        s = random_state(grid_2d, 1, amplitude=0.2)
+        s = random_band_limited(grid_2d, 1, amplitude=0.2)
         assert check_mixed_term(s, eta=1.0).passed
 
 
