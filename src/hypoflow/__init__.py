@@ -72,6 +72,7 @@ from .verifier import (
     check_projection_inequalities,
     check_transport_polynomial,
     fit_decay,
+    report_derivatives,
     run_suite,
     semigroup_derivative,
 )

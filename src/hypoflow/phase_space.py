@@ -8,6 +8,8 @@ weights and the velocity average is a single weighted sum.
 
 from __future__ import annotations
 
+import contextlib
+import os
 import warnings
 from dataclasses import dataclass, field
 
@@ -368,12 +370,31 @@ SNAPSHOT_MAGIC = "hypoflow-state 1"
 
 
 def save_state(state: State, path) -> None:
-    with open(path, "w") as f:
-        f.write(SNAPSHOT_MAGIC + "\n")
-        s = state.grid.spec
-        f.write(f"dim={s.dim} nx={s.nx} nv={s.nv} period={s.period!r} time={state.time!r}\n")
-        for val in state.h.ravel():
-            f.write(f"{val:.17e}\n")
+    """Write a snapshot atomically: a temporary file beside `path`, then a
+    rename, so an interrupted write leaves any previous file intact."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w") as f:
+            f.write(SNAPSHOT_MAGIC + "\n")
+            s = state.grid.spec
+            f.write(f"dim={s.dim} nx={s.nx} nv={s.nv} period={s.period!r} time={state.time!r}\n")
+            for val in state.h.ravel():
+                f.write(f"{val:.17e}\n")
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
+def _header_value(path, header: dict, key: str, kind):
+    if key not in header:
+        raise ValueError(f"{path}: snapshot header has no {key!r}")
+    try:
+        return kind(header[key])
+    except ValueError:
+        raise ValueError(f"{path}: snapshot header value {key}={header[key]!r} "
+                         f"is not a valid {kind.__name__}") from None
 
 
 def load_state(path, grid: Grid | None = None) -> State:
@@ -382,9 +403,16 @@ def load_state(path, grid: Grid | None = None) -> State:
         magic = f.readline().strip()
         if magic != SNAPSHOT_MAGIC:
             raise ValueError(f"not a hypoflow state snapshot: {magic!r}")
-        header = dict(tok.split("=", 1) for tok in f.readline().split())
-        spec = GridSpec(dim=int(header["dim"]), nx=int(header["nx"]),
-                        nv=int(header["nv"]), period=float(header["period"]))
+        header = {}
+        for tok in f.readline().split():
+            key, eq, val = tok.partition("=")
+            if not eq:
+                raise ValueError(f"{path}: snapshot header entry {tok!r} is not key=value")
+            header[key] = val
+        spec = GridSpec(dim=_header_value(path, header, "dim", int),
+                        nx=_header_value(path, header, "nx", int),
+                        nv=_header_value(path, header, "nv", int),
+                        period=_header_value(path, header, "period", float))
         if grid is None:
             grid = build_grid(spec)
         elif grid.spec != spec:
@@ -395,4 +423,4 @@ def load_state(path, grid: Grid | None = None) -> State:
     if vals.size != expect:
         raise ValueError(f"{path}: {vals.size} values, expected {expect}")
     h = vals.reshape(grid.nx_total, grid.nv_total)
-    return State(grid, h, time=float(header["time"]))
+    return State(grid, h, time=_header_value(path, header, "time", float))

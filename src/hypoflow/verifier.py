@@ -3,20 +3,22 @@
 Each check compares a semigroup finite difference of a functional (the
 sub-flows are exact, so differencing error is the probe step squared)
 against the closed-form combination of diagnostics the theory predicts.
-Equality checks report a residual, inequality checks a slack; both carry
-the tolerance they were judged against.
+Each state, and each state a probe flows it to, is reported once; every
+row reads from those reports. Equality checks report a residual,
+inequality checks a slack; both carry the tolerance they were judged
+against.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
 
 from . import functionals as fns
-from .functionals import BOLTZMANN, PIndex, build_report
+from .functionals import BOLTZMANN, FunctionalReport, PIndex, build_report
 from .initial import random_band_limited
 from .integrator import Trajectory
 from .operators import BGK, FokkerPlanck, Transport, bgk_flow
@@ -91,8 +93,8 @@ def default_probe_step(generator: Generator) -> float:
 
 
 def semigroup_derivative(state: State, generator: Generator,
-                         functional: Callable[[State], float],
-                         delta: float | None = None) -> float:
+                         functional: Callable[[State], float | np.ndarray],
+                         delta: float | None = None) -> float | np.ndarray:
     """d/dt of the functional along the generator's flow at this state.
 
     Transport is a group, so a centered difference applies; the collision
@@ -131,124 +133,123 @@ def _inequality(check_id, lhs, rhs, abs_tol, desc="", params=None):
     )
 
 
-def check_lemma_table(state: State, generator: Generator, p: PIndex,
-                      delta: float | None = None,
-                      eps: float = 1.0, eps1: float = 1.0, eps2: float = 1.0,
+def report_derivatives(state: State, rep: FunctionalReport,
+                       generator: Generator, p: PIndex,
+                       delta: float | None = None) -> FunctionalReport:
+    """d/dt of every column of `rep`, the report of `state`, along the
+    generator's flow, as a report with `rep`'s time and entropy label.
+    Each flowed state is reported once and all columns are differenced
+    together."""
+    model = "fokker-planck" if isinstance(generator, FokkerPlanck) else "bgk"
+    cols = [c for c in FunctionalReport.columns()
+            if c not in ("time", "p") and getattr(rep, c) is not None]
+
+    def columns_at(s: State) -> np.ndarray:
+        # the one-sided collision difference also evaluates the state itself
+        at = rep if s is state else build_report(s, p, model=model)
+        return np.array([getattr(at, c) for c in cols])
+
+    d = semigroup_derivative(state, generator, columns_at, delta)
+    return replace(rep, **{c: float(v) for c, v in zip(cols, d)})
+
+
+def check_lemma_table(rep: FunctionalReport, rates: FunctionalReport,
+                      generator: Generator, p: PIndex,
+                      splitters: tuple = (1.0,),
                       abs_tol: float = DEFAULT_ABS_TOL,
                       rel_tol: float = DEFAULT_REL_TOL) -> list[LemmaCheckResult]:
-    """Derivative table of the Fisher components along one generator.
-
-    Covers the transport rows (shared by both entropy families), the
-    relaxation rows (log and power variants) and the velocity-diffusion
-    rows (power only). Inequality rows take the supplied Young splitters.
+    """Derivative table of the Fisher components along one generator, read
+    from the report `rep` and its derivatives `rates` along the generator
+    (see `report_derivatives`). Covers the transport rows (shared by both
+    entropy families), the relaxation rows (log and power variants) and
+    the velocity-diffusion rows (power only). Equality rows appear once,
+    relaxation inequality rows once per Young splitter.
     """
-    model = "fokker-planck" if isinstance(generator, FokkerPlanck) else "bgk"
-    rep = build_report(state, p, model=model)
-    meta = {"time": state.time, "p": p.label()}
-
-    def deriv(name):
-        return semigroup_derivative(
-            state, generator,
-            lambda s, _n=name: getattr(build_report(s, p, model=model), _n),
-            delta,
-        )
-
-    out: list[LemmaCheckResult] = []
+    meta = {"time": rep.time, "p": p.label()}
     if isinstance(generator, Transport):
-        out.append(_equality(
-            "transport.fisher_x_invariant", deriv("fisher_x"), 0.0,
-            abs_tol, rel_tol,
-            "spatial Fisher information is constant under free streaming", meta))
-        out.append(_equality(
-            "transport.fisher_v_rate", deriv("fisher_v"), -2.0 * rep.fisher_mixed,
-            abs_tol, rel_tol, "velocity Fisher information drifts at minus twice the mixed term", meta))
-        out.append(_equality(
-            "transport.fisher_mixed_rate", deriv("fisher_mixed"), -rep.fisher_x,
-            abs_tol, rel_tol, "mixed term drifts at minus the spatial Fisher information", meta))
-        return out
+        return [
+            _equality("transport.fisher_x_invariant", rates.fisher_x, 0.0,
+                      abs_tol, rel_tol,
+                      "spatial Fisher information is constant under free streaming", meta),
+            _equality("transport.fisher_v_rate", rates.fisher_v, -2.0 * rep.fisher_mixed,
+                      abs_tol, rel_tol, "velocity Fisher information drifts at minus twice the mixed term", meta),
+            _equality("transport.fisher_mixed_rate", rates.fisher_mixed, -rep.fisher_x,
+                      abs_tol, rel_tol, "mixed term drifts at minus the spatial Fisher information", meta),
+        ]
 
     if isinstance(generator, BGK):
         lam = generator.rate
         meta = dict(meta, lam=lam)
         if p.is_log:
-            out.append(_equality(
-                "relaxation.fisher_v_rate", deriv("fisher_v"),
-                -lam * (rep.fisher_v + rep.fisher_v_ratio),
-                abs_tol, rel_tol,
-                "velocity Fisher decays by itself plus its average-ratio variant", meta))
-            out.append(_inequality(
-                "relaxation.fisher_x_bound", deriv("fisher_x"),
-                -lam * rep.fisher_x_ratio
-                - lam * (rep.fisher_x - rep.fisher_x_projected),
-                abs_tol,
-                "spatial Fisher decays by the relative term plus the projection gap", meta))
-            out.append(_inequality(
-                "relaxation.fisher_mixed_bound", deriv("fisher_mixed"),
-                lam * eps * rep.fisher_v_ratio + lam / eps * rep.fisher_x_ratio
-                - lam * rep.fisher_mixed,
-                abs_tol,
-                "mixed term bounded by the split relative terms minus itself",
-                dict(meta, eps=eps)))
+            v_rate = -lam * (rep.fisher_v + rep.fisher_v_ratio)
+            x_bound = (-lam * rep.fisher_x_ratio
+                       - lam * (rep.fisher_x - rep.fisher_x_projected))
+
+            def mixed_bound(eps):
+                return (lam * eps * rep.fisher_v_ratio + lam / eps * rep.fisher_x_ratio
+                        - lam * rep.fisher_mixed)
+            split_keys = ("eps",)
+            desc = ("velocity Fisher decays by itself plus its average-ratio variant",
+                    "spatial Fisher decays by the relative term plus the projection gap",
+                    "mixed term bounded by the split relative terms minus itself")
         else:
-            out.append(_equality(
-                "relaxation.fisher_v_rate", deriv("fisher_v"),
-                -lam * (rep.correction_v + rep.fisher_v_scaled + rep.fisher_v),
-                abs_tol, rel_tol,
-                "velocity Fisher decays by itself plus both weighted variants", meta))
-            out.append(_inequality(
-                "relaxation.fisher_x_bound", deriv("fisher_x"),
-                -lam * rep.cross_dissipation - lam * rep.correction_x,
-                abs_tol,
-                "spatial Fisher decays by the cross dissipation and weighted term", meta))
-            out.append(_inequality(
-                "relaxation.fisher_mixed_bound", deriv("fisher_mixed"),
-                0.5 * lam * eps1 * rep.fisher_v_scaled
-                + lam / eps1 * rep.cross_dissipation
-                + 0.5 * lam / eps2 * rep.correction_x
-                + 0.5 * lam * eps2 * rep.correction_v
-                - lam * rep.fisher_mixed,
-                abs_tol,
-                "mixed term bounded by the split dissipation terms minus itself",
-                dict(meta, eps1=eps1, eps2=eps2)))
+            v_rate = -lam * (rep.correction_v + rep.fisher_v_scaled + rep.fisher_v)
+            x_bound = -lam * rep.cross_dissipation - lam * rep.correction_x
+
+            def mixed_bound(eps):
+                return (0.5 * lam * eps * rep.fisher_v_scaled
+                        + lam / eps * rep.cross_dissipation
+                        + 0.5 * lam / eps * rep.correction_x
+                        + 0.5 * lam * eps * rep.correction_v
+                        - lam * rep.fisher_mixed)
+            split_keys = ("eps1", "eps2")
+            desc = ("velocity Fisher decays by itself plus both weighted variants",
+                    "spatial Fisher decays by the cross dissipation and weighted term",
+                    "mixed term bounded by the split dissipation terms minus itself")
+        out = [_equality("relaxation.fisher_v_rate", rates.fisher_v, v_rate,
+                         abs_tol, rel_tol, desc[0], meta)]
+        for eps in splitters:
+            out.append(_inequality("relaxation.fisher_x_bound", rates.fisher_x,
+                                   x_bound, abs_tol, desc[1], meta))
+            out.append(_inequality("relaxation.fisher_mixed_bound", rates.fisher_mixed,
+                                   mixed_bound(eps), abs_tol, desc[2],
+                                   dict(meta, **dict.fromkeys(split_keys, eps))))
         return out
 
     # velocity diffusion rows (power entropies)
     if p.is_log:
         raise ValueError("the diffusion derivative table is stated for power entropies")
-    out.append(_equality(
-        "diffusion.fisher_x_rate", deriv("fisher_x"),
-        -2.0 * rep.hess_xv - (2.0 - p.p) * (p.p - 1.0) * rep.quartic_xv,
-        abs_tol, rel_tol,
-        "spatial Fisher dissipates through the mixed second derivative", meta))
-    out.append(_inequality(
-        "diffusion.fisher_mixed_bound", deriv("fisher_mixed"),
-        rep.hess_vv + rep.hess_xv
-        + 0.5 * (2.0 - p.p) * (p.p - 1.0) * (rep.quartic_v + rep.quartic_xv)
-        + 0.5 * rep.fisher_x + 0.5 * rep.fisher_v,
-        abs_tol,
-        "mixed term bounded by second-derivative and split Fisher terms", meta))
-    out.append(_equality(
-        "diffusion.fisher_v_rate", deriv("fisher_v"),
-        -2.0 * rep.hess_vv - (2.0 - p.p) * (p.p - 1.0) * rep.quartic_v
-        - 2.0 * rep.fisher_v,
-        abs_tol, rel_tol,
-        "velocity Fisher dissipates through second derivatives and twice "
-        "itself, the commutator contribution", meta))
-    return out
+    return [
+        _equality("diffusion.fisher_x_rate", rates.fisher_x,
+                  -2.0 * rep.hess_xv - (2.0 - p.p) * (p.p - 1.0) * rep.quartic_xv,
+                  abs_tol, rel_tol,
+                  "spatial Fisher dissipates through the mixed second derivative", meta),
+        _inequality("diffusion.fisher_mixed_bound", rates.fisher_mixed,
+                    rep.hess_vv + rep.hess_xv
+                    + 0.5 * (2.0 - p.p) * (p.p - 1.0) * (rep.quartic_v + rep.quartic_xv)
+                    + 0.5 * rep.fisher_x + 0.5 * rep.fisher_v,
+                    abs_tol,
+                    "mixed term bounded by second-derivative and split Fisher terms", meta),
+        _equality("diffusion.fisher_v_rate", rates.fisher_v,
+                  -2.0 * rep.hess_vv - (2.0 - p.p) * (p.p - 1.0) * rep.quartic_v
+                  - 2.0 * rep.fisher_v,
+                  abs_tol, rel_tol,
+                  "velocity Fisher dissipates through second derivatives and twice "
+                  "itself, the commutator contribution", meta),
+    ]
 
 
-def check_projection_inequalities(state: State, p: PIndex,
-                                  C: float | None = None,
+def check_projection_inequalities(rep: FunctionalReport, transport: FunctionalReport,
+                                  collision: FunctionalReport, C: float | None = None,
                                   abs_tol: float = DEFAULT_ABS_TOL) -> list[LemmaCheckResult]:
     """Projection (Jensen) inequality, the functional inequality with an
     estimated constant, and the exact projected-entropy rate identity.
 
-    The rate identity is checked against the derivative along the full
-    dynamics, assembled as the sum of the transport and relaxation
-    semigroup derivatives.
+    `transport` and `collision` are the derivatives of the report `rep`
+    along the two halves of the dynamics; the rate identity is checked
+    against their sum, the derivative along the full flow.
     """
-    rep = build_report(state, p, model="bgk")
-    meta = {"time": state.time, "p": p.label()}
+    meta = {"time": rep.time, "p": rep.p}
     out = [
         _inequality(
             "jensen.projected_fisher", rep.fisher_x_projected, rep.fisher_x,
@@ -269,19 +270,16 @@ def check_projection_inequalities(state: State, p: PIndex,
             dict(meta, C=C)))
 
     # rate identity: transport carries the whole derivative, relaxation none
-    lam = 1.0
-    hpi = lambda s: fns.projected_entropy(s, p)
-    d_transport = semigroup_derivative(state, Transport(), hpi)
-    d_relax = semigroup_derivative(state, BGK(lam), hpi)
     out.append(_equality(
-        "projected_entropy_rate.formula", d_transport + d_relax,
+        "projected_entropy_rate.formula",
+        transport.entropy_projected + collision.entropy_projected,
         rep.projected_entropy_rate,
         abs_tol, DEFAULT_REL_TOL,
         "the projected entropy rate equals the divergence pairing", meta))
     return out
 
 
-def check_mixed_term(state: State, eta: float, p: PIndex = BOLTZMANN,
+def check_mixed_term(rep: FunctionalReport, eta: float,
                      abs_tol: float = DEFAULT_ABS_TOL) -> LemmaCheckResult:
     """The compensated mixed-term bound: minus the mixed Fisher term is
     controlled by split Fisher terms, the projection gap, and the exact
@@ -289,10 +287,10 @@ def check_mixed_term(state: State, eta: float, p: PIndex = BOLTZMANN,
 
     The bound is generator-independent: the collision part leaves the
     velocity average untouched, so the rate formula covers the full flow.
+    `rep` must be a relaxation-model report.
     """
     if not eta > 0:
         raise ValueError(f"eta must be positive, got {eta}")
-    rep = build_report(state, p, model="bgk")
     lhs = -rep.fisher_mixed
     rhs = (0.5 * eta * rep.fisher_v
            + 0.5 / eta * (rep.fisher_x - rep.fisher_x_projected)
@@ -300,7 +298,7 @@ def check_mixed_term(state: State, eta: float, p: PIndex = BOLTZMANN,
     return _inequality(
         "mixed_term.bound", lhs, rhs, abs_tol,
         "the mixed term is compensated by the projected entropy rate",
-        {"time": state.time, "p": p.label(), "eta": eta})
+        {"time": rep.time, "p": rep.p, "eta": eta})
 
 
 def check_correction_weight(r_grid: np.ndarray | None = None,
@@ -447,21 +445,21 @@ def run_suite(grid: Grid, model: str, p: PIndex, lam: float | None = None,
 
     def one_state(seed: int) -> list[LemmaCheckResult]:
         state = random_band_limited(grid, seed, amplitude=amplitude)
-        res: list[LemmaCheckResult] = []
+        rep = build_report(state, p, model=model)
+        rates = report_derivatives(state, rep, generator, p)
         if model == "bgk":
-            res += check_lemma_table(state, Transport(), p,
+            drift = report_derivatives(state, rep, Transport(), p)
+            res = check_lemma_table(rep, drift, Transport(), p,
+                                    abs_tol=abs_tol, rel_tol=rel_tol)
+            res += check_lemma_table(rep, rates, generator, p, splitters,
                                      abs_tol=abs_tol, rel_tol=rel_tol)
-            for e in splitters:
-                res += [r for r in check_lemma_table(
-                    state, generator, p, eps=e, eps1=e, eps2=e,
-                    abs_tol=abs_tol, rel_tol=rel_tol)
-                    if r.kind == "inequality" or e == splitters[0]]
-            res += check_projection_inequalities(state, p, C=C, abs_tol=abs_tol)
-            for eta in splitters:
-                res.append(check_mixed_term(state, eta, p, abs_tol=abs_tol))
+            res += check_projection_inequalities(rep, drift, rates, C=C,
+                                                 abs_tol=abs_tol)
+            res += [check_mixed_term(rep, eta, abs_tol=abs_tol)
+                    for eta in splitters]
         else:
-            res += check_lemma_table(state, generator, p,
-                                     abs_tol=abs_tol, rel_tol=rel_tol)
+            res = check_lemma_table(rep, rates, generator, p,
+                                    abs_tol=abs_tol, rel_tol=rel_tol)
         for r in res:
             r.params["seed"] = seed
         return res
@@ -486,18 +484,16 @@ def summarize(results: list[LemmaCheckResult]) -> str:
     worst: dict[str, LemmaCheckResult] = {}
     counts: dict[str, int] = {}
     fails: dict[str, int] = {}
+
+    def badness(r):
+        return abs(r.residual_or_slack) if r.kind == "equality" else -r.residual_or_slack
+
     for r in results:
         counts[r.check_id] = counts.get(r.check_id, 0) + 1
         fails[r.check_id] = fails.get(r.check_id, 0) + (0 if r.passed else 1)
         cur = worst.get(r.check_id)
-        key = abs(r.residual_or_slack) if r.kind == "equality" else -r.residual_or_slack
-        if cur is None:
+        if cur is None or badness(r) > badness(cur):
             worst[r.check_id] = r
-        else:
-            cur_key = (abs(cur.residual_or_slack) if cur.kind == "equality"
-                       else -cur.residual_or_slack)
-            if key > cur_key:
-                worst[r.check_id] = r
     lines = [f"{'check':48s} {'kind':10s} {'n':>5s} {'fail':>5s} "
              f"{'worst resid/slack':>18s} {'tol':>9s}"]
     for cid in sorted(worst):

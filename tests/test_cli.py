@@ -224,10 +224,13 @@ class TestFitDecay:
 
 
 def _one_config_error_line(capsys):
+    """The single `configuration error:` line on stderr, or "" if there is
+    not exactly one such line and no traceback."""
     err = capsys.readouterr().err
     lines = err.splitlines()
-    return (len(lines) == 1 and lines[0].startswith("configuration error:")
-            and "Traceback" not in err)
+    ok = (len(lines) == 1 and lines[0].startswith("configuration error:")
+          and "Traceback" not in err)
+    return lines[0] if ok else ""
 
 
 @pytest.mark.parametrize("command,old,new", [
@@ -262,9 +265,19 @@ def _move_period(path):
     path.write_text(text.replace(" period=1.0 ", " period=2.0 ", 1))
 
 
-@pytest.mark.parametrize("damage", [_truncate, _move_period],
-                         ids=["truncated", "mismatched-header"])
-def test_damaged_snapshot_is_config_error(tmp_path, capsys, damage):
+def _edit_header(old, new):
+    def damage(path):
+        text = path.read_text()
+        assert text.count(old) == 1
+        path.write_text(text.replace(old, new))
+    return damage
+
+
+@pytest.mark.parametrize("damage,named", [
+    (_truncate, None), (_move_period, None),
+    (_edit_header(" nv=16 ", " "), "'nv'"), (_edit_header(" nx=32 ", " nx=abc "), "nx='abc'"),
+], ids=["truncated", "mismatched-header", "missing-key", "bad-value"])
+def test_damaged_snapshot_is_config_error(tmp_path, capsys, damage, named):
     out = tmp_path / "sim"
     text = BASE.format(out=out).replace("t_end = 5.0", "t_end = 1.0")
     assert main(["simulate", write_config(tmp_path, text)]) == 0
@@ -273,7 +286,10 @@ def test_damaged_snapshot_is_config_error(tmp_path, capsys, damage):
     fit_cfg = write_config(tmp_path, fit_text, name="fit.ini")
     capsys.readouterr()
     assert main(["fit-decay", fit_cfg, "--output-dir", str(tmp_path / "fit")]) == 1
-    assert _one_config_error_line(capsys)
+    line = _one_config_error_line(capsys)
+    assert line
+    if named is not None:
+        assert named in line and "snapshot_000001.txt" in line, line
 
 
 class TestEstimateConstant:

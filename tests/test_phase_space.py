@@ -12,6 +12,7 @@ from hypoflow import (
     project_pi,
     save_state,
 )
+from hypoflow import phase_space
 from hypoflow.phase_space import (
     grad_v_field,
     grad_x_field,
@@ -210,6 +211,39 @@ class TestState:
         assert back.time == state.time
         assert back.grid.spec == grid_small.spec
         assert np.array_equal(back.h, state.h)
+
+    def test_failed_write_keeps_previous_snapshot(self, grid_small, tmp_path,
+                                                  monkeypatch):
+        path = tmp_path / "snap.txt"
+        save_state(State(grid_small, np.ones((grid_small.nx_total, grid_small.nv_total))),
+                   path)
+        before = path.read_bytes()
+
+        class FailingFile:
+            # lets the header and a few values through, then fails
+            def __init__(self, f):
+                self.f, self.writes = f, 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+            def write(self, text):
+                self.writes += 1
+                if self.writes > 5:
+                    raise OSError("no space left on device")
+                return self.f.write(text)
+
+        monkeypatch.setattr(phase_space, "open",
+                            lambda p, mode="r": FailingFile(open(p, mode)), raising=False)
+        rng = np.random.default_rng(3)
+        h = np.exp(0.1 * rng.standard_normal((grid_small.nx_total, grid_small.nv_total)))
+        with pytest.raises(OSError):
+            save_state(State(grid_small, h / integrate_mu(h, grid_small), time=2.0), path)
+        assert path.read_bytes() == before
+        assert [q.name for q in tmp_path.iterdir()] == ["snap.txt"]
 
 
 class TestTwoDimensional:

@@ -16,13 +16,29 @@ from hypoflow import (
     check_transport_polynomial,
     fit_decay,
     random_band_limited,
+    report_derivatives,
     run_suite,
     semigroup_derivative,
     simulate,
 )
+from hypoflow import functionals, verifier
 from hypoflow.functionals import build_report, entropy
 from hypoflow.initial import cosine, equilibrium, velocity_perturbation
 from hypoflow.verifier import check_correction_weight, save_results, summarize
+
+
+def lemma_rows(state, generator, p, **kw):
+    model = "fokker-planck" if isinstance(generator, FokkerPlanck) else "bgk"
+    rep = build_report(state, p, model=model)
+    rates = report_derivatives(state, rep, generator, p)
+    return check_lemma_table(rep, rates, generator, p, **kw)
+
+
+def projection_rows(state, p, C=None):
+    rep = build_report(state, p)
+    return check_projection_inequalities(
+        rep, report_derivatives(state, rep, Transport(), p),
+        report_derivatives(state, rep, BGK(1.0), p), C=C)
 
 
 class TestSemigroupDerivative:
@@ -58,34 +74,63 @@ class TestSemigroupDerivative:
         assert d == pytest.approx(-iv, rel=1e-5, abs=1e-8)
 
 
+class TestReportDerivatives:
+    @pytest.mark.parametrize("generator,p", [
+        (BGK(1.0), BOLTZMANN), (BGK(1.0), PIndex(1.5)), (FokkerPlanck(), PIndex(1.5)),
+    ], ids=["bgk-log", "bgk-1.5", "fp-1.5"])
+    def test_rows_match_per_column_differences(self, grid_accept, generator, p):
+        # reference: one semigroup derivative per column, every probe
+        # reported afresh
+        model = "fokker-planck" if isinstance(generator, FokkerPlanck) else "bgk"
+        s = random_band_limited(grid_accept, 11)
+        rep = build_report(s, p, model=model)
+        gens = [generator] if model == "fokker-planck" else [Transport(), generator]
+        rates = {}
+        for gen in gens:
+            rates[gen] = report_derivatives(s, rep, gen, p)
+            rows = check_lemma_table(rep, rates[gen], gen, p, splitters=(0.1, 1.0, 10.0))
+            for r in rows:
+                col = next(c for c in ("fisher_x", "fisher_v", "fisher_mixed")
+                           if r.check_id.split(".")[1].startswith(c))
+                expect = semigroup_derivative(
+                    s, gen, lambda st, c=col: getattr(build_report(st, p, model=model), c))
+                assert r.lhs == expect, r.check_id
+        if model == "bgk":
+            rows = check_projection_inequalities(rep, rates[gens[0]], rates[generator])
+            hpi = lambda st: functionals.projected_entropy(st, p)
+            assert rows[-1].check_id == "projected_entropy_rate.formula"
+            assert rows[-1].lhs == (semigroup_derivative(s, Transport(), hpi)
+                                    + semigroup_derivative(s, BGK(1.0), hpi))
+
+
 class TestLemmaTables:
     @pytest.mark.parametrize("p", [BOLTZMANN, PIndex(1.5)])
     def test_transport_rows(self, grid_accept, p):
         s = random_band_limited(grid_accept, 3)
-        for r in check_lemma_table(s, Transport(), p):
+        for r in lemma_rows(s, Transport(), p):
             assert r.passed, (r.check_id, r.residual_or_slack)
 
     @pytest.mark.parametrize("p", [BOLTZMANN, PIndex(1.5), PIndex(2.0)])
     @pytest.mark.parametrize("lam", [0.5, 2.0])
     def test_relaxation_rows(self, grid_accept, p, lam):
         s = random_band_limited(grid_accept, 4)
-        for r in check_lemma_table(s, BGK(lam), p):
+        for r in lemma_rows(s, BGK(lam), p):
             assert r.passed, (r.check_id, r.residual_or_slack)
 
     @pytest.mark.parametrize("p", [PIndex(1.5), PIndex(2.0)])
     def test_diffusion_rows(self, grid_accept, p):
         s = random_band_limited(grid_accept, 5)
-        for r in check_lemma_table(s, FokkerPlanck(), p):
+        for r in lemma_rows(s, FokkerPlanck(), p):
             assert r.passed, (r.check_id, r.residual_or_slack)
 
     def test_diffusion_rejects_log_entropy(self, grid_accept):
         s = random_band_limited(grid_accept, 5)
         with pytest.raises(ValueError):
-            check_lemma_table(s, FokkerPlanck(), BOLTZMANN)
+            lemma_rows(s, FokkerPlanck(), BOLTZMANN)
 
     def test_equilibrium_rows_trivial(self, grid_accept):
         s = equilibrium(grid_accept)
-        for r in check_lemma_table(s, BGK(1.0), BOLTZMANN):
+        for r in lemma_rows(s, BGK(1.0), BOLTZMANN):
             assert r.passed
             assert abs(r.lhs) < 1e-9 and abs(r.rhs) < 1e-9
 
@@ -110,7 +155,7 @@ class TestLemmaTables:
         worst = {}
         for tag, grid in (("coarse", coarse), ("fine", fine)):
             s = random_band_limited(grid, 7, amplitude=0.3)
-            rows = check_lemma_table(s, BGK(1.0), PIndex(1.5))
+            rows = lemma_rows(s, BGK(1.0), PIndex(1.5))
             worst[tag] = max(abs(r.residual_or_slack) for r in rows
                              if r.kind == "equality")
         assert worst["fine"] <= worst["coarse"] * 2.0
@@ -121,20 +166,20 @@ class TestProjectionChecks:
     def test_pass_on_random_states(self, grid_accept, p):
         for seed in range(5):
             s = random_band_limited(grid_accept, seed)
-            for r in check_projection_inequalities(s, p, C=0.014):
+            for r in projection_rows(s, p, C=0.014):
                 assert r.passed, (r.check_id, r.residual_or_slack)
 
 
 class TestMixedTerm:
     def test_equilibrium_trivial(self, grid_accept):
-        r = check_mixed_term(equilibrium(grid_accept), eta=1.0)
+        r = check_mixed_term(build_report(equilibrium(grid_accept), BOLTZMANN), eta=1.0)
         assert r.passed and abs(r.lhs) < 1e-12
 
     def test_local_equilibrium(self, grid_accept):
         x = grid_accept.x_nodes[:, 0]
         from hypoflow import State
         h = (1.0 + 0.4 * np.cos(2 * np.pi * x))[:, None] * np.ones(grid_accept.nv_total)
-        r = check_mixed_term(State(grid_accept, h), eta=0.5)
+        r = check_mixed_term(build_report(State(grid_accept, h), BOLTZMANN), eta=0.5)
         assert r.passed
         assert r.lhs == pytest.approx(0.0, abs=1e-12)
 
@@ -142,12 +187,12 @@ class TestMixedTerm:
     @pytest.mark.parametrize("eta", [0.1, 1.0, 10.0])
     def test_sweep(self, grid_accept, p, eta):
         for seed in range(10):
-            r = check_mixed_term(random_band_limited(grid_accept, seed), eta, p)
+            r = check_mixed_term(build_report(random_band_limited(grid_accept, seed), p), eta)
             assert r.passed, r.residual_or_slack
 
     def test_rejects_bad_eta(self, grid_accept):
         with pytest.raises(ValueError):
-            check_mixed_term(equilibrium(grid_accept), eta=0.0)
+            check_mixed_term(build_report(equilibrium(grid_accept), BOLTZMANN), eta=0.0)
 
 
 class TestTransportPolynomial:
@@ -209,6 +254,25 @@ class TestSuite:
         # + 3 mixed-term etas
         assert len(results) == n_states * 17
 
+    @pytest.mark.parametrize("model,p,lam,per_state", [
+        ("bgk", BOLTZMANN, 1.0, 5), ("bgk", PIndex(1.5), 1.0, 5),
+        ("fokker-planck", PIndex(1.5), None, 3),
+    ], ids=["bgk-log", "bgk-1.5", "fp-1.5"])
+    def test_one_report_per_flowed_state(self, grid_accept, monkeypatch,
+                                         model, p, lam, per_state):
+        # the base state plus transport at +-delta and a collision flow at
+        # delta/2 and delta (BGK), or the collision flows alone (FP)
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return functionals.build_report(*args, **kwargs)
+
+        monkeypatch.setattr(verifier, "build_report", counting)
+        n_states = 2
+        run_suite(grid_accept, model, p, lam=lam, n_states=n_states, C=0.014)
+        assert len(calls) == n_states * per_state
+
     def test_corruption_hook_breaks_equalities(self, grid_accept):
         results = run_suite(grid_accept, "bgk", BOLTZMANN, lam=1.0,
                             n_states=1, corruption=0.02)
@@ -246,13 +310,13 @@ class TestSuite:
 class TestTwoDimensionalChecks:
     def test_lemma_rows_2d(self, grid_2d):
         s = random_band_limited(grid_2d, 0, amplitude=0.2)
-        for r in check_lemma_table(s, BGK(1.0), BOLTZMANN,
+        for r in lemma_rows(s, BGK(1.0), BOLTZMANN,
                                    abs_tol=1e-5, rel_tol=1e-3):
             assert r.passed, (r.check_id, r.residual_or_slack)
 
     def test_mixed_term_2d(self, grid_2d):
         s = random_band_limited(grid_2d, 1, amplitude=0.2)
-        assert check_mixed_term(s, eta=1.0).passed
+        assert check_mixed_term(build_report(s, BOLTZMANN), eta=1.0).passed
 
 
 class TestTrajectoryChecks:
@@ -265,5 +329,5 @@ class TestTrajectoryChecks:
         traj = simulate(h0, sched)
         for eta in (0.1, 1.0, 10.0):
             for _, state in traj.snapshots:
-                r = check_mixed_term(state, eta)
+                r = check_mixed_term(build_report(state, BOLTZMANN), eta)
                 assert r.passed, (r.params, r.residual_or_slack)
