@@ -5,6 +5,11 @@ velocity average is an explicit exponential mixture, and the
 velocity-space Ornstein-Uhlenbeck operator decays Hermite coefficients.
 None of the flows carries time-stepping error, so operator splitting is
 the only discretization of the composed dynamics.
+
+The collision flows act on v alone and so commute with the Fourier
+transform in x: each collision kind also flows the half-spectrum x-modes
+of `phase_space.to_modes` (`flow_modes`), on which transport is the
+diagonal table of `transport_phases`.
 """
 
 from __future__ import annotations
@@ -20,6 +25,8 @@ from .phase_space import (
     hermite_coefficients,
     hermite_values,
     project_pi,
+    to_modes,
+    to_nodes,
 )
 
 
@@ -36,6 +43,9 @@ class BGK:
     def flow(self, state: State, t: float) -> State:
         return bgk_flow(state, self.rate, t)
 
+    def flow_modes(self, modes: np.ndarray, grid: Grid, t: float) -> np.ndarray:
+        return bgk_relax(modes, grid, self.rate, t)
+
 
 @dataclass(frozen=True)
 class FokkerPlanck:
@@ -43,6 +53,9 @@ class FokkerPlanck:
 
     def flow(self, state: State, t: float) -> State:
         return fokker_planck_flow(state, t)
+
+    def flow_modes(self, modes: np.ndarray, grid: Grid, t: float) -> np.ndarray:
+        return fokker_planck_modes_flow(modes, grid, t)
 
 
 @dataclass(frozen=True)
@@ -56,15 +69,17 @@ class Transport:
 CollisionKind = BGK | FokkerPlanck
 
 
-def _transport_phases(grid: Grid, t: float) -> np.ndarray:
-    """exp(-i k.v t) table over the spatial modes and velocity nodes."""
-    k = grid.k_axis
-    if grid.dim == 1:
-        # (nx, nv)
-        return np.exp(-1j * np.outer(k, grid.v_nodes[:, 0]) * t)
-    kv = (k[:, None, None] * grid.v_nodes[None, None, :, 0]
-          + k[None, :, None] * grid.v_nodes[None, None, :, 1])
-    return np.exp(-1j * kv * t)  # (nx, nx, nv_total)
+def transport_phases(grid: Grid, t: float) -> np.ndarray:
+    """exp(-i k.v t) over the half-spectrum x-modes of to_modes and the
+    velocity nodes: the transport flow of time t, diagonal in (k, v)."""
+    d, nx = grid.dim, grid.spec.nx
+    ks = [grid.k_axis] * (d - 1) + [grid.k_axis[: nx // 2 + 1]]
+    kv = 0.0
+    for axis, k in enumerate(ks):
+        shape = [1] * (d + 1)
+        shape[axis] = k.size
+        kv = kv + k.reshape(shape) * grid.v_nodes[:, axis]
+    return np.exp(-1j * kv * t)
 
 
 def transport_flow(state: State, t: float) -> State:
@@ -72,31 +87,42 @@ def transport_flow(state: State, t: float) -> State:
     if t == 0.0:
         return state
     grid = state.grid
-    nx = grid.spec.nx
-    if grid.dim == 1:
-        fh = np.fft.fft(state.h, axis=0)
-        fh *= _transport_phases(grid, t)
-        h = np.fft.ifft(fh, axis=0).real
-    else:
-        tens = state.h.reshape(nx, nx, grid.nv_total)
-        fh = np.fft.fftn(tens, axes=(0, 1))
-        fh *= _transport_phases(grid, t)
-        h = np.fft.ifftn(fh, axes=(0, 1)).real.reshape(grid.nx_total, grid.nv_total)
-    return state.replace(h, time=state.time + t)
+    modes = to_modes(state.h, grid) * transport_phases(grid, t)
+    return state.replace(to_nodes(modes, grid), time=state.time + t)
 
 
-def bgk_flow(state: State, rate: float, t: float) -> State:
-    """Exponential mixing toward the velocity average; positivity-preserving."""
+def bgk_relax(values: np.ndarray, grid: Grid, rate: float, t: float) -> np.ndarray:
+    """Exponential mixing toward the velocity average over the last axis.
+
+    Relaxation acts on v alone, so the same formula flows nodal values and
+    spatial Fourier modes alike.
+    """
     if not rate > 0:
         raise ValueError(f"relaxation rate must be positive, got {rate}")
     if t < 0:
         raise ValueError(f"relaxation flow needs t >= 0, got {t}")
     if t == 0.0:
-        return state
+        return values
     decay = np.exp(-rate * t)
-    pih = project_pi(state)
-    h = decay * state.h + (1.0 - decay) * pih[:, None]
+    return decay * values + (1.0 - decay) * (values @ grid.v_weights)[..., None]
+
+
+def bgk_flow(state: State, rate: float, t: float) -> State:
+    """Exponential mixing toward the velocity average; positivity-preserving."""
+    h = bgk_relax(state.h, state.grid, rate, t)
+    if t == 0.0:
+        return state
     return state.replace(h, time=state.time + t)
+
+
+def fokker_planck_modes_flow(modes: np.ndarray, grid: Grid, t: float) -> np.ndarray:
+    """fokker_planck_flow on spatial Fourier modes.
+
+    The flow goes through nodal values, so its positivity floor and its
+    PositivityError act exactly as on a nodal state.
+    """
+    out = fokker_planck_flow(State(grid, to_nodes(modes, grid)), t)
+    return to_modes(out.h, grid)
 
 
 def fokker_planck_flow(state: State, t: float) -> State:

@@ -214,6 +214,22 @@ def project_pi(state_or_h, grid: Grid | None = None) -> np.ndarray:
     return h @ grid.v_weights
 
 
+def to_modes(fld: np.ndarray, grid: Grid) -> np.ndarray:
+    """Half-spectrum real FFT over the spatial axes of a nodal field.
+
+    Returns (nx, ..., nx // 2 + 1, columns): the last spatial axis keeps
+    its nonnegative modes only, and its wavenumbers are
+    grid.k_axis[:nx // 2 + 1].
+    """
+    return np.fft.rfftn(fld.reshape(*grid.x_shape(), -1), axes=tuple(range(grid.dim)))
+
+
+def to_nodes(modes: np.ndarray, grid: Grid) -> np.ndarray:
+    """Inverse of to_modes: a (nx_total, columns) nodal field."""
+    fld = np.fft.irfftn(modes, s=grid.x_shape(), axes=tuple(range(grid.dim)))
+    return fld.reshape(grid.nx_total, -1)
+
+
 def grad_x_field(fld: np.ndarray, grid: Grid) -> np.ndarray:
     """Fourier gradient along every spatial axis; returns (dim, nx_total, nv_total)."""
     d = grid.dim
@@ -378,8 +394,11 @@ def save_state(state: State, path) -> None:
             f.write(SNAPSHOT_MAGIC + "\n")
             s = state.grid.spec
             f.write(f"dim={s.dim} nx={s.nx} nv={s.nv} period={s.period!r} time={state.time!r}\n")
-            for val in state.h.ravel():
-                f.write(f"{val:.17e}\n")
+            # one write per x-row: the same text as one "%.17e" line per
+            # value, without holding the whole file in memory
+            row_format = "%.17e\n" * state.grid.nv_total
+            for row in state.h:
+                f.write(row_format % tuple(row.tolist()))
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):

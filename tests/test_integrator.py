@@ -4,17 +4,41 @@ import pytest
 from hypoflow import (
     BGK,
     FokkerPlanck,
+    GridSpec,
+    PositivityError,
     Schedule,
+    SimulationError,
     State,
     bgk_flow,
+    build_grid,
     integrate_mu,
     load_trajectory,
     save_trajectory,
     simulate,
     strang_step,
+    transport_flow,
 )
 from hypoflow.functionals import BOLTZMANN, entropy
-from hypoflow.initial import cosine, equilibrium, velocity_perturbation
+from hypoflow.initial import cosine, equilibrium, random_band_limited, velocity_perturbation
+from hypoflow.phase_space import floor_immaterial
+
+
+def physical_strang(initial, schedule):
+    """Reference run: every sub-flow on nodal values, one step at a time."""
+    coll = schedule.collision
+    state = initial
+    snaps = [(state.time, state)]
+    n_steps = int(np.ceil(schedule.t_end / schedule.dt - 1e-12))
+    for step in range(1, n_steps + 1):
+        target = min(initial.time + step * schedule.dt, initial.time + schedule.t_end)
+        dt = target - state.time
+        h = transport_flow(coll.flow(transport_flow(state, 0.5 * dt), dt), 0.5 * dt).h
+        if isinstance(coll, FokkerPlanck):
+            h = floor_immaterial(h, state.grid)
+        state = State(state.grid, h, time=state.time + dt)
+        if step % schedule.snapshot_every == 0 or step == n_steps:
+            snaps.append((state.time, state))
+    return snaps
 
 
 def test_schedule_validation():
@@ -107,6 +131,71 @@ def test_simulate_aborts_on_bad_state(grid_small):
     s = State(grid_small, h)
     with pytest.raises(Exception):
         simulate(s, Schedule(dt=0.1, t_end=1.0, collision=BGK(1.0)))
+
+
+def square_wave(nx=16, nv=8):
+    # sampled half a cell off the lattice so that the wave has unit mean
+    grid = build_grid(GridSpec(dim=1, nx=nx, nv=nv))
+    x = grid.x_axis + 0.5 / nx
+    h = np.repeat((1.0 + 0.95 * np.sign(0.5 - x))[:, None], grid.nv_total, axis=1)
+    return State(grid, h)
+
+
+def test_simulate_checks_positivity_between_snapshots():
+    # the first transport half-step rings the jump below zero; no snapshot
+    # falls before t_end, so only the per-step checks can see it
+    s = square_wave()
+    s.validate()
+    with pytest.raises(SimulationError) as err:
+        simulate(s, Schedule(dt=0.01, t_end=1.0, collision=BGK(1.0),
+                             snapshot_every=10**6))
+    assert err.value.step == 1
+    assert "positivity" in str(err.value)
+    with pytest.raises(PositivityError):
+        simulate(s, Schedule(dt=0.01, t_end=1.0, collision=FokkerPlanck(),
+                             snapshot_every=10**6))
+
+
+@pytest.mark.parametrize("collision", [BGK(1.3), FokkerPlanck()], ids=["bgk", "fp"])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_simulate_matches_physical_strang(dim, collision):
+    grid = build_grid(GridSpec(dim=dim, nx=16, nv=8))
+    s = random_band_limited(grid, seed=4, amplitude=0.3)
+    sched = Schedule(dt=0.03, t_end=0.5, collision=collision, snapshot_every=4)
+    got = simulate(s, sched).snapshots
+    want = physical_strang(s, sched)
+    assert [t for t, _ in got] == [t for t, _ in want]
+    for (_, a), (_, b) in zip(got, want):
+        assert np.abs(a.h - b.h).max() < 1e-12
+    one = Schedule(dt=sched.dt, t_end=sched.dt, collision=collision)
+    step = strang_step(s, sched.dt, collision)
+    assert np.abs(step.h - physical_strang(s, one)[1][1].h).max() < 1e-12
+
+
+def test_simulate_matches_physical_strang_through_floor_repairs(grid_accept, monkeypatch):
+    # the filament transit of acceptance-grid diffusion makes the post-step
+    # floor repair values, after which the carried modes must follow the
+    # floored h. Far-tail nodal values carry transform round-off times
+    # 1/sqrt(w) (about 1e-7 at nv=32), so h is compared in the sqrt-weight
+    # frame where the Hermite transform is orthogonal.
+    import hypoflow.integrator as integrator
+    repairs = []
+
+    def counting_floor(h, grid):
+        out = floor_immaterial(h, grid)
+        repairs.append(out is not h)
+        return out
+
+    monkeypatch.setattr(integrator, "floor_immaterial", counting_floor)
+    s = cosine(grid_accept, 0.4, 0.2)
+    sched = Schedule(dt=0.03, t_end=1.0, collision=FokkerPlanck(), snapshot_every=4)
+    got = simulate(s, sched).snapshots
+    assert sum(repairs) > 0
+    want = physical_strang(s, sched)
+    assert [t for t, _ in got] == [t for t, _ in want]
+    sqrt_w = np.sqrt(grid_accept.v_weights)
+    for (_, a), (_, b) in zip(got, want):
+        assert (np.abs(a.h - b.h) * sqrt_w).max() < 1e-13
 
 
 def test_closed_form_trajectory(grid_small):

@@ -212,6 +212,16 @@ class TestState:
         assert back.grid.spec == grid_small.spec
         assert np.array_equal(back.h, state.h)
 
+    def test_snapshot_bytes_one_value_per_line(self, grid_2d, tmp_path):
+        rng = np.random.default_rng(11)
+        h = np.exp(0.1 * rng.standard_normal((grid_2d.nx_total, grid_2d.nv_total)))
+        h[0, 0], h[1, 2], h[-1, -1] = -0.25, 3.0e-300, 0.0
+        path = tmp_path / "snap.txt"
+        save_state(State(grid_2d, h, time=0.3), path)
+        values = "".join(f"{v:.17e}\n" for v in h.ravel())
+        assert path.read_text() == (
+            "hypoflow-state 1\ndim=2 nx=16 nv=8 period=1.0 time=0.3\n" + values)
+
     def test_failed_write_keeps_previous_snapshot(self, grid_small, tmp_path,
                                                   monkeypatch):
         path = tmp_path / "snap.txt"
