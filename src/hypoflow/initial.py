@@ -57,6 +57,10 @@ def random_band_limited(grid: Grid, seed: int, amplitude: float = 0.25,
     close to `amplitude`; gentle enough that all spectral tails stay far
     below the functional tolerances.
     """
+    if x_modes < 0:
+        raise ValueError(f"x_modes must be >= 0, got {x_modes}")
+    if not 0 <= v_degree <= 2:
+        raise ValueError(f"v_degree must lie in 0..2, got {v_degree}")
     rng = np.random.default_rng(seed)
     two_pi = 2.0 * np.pi / grid.spec.period
     g = np.zeros((grid.nx_total, grid.nv_total))

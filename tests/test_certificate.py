@@ -12,7 +12,22 @@ from hypoflow import (
     paper_constants_bgk_p,
     paper_constants_fp,
 )
-from hypoflow.certificate import _spatial_entropy, _spatial_fisher, _trial_density
+from hypoflow.certificate import _spatial_entropy, _spatial_fisher
+
+
+def _trial_density(grid, coefs, modes):
+    """1 + sum of cos/sin harmonics 1..modes along each x axis; `coefs`
+    holds (cos, sin) pairs, axis-major then mode-major."""
+    two_pi = 2.0 * np.pi / grid.spec.period
+    rho = np.ones(grid.nx_total)
+    idx = 0
+    for ax in range(grid.dim):
+        x = grid.x_nodes[:, ax]
+        for m in range(1, modes + 1):
+            rho = rho + coefs[idx] * np.cos(two_pi * m * x)
+            rho = rho + coefs[idx + 1] * np.sin(two_pi * m * x)
+            idx += 2
+    return rho
 
 
 class TestRelaxationLogRecipe:
@@ -165,28 +180,39 @@ class TestConstantEstimator:
     def test_perturbative_value(self, grid_small):
         est = estimate_functional_constant(grid_small, PIndex(2.0))
         expect = 1.0 / (8.0 * np.pi**2)
-        assert est.raw_ratio == pytest.approx(expect, rel=1e-4)
+        assert est.raw_ratio == pytest.approx(expect, rel=1e-6)
         assert est.value == pytest.approx(1.1 * expect, rel=1e-3)
         assert est.coercivity == pytest.approx(1.0 / est.value, rel=1e-14)
 
-    def test_holdout_bound(self, grid_small):
-        # fresh random trials never exceed the reported constant
-        for p in (BOLTZMANN, PIndex(1.5)):
-            est = estimate_functional_constant(grid_small, p)
-            rng = np.random.default_rng(99)
-            for _ in range(50):
-                coefs = rng.normal(scale=0.1, size=6)
-                rho = _trial_density(grid_small, coefs, 3)
-                if rho.min() < 0.05:
-                    continue
-                ratio = (_spatial_entropy(rho, p, grid_small)
-                         / _spatial_fisher(rho, p, grid_small))
-                assert ratio <= est.value
+    def test_holdout_bound(self, grid_small, grid_2d):
+        # the lowest harmonic at vanishing amplitude is the sharp case: no
+        # amplitude, phase or axis, with or without higher modes mixed in,
+        # gives a larger entropy/fisher ratio
+        for grid in (grid_small, grid_2d):
+            for p in (BOLTZMANN, PIndex(1.1), PIndex(1.5), PIndex(1.9), PIndex(2.0)):
+                bound = estimate_functional_constant(grid, p).raw_ratio * (1.0 + 1e-6)
+                rng = np.random.default_rng(99)
+                for amp in np.geomspace(1e-3, 0.9, 20):
+                    for admix in (0.0, 0.1):
+                        coefs = np.zeros(6 * grid.dim)
+                        ax = rng.integers(grid.dim)
+                        phase = rng.uniform(0.0, 2.0 * np.pi)
+                        coefs[6 * ax] = amp * np.cos(phase)
+                        coefs[6 * ax + 1] = -amp * np.sin(phase)
+                        # modes 2-3 on every axis, at most
+                        # admix * min(amp, 1 - amp) in sup norm, so rho > 0
+                        for a in range(grid.dim):
+                            coefs[6 * a + 2: 6 * a + 6] = rng.uniform(-1.0, 1.0, 4) * (
+                                admix * min(amp, 1.0 - amp) / (4.0 * grid.dim))
+                        rho = _trial_density(grid, coefs, 3)
+                        ratio = (_spatial_entropy(rho, p, grid)
+                                 / _spatial_fisher(rho, p, grid))
+                        assert ratio <= bound, (grid.dim, p.label(), amp, admix)
 
     def test_monotone_in_p(self, grid_small):
-        # estimated constants over the p grid never increase with p beyond
-        # the resolution of the search (all coincide with the perturbative
-        # optimum, which is p-independent on the unit torus)
+        # constants over the p grid never increase with p beyond round-off
+        # (all coincide with the perturbative optimum, which is
+        # p-independent on the unit torus)
         values = [estimate_functional_constant(grid_small, PIndex(p)).value
                   for p in (1.1, 1.5, 1.9, 2.0)]
         for a, b in zip(values, values[1:]):

@@ -244,6 +244,11 @@ def _one_config_error_line(capsys):
     ("simulate", "dt = 0.01", "dt = soon"),
     ("simulate", "t_end = 5.0", "t_end = inf"),
     ("certify", "C = 1000000.0", "C = large"),
+    ("certify", "C = 1000000.0", "C = -1"),
+    ("certify", "C = 1000000.0", "C = 0"),
+    ("certify", "C = 1000000.0", "C = 1000000.0\neta = -0.5"),
+    ("simulate", "family = cosine", "family = random\nv_degree = 3"),
+    ("simulate", "family = cosine", "family = random\nx_modes = -1"),
 ])
 def test_bad_config_value_is_config_error(tmp_path, capsys, command, old, new):
     text = (BASE.format(out=tmp_path / "o") + "\n[verify]\nn_states = 2\n"
