@@ -23,9 +23,9 @@ from .certificate import (
     optimize_rate,
     paper_constants_bgk,
     paper_constants_bgk_p,
-    paper_constants_fp,
 )
 from .functionals import (
+    FunctionalReport,
     PIndex,
     build_report,
     composite_value,
@@ -205,6 +205,9 @@ def _certificate_inputs(cfg, grid, collision, p):
     """Resolve the functional constant and splitter, honoring overrides."""
     C = _value(cfg, "certificate", "c", _finite_float)
     eta = _value(cfg, "certificate", "eta", _finite_float)
+    if eta is not None and not isinstance(collision, BGK):
+        raise ConfigError("[certificate] eta is the relaxation model's Young "
+                          "splitter; the velocity-diffusion certificate has none")
     if C is None:
         est = estimate_functional_constant(grid, p)
         if isinstance(collision, BGK):
@@ -225,9 +228,7 @@ def _certificate(model, collision, p, C, eta):
                              p=p.p, C=C)
     if model == "bgk-log":
         return paper_constants_bgk(collision.rate, C=C, eta=eta)
-    if model == "bgk-power":
-        return paper_constants_bgk_p(collision.rate, p.p, C=C, eta=eta)
-    return paper_constants_fp(C=C, p=p.p)
+    return paper_constants_bgk_p(collision.rate, p.p, C=C, eta=eta)
 
 
 def _certify(cfg, grid, collision, p):
@@ -336,9 +337,17 @@ def cmd_fit_decay(args) -> int:
         traj = load_trajectory(traj_dir)
     except (OSError, KeyError, ValueError) as exc:
         raise ConfigError(f"unreadable trajectory in {traj_dir}: {exc}") from exc
+    if traj.schedule.collision != collision:
+        raise ConfigError(f"the trajectory in {traj_dir} was simulated with "
+                          f"{traj.schedule.collision}, but [model] gives {collision}")
     t_lo = _value(cfg, "fit", "t_start", _finite_float, traj.times[0])
     t_hi = _value(cfg, "fit", "t_end", _finite_float, traj.times[-1])
+    if len(traj.window(t_lo, t_hi)) < 2:
+        raise ConfigError(f"the fit window [{t_lo}, {t_hi}] holds fewer than two snapshots")
     name = cfg.get("fit", "functional", fallback="entropy").strip()
+    if name != "composite" and name not in FunctionalReport.diagnostics():
+        raise ConfigError(f"functional {name!r} is neither composite nor one of "
+                          f"{', '.join(FunctionalReport.diagnostics())}")
     outdir = _output_dir(cfg, args.output_dir)
     os.makedirs(outdir, exist_ok=True)
 

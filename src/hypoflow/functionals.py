@@ -102,6 +102,11 @@ class FunctionalReport:
     def columns() -> list[str]:
         return [f.name for f in fields(FunctionalReport)]
 
+    @staticmethod
+    def diagnostics() -> list[str]:
+        """The numeric columns that measure the state: all but time and p."""
+        return [c for c in FunctionalReport.columns() if c not in ("time", "p")]
+
 
 def entropy(state: State, p: PIndex = BOLTZMANN) -> float:
     """Relative entropy of the state against equilibrium."""

@@ -78,6 +78,10 @@ class Trajectory:
     def final(self) -> State:
         return self.snapshots[-1][1]
 
+    def window(self, t0: float, t1: float) -> list[tuple[float, State]]:
+        """The snapshots with t0 <= t <= t1, up to 1e-12 of round-off."""
+        return [(t, s) for t, s in self.snapshots if t0 - 1e-12 <= t <= t1 + 1e-12]
+
 
 def default_dt(collision: CollisionKind) -> float:
     """Step keeping splitting error below the functional tolerances."""

@@ -72,13 +72,7 @@ CollisionKind = BGK | FokkerPlanck
 def transport_phases(grid: Grid, t: float) -> np.ndarray:
     """exp(-i k.v t) over the half-spectrum x-modes of to_modes and the
     velocity nodes: the transport flow of time t, diagonal in (k, v)."""
-    d, nx = grid.dim, grid.spec.nx
-    ks = [grid.k_axis] * (d - 1) + [grid.k_axis[: nx // 2 + 1]]
-    kv = 0.0
-    for axis, k in enumerate(ks):
-        shape = [1] * (d + 1)
-        shape[axis] = k.size
-        kv = kv + k.reshape(shape) * grid.v_nodes[:, axis]
+    kv = sum(k * grid.v_nodes[:, axis] for axis, k in enumerate(grid.k_modes))
     return np.exp(-1j * kv * t)
 
 
@@ -140,12 +134,7 @@ def fokker_planck_flow(state: State, t: float) -> State:
     if t == 0.0:
         return state
     grid = state.grid
-    nv = grid.spec.nv
-    n = np.arange(nv)
-    if grid.dim == 1:
-        factor = np.exp(-n * t)
-    else:
-        factor = np.exp(-(n[:, None] + n[None, :]).ravel() * t)
+    factor = np.exp(-grid.hermite_degree * t)
     # flow the fluctuation around the velocity average and reconstruct only
     # the change: the v-constant part is exactly invariant, so states at or
     # near local equilibrium never accumulate transform round-trip noise

@@ -93,20 +93,27 @@ class Grid:
     """Tensor grid with quadrature and spectral-derivative operators.
 
     Nodal fields are stored as (nx_total, nv_total) arrays, row-major over
-    the spatial then velocity tensor axes.
+    the spatial then velocity tensor axes. Every table is built for any
+    dim, so each operator below is written once.
     """
 
     spec: GridSpec
     x_axis: np.ndarray          # (nx,) lattice on [0, period)
-    k_axis: np.ndarray          # (nx,) wavenumbers 2*pi*m/period, Nyquist zeroed
+    # per spatial axis, the wavenumbers 2*pi*m/period of to_modes (Nyquist
+    # zeroed), shaped to broadcast over its output
+    k_modes: tuple
     v_axis: np.ndarray          # (nv,) Gauss-Hermite abscissae
     w_axis: np.ndarray          # (nv,) weights, sum 1
     x_nodes: np.ndarray         # (nx_total, dim)
     v_nodes: np.ndarray         # (nv_total, dim)
     v_weights: np.ndarray       # (nv_total,) tensor-product weights
     hermite_ortho: np.ndarray = field(repr=False, default=None)  # (nv, nv)
-    sqrt_w: np.ndarray = field(repr=False, default=None)         # (nv,)
+    sqrt_w: np.ndarray = field(repr=False, default=None)         # (nv_total,)
     hermite_deriv: np.ndarray = field(repr=False, default=None)  # (nv, nv)
+    # total Hermite degree of each velocity node's coefficient, and the
+    # coefficients of degree >= nv - 2 along any axis
+    hermite_degree: np.ndarray = field(repr=False, default=None)  # (nv_total,)
+    hermite_tail: np.ndarray = field(repr=False, default=None)    # (nv_total,)
 
     @property
     def dim(self) -> int:
@@ -127,6 +134,19 @@ class Grid:
         return (self.spec.nv,) * self.dim
 
 
+def _tensor_nodes(axis: np.ndarray, d: int) -> np.ndarray:
+    """(n**d, d) row-major tensor lattice of a 1-D node set."""
+    return np.stack([g.ravel() for g in np.meshgrid(*[axis] * d, indexing="ij")], axis=1)
+
+
+def _tensor_product(axis: np.ndarray, d: int) -> np.ndarray:
+    """(n**d,) row-major products of a 1-D factor, one per tensor node."""
+    out = axis
+    for _ in range(d - 1):
+        out = np.multiply.outer(out, axis)
+    return out.ravel()
+
+
 def build_grid(spec: GridSpec) -> Grid:
     """Construct the grid for a validated GridSpec."""
     nx, nv, d = spec.nx, spec.nv, spec.dim
@@ -134,26 +154,20 @@ def build_grid(spec: GridSpec) -> Grid:
     modes = np.fft.fftfreq(nx, d=1.0 / nx)
     k = 2.0 * np.pi * modes / spec.period
     k[nx // 2] = 0.0  # Nyquist dropped: keeps d/dx real and antisymmetric
+    # to_modes keeps the nonnegative half of the last axis only
+    per_axis = [k] * (d - 1) + [k[: nx // 2 + 1]]
+    k_modes = tuple(ka.reshape((-1,) + (1,) * (d - axis)) for axis, ka in enumerate(per_axis))
 
     v, w = hermegauss(nv)
     w = w / w.sum()
-
-    if d == 1:
-        x_nodes = x[:, None]
-        v_nodes = v[:, None]
-        v_weights = w.copy()
-    else:
-        xg = np.meshgrid(x, x, indexing="ij")
-        x_nodes = np.stack([g.ravel() for g in xg], axis=1)
-        vg = np.meshgrid(v, v, indexing="ij")
-        v_nodes = np.stack([g.ravel() for g in vg], axis=1)
-        v_weights = np.outer(w, w).ravel()
-
     ortho, sqw, deriv = _hermite_matrices(v, w)
+    degrees = np.indices((nv,) * d).reshape(d, -1)
     return Grid(
-        spec=spec, x_axis=x, k_axis=k, v_axis=v, w_axis=w,
-        x_nodes=x_nodes, v_nodes=v_nodes, v_weights=v_weights,
-        hermite_ortho=ortho, sqrt_w=sqw, hermite_deriv=deriv,
+        spec=spec, x_axis=x, k_modes=k_modes, v_axis=v, w_axis=w,
+        x_nodes=_tensor_nodes(x, d), v_nodes=_tensor_nodes(v, d),
+        v_weights=_tensor_product(w, d),
+        hermite_ortho=ortho, sqrt_w=_tensor_product(sqw, d), hermite_deriv=deriv,
+        hermite_degree=degrees.sum(axis=0), hermite_tail=(degrees >= nv - 2).any(axis=0),
     )
 
 
@@ -218,32 +232,28 @@ def to_modes(fld: np.ndarray, grid: Grid) -> np.ndarray:
     """Half-spectrum real FFT over the spatial axes of a nodal field.
 
     Returns (nx, ..., nx // 2 + 1, columns): the last spatial axis keeps
-    its nonnegative modes only, and its wavenumbers are
-    grid.k_axis[:nx // 2 + 1].
+    its nonnegative modes only; grid.k_modes holds each axis's
+    wavenumbers. This is rfftn written out (rfft over the last spatial
+    axis, then fft over the others) without its per-call overhead.
     """
-    return np.fft.rfftn(fld.reshape(*grid.x_shape(), -1), axes=tuple(range(grid.dim)))
+    modes = np.fft.rfft(fld.reshape(*grid.x_shape(), -1), axis=grid.dim - 1)
+    for axis in range(grid.dim - 1):
+        modes = np.fft.fft(modes, axis=axis)
+    return modes
 
 
 def to_nodes(modes: np.ndarray, grid: Grid) -> np.ndarray:
     """Inverse of to_modes: a (nx_total, columns) nodal field."""
-    fld = np.fft.irfftn(modes, s=grid.x_shape(), axes=tuple(range(grid.dim)))
+    for axis in range(grid.dim - 1):
+        modes = np.fft.ifft(modes, axis=axis)
+    fld = np.fft.irfft(modes, n=grid.spec.nx, axis=grid.dim - 1)
     return fld.reshape(grid.nx_total, -1)
 
 
 def grad_x_field(fld: np.ndarray, grid: Grid) -> np.ndarray:
-    """Fourier gradient along every spatial axis; returns (dim, nx_total, nv_total)."""
-    d = grid.dim
-    nx = grid.spec.nx
-    out = np.empty((d, grid.nx_total, fld.shape[1]))
-    if d == 1:
-        fh = np.fft.fft(fld, axis=0)
-        out[0] = np.fft.ifft(1j * grid.k_axis[:, None] * fh, axis=0).real
-    else:
-        tens = fld.reshape(nx, nx, -1)
-        fh = np.fft.fftn(tens, axes=(0, 1))
-        out[0] = np.fft.ifftn(1j * grid.k_axis[:, None, None] * fh, axes=(0, 1)).real.reshape(grid.nx_total, -1)
-        out[1] = np.fft.ifftn(1j * grid.k_axis[None, :, None] * fh, axes=(0, 1)).real.reshape(grid.nx_total, -1)
-    return out
+    """Fourier gradient along every spatial axis; returns (dim, nx_total, columns)."""
+    modes = to_modes(fld, grid)
+    return np.array([to_nodes(1j * k * modes, grid) for k in grid.k_modes])
 
 
 def grad_x_spatial(spatial: np.ndarray, grid: Grid) -> np.ndarray:
@@ -259,6 +269,12 @@ def div_x_spatial(vec: np.ndarray, grid: Grid) -> np.ndarray:
     return out
 
 
+def _along_v(fld: np.ndarray, grid: Grid, matrix: np.ndarray, axis: int) -> np.ndarray:
+    """Apply an (nv, nv) matrix along one velocity axis of a (rows, nv_total) field."""
+    tens = fld.reshape(-1, *grid.v_shape()).swapaxes(axis + 1, -1)
+    return (tens @ matrix.T).swapaxes(axis + 1, -1).reshape(fld.shape)
+
+
 def grad_v_field(fld: np.ndarray, grid: Grid, warn: bool = True) -> np.ndarray:
     """Hermite-recurrence gradient along every velocity axis.
 
@@ -267,10 +283,6 @@ def grad_v_field(fld: np.ndarray, grid: Grid, warn: bool = True) -> np.ndarray:
     SpectralResolutionWarning when the coefficient tail carries more than
     TAIL_WARN_FRACTION of the total norm.
     """
-    d = grid.dim
-    nv = grid.spec.nv
-    D = grid.hermite_deriv
-    out = np.empty((d, fld.shape[0], grid.nv_total))
     if warn:
         tail = hermite_tail_fraction(fld, grid)
         if tail > TAIL_WARN_FRACTION:
@@ -281,13 +293,8 @@ def grad_v_field(fld: np.ndarray, grid: Grid, warn: bool = True) -> np.ndarray:
                 SpectralResolutionWarning,
                 stacklevel=2,
             )
-    if d == 1:
-        out[0] = fld @ D.T
-    else:
-        tens = fld.reshape(-1, nv, nv)
-        out[0] = np.einsum("ab,xbc->xac", D, tens).reshape(fld.shape[0], -1)
-        out[1] = np.einsum("cb,xab->xac", D, tens).reshape(fld.shape[0], -1)
-    return out
+    return np.array([_along_v(fld, grid, grid.hermite_deriv, axis)
+                     for axis in range(grid.dim)])
 
 
 def hermite_coefficients(fld: np.ndarray, grid: Grid) -> np.ndarray:
@@ -296,47 +303,28 @@ def hermite_coefficients(fld: np.ndarray, grid: Grid) -> np.ndarray:
     Works in the sqrt-weight frame where the transform is orthogonal, so
     no precision is lost even at the far-tail abscissae.
     """
-    nv = grid.spec.nv
-    U = grid.hermite_ortho
-    sw = grid.sqrt_w
-    if grid.dim == 1:
-        return (fld * sw[None, :]) @ U.T
-    tens = fld.reshape(-1, nv, nv) * np.outer(sw, sw)[None, :, :]
-    c = np.einsum("ab,xbc->xac", U, tens)
-    c = np.einsum("cb,xab->xac", U, c)
-    return c.reshape(fld.shape[0], -1)
+    c = fld * grid.sqrt_w[None, :]
+    for axis in range(grid.dim):
+        c = _along_v(c, grid, grid.hermite_ortho, axis)
+    return c
 
 
 def hermite_values(coef: np.ndarray, grid: Grid) -> np.ndarray:
     """Inverse of hermite_coefficients."""
-    nv = grid.spec.nv
-    U = grid.hermite_ortho
-    sw = grid.sqrt_w
-    if grid.dim == 1:
-        return (coef @ U) / sw[None, :]
-    tens = coef.reshape(-1, nv, nv)
-    h = np.einsum("ba,xbc->xac", U, tens)
-    h = np.einsum("bc,xab->xac", U, h)
-    return (h / np.outer(sw, sw)[None, :, :]).reshape(coef.shape[0], -1)
+    h = coef
+    for axis in range(grid.dim):
+        h = _along_v(h, grid, grid.hermite_ortho.T, axis)
+    return h / grid.sqrt_w[None, :]
 
 
 def hermite_tail_fraction(fld: np.ndarray, grid: Grid) -> float:
     """Fraction of the total coefficient norm in the top two modes per axis."""
-    nv = grid.spec.nv
     c = hermite_coefficients(fld, grid)
     total = float(np.sqrt((c * c).sum()))
     if total == 0.0:
         return 0.0
-    if grid.dim == 1:
-        tail = c[:, nv - 2:]
-        tail_norm = float(np.sqrt((tail * tail).sum()))
-    else:
-        tens = c.reshape(-1, nv, nv)
-        mask = np.zeros((nv, nv), dtype=bool)
-        mask[nv - 2:, :] = True
-        mask[:, nv - 2:] = True
-        tail_norm = float(np.sqrt((tens[:, mask] ** 2).sum()))
-    return tail_norm / total
+    tail = c[:, grid.hermite_tail]
+    return float(np.sqrt((tail * tail).sum())) / total
 
 
 def require_bounded_below(fld: np.ndarray, what: str = "h") -> None:

@@ -141,8 +141,7 @@ def report_derivatives(state: State, rep: FunctionalReport,
     Each flowed state is reported once and all columns are differenced
     together."""
     model = "fokker-planck" if isinstance(generator, FokkerPlanck) else "bgk"
-    cols = [c for c in FunctionalReport.columns()
-            if c not in ("time", "p") and getattr(rep, c) is not None]
+    cols = [c for c in FunctionalReport.diagnostics() if getattr(rep, c) is not None]
 
     def columns_at(s: State) -> np.ndarray:
         # the one-sided collision difference also evaluates the state itself
@@ -389,17 +388,15 @@ def fit_decay(trajectory: Trajectory,
     Values at or below the floor (equilibrium reached) shrink the window
     and set a flag rather than poisoning the logarithm.
     """
-    t0, t1 = window
     ts, vals = [], []
     shortened = False
-    for t, state in trajectory.snapshots:
-        if t0 - 1e-12 <= t <= t1 + 1e-12:
-            v = functional(state)
-            if v <= floor:
-                shortened = True
-                break
-            ts.append(t)
-            vals.append(v)
+    for t, state in trajectory.window(*window):
+        v = functional(state)
+        if v <= floor:
+            shortened = True
+            break
+        ts.append(t)
+        vals.append(v)
     if len(ts) < 2:
         raise ValueError("decay window contains fewer than two usable snapshots")
     ts = np.asarray(ts)

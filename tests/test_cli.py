@@ -33,6 +33,10 @@ directory = {out}
 """
 
 
+BGK_MODEL = "kind = bgk\nlambda = 1.0\np = boltzmann"
+FP_MODEL = "kind = fokker-planck\np = 1.5"
+
+
 def write_config(tmp_path, text, name="run.ini"):
     path = tmp_path / name
     path.write_text(text)
@@ -249,12 +253,18 @@ def _one_config_error_line(capsys):
     ("certify", "C = 1000000.0", "C = 1000000.0\neta = -0.5"),
     ("simulate", "family = cosine", "family = random\nv_degree = 3"),
     ("simulate", "family = cosine", "family = random\nx_modes = -1"),
+    # two edits: the velocity-diffusion certificate has no splitter
+    pytest.param("certify", (BGK_MODEL, "C = 1000000.0"),
+                 (FP_MODEL, "C = 1000000.0\neta = 0.5"), id="certify-fp-eta"),
 ])
 def test_bad_config_value_is_config_error(tmp_path, capsys, command, old, new):
     text = (BASE.format(out=tmp_path / "o") + "\n[verify]\nn_states = 2\n"
             + "\n[certificate]\nC = 1000000.0\n")
-    assert text.count(old) == 1
-    cfg = write_config(tmp_path, text.replace(old, new))
+    edits = zip(old, new) if isinstance(old, tuple) else [(old, new)]
+    for o, n in edits:
+        assert text.count(o) == 1
+        text = text.replace(o, n)
+    cfg = write_config(tmp_path, text)
     assert main([command, cfg]) == 1
     assert _one_config_error_line(capsys)
 
@@ -295,6 +305,26 @@ def test_damaged_snapshot_is_config_error(tmp_path, capsys, damage, named):
     assert line
     if named is not None:
         assert named in line and "snapshot_000001.txt" in line, line
+
+
+@pytest.mark.parametrize("sim_model,fit_model,fit_keys,named", [
+    (BGK_MODEL, BGK_MODEL, "functional = p", "'p'"),
+    (BGK_MODEL, BGK_MODEL, "t_start = 5\nt_end = 1", "fewer than two snapshots"),
+    (FP_MODEL, "kind = bgk\nlambda = 3\np = boltzmann", "", "FokkerPlanck()"),
+    (BGK_MODEL, BGK_MODEL.replace("1.0", "3"), "", "BGK(rate=1.0)"),
+], ids=["non-numeric-functional", "empty-window", "other-kind", "other-rate"])
+def test_bad_fit_is_config_error(tmp_path, capsys, sim_model, fit_model, fit_keys, named):
+    out = tmp_path / "sim"
+    # nv = 32: the velocity-diffusion run needs it to keep mass
+    text = BASE.format(out=out).replace("t_end = 5.0", "t_end = 1.0").replace("nv = 16", "nv = 32")
+    assert main(["simulate", write_config(tmp_path, text.replace(BGK_MODEL, sim_model))]) == 0
+    fit_text = (text.replace(BGK_MODEL, fit_model)
+                + f"\n[fit]\ntrajectory = {out / 'trajectory'}\n{fit_keys}\n")
+    fit_cfg = write_config(tmp_path, fit_text, name="fit.ini")
+    capsys.readouterr()
+    assert main(["fit-decay", fit_cfg, "--output-dir", str(tmp_path / "fit")]) == 1
+    line = _one_config_error_line(capsys)
+    assert named in line, line
 
 
 class TestEstimateConstant:

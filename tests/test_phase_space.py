@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from numpy.polynomial.hermite_e import hermeval
 
 from hypoflow import (
     GridSpec,
@@ -17,7 +20,9 @@ from hypoflow.phase_space import (
     grad_v_field,
     grad_x_field,
     grad_x_spatial,
+    hermite_coefficients,
     hermite_tail_fraction,
+    hermite_values,
 )
 
 import oracles
@@ -280,3 +285,74 @@ class TestTwoDimensional:
         v = grid_2d.v_nodes
         h = 1.0 + np.tile(v[:, 0] * v[:, 1], (grid_2d.nx_total, 1))
         assert np.abs(project_pi(h, grid_2d) - 1.0).max() < 1e-12
+
+
+def phi(n, v):
+    """Probabilists' Hermite polynomial of degree n, unit Gaussian norm."""
+    return hermeval(v, [0.0] * n + [1.0]) / math.sqrt(math.factorial(n))
+
+
+class TestTwoDimensionalOracles:
+    """Fields that differ along the two axes, so an axis swap fails."""
+
+    def test_grad_x_both_axes(self, grid_2d):
+        x0, x1 = grid_2d.x_nodes.T
+        v0, v1 = grid_2d.v_nodes.T
+        vel = 1.0 + 0.2 * v0 + 0.1 * v1**2
+        h = 1.0 + 0.3 * np.outer(np.sin(2 * np.pi * x0) * np.cos(4 * np.pi * x1), vel)
+        gx = grad_x_field(h, grid_2d)
+        expect0 = 0.6 * np.pi * np.outer(np.cos(2 * np.pi * x0) * np.cos(4 * np.pi * x1), vel)
+        expect1 = -1.2 * np.pi * np.outer(np.sin(2 * np.pi * x0) * np.sin(4 * np.pi * x1), vel)
+        assert np.abs(gx[0] - expect0).max() < 1e-11
+        assert np.abs(gx[1] - expect1).max() < 1e-11
+
+    def test_grad_v_both_axes(self, grid_2d):
+        x0, x1 = grid_2d.x_nodes.T
+        v0, v1 = grid_2d.v_nodes.T
+        # degree <= 3 < nv per axis, so collocation differentiates exactly
+        space = 1.0 + 0.5 * np.cos(2 * np.pi * x0) + 0.25 * np.sin(2 * np.pi * x1)
+        h = np.outer(space, 1.0 + 0.2 * v0 + 0.1 * v1**2 + 0.05 * v0 * v1**3)
+        gv = grad_v_field(h, grid_2d)
+        expect0 = np.outer(space, 0.2 + 0.05 * v1**3)
+        expect1 = np.outer(space, 0.2 * v1 + 0.15 * v0 * v1**2)
+        assert np.abs(gv[0] - expect0).max() < 1e-10
+        assert np.abs(gv[1] - expect1).max() < 1e-10
+
+    def test_coefficients_values_round_trip(self, grid_2d):
+        nv = grid_2d.spec.nv
+        v0, v1 = grid_2d.v_nodes.T
+        x0 = grid_2d.x_nodes[:, 0]
+        # one orthonormal Hermite function, degree 1 along v0 and 2 along v1
+        amp = 1.0 + 0.5 * np.cos(2 * np.pi * x0)
+        fld = np.outer(amp, phi(1, v0) * phi(2, v1))
+        expect = np.zeros((grid_2d.nx_total, grid_2d.nv_total))
+        expect[:, 1 * nv + 2] = amp
+        c = hermite_coefficients(fld, grid_2d)
+        assert np.abs(c - expect).max() < 1e-12
+        assert np.abs(hermite_values(expect, grid_2d) - fld).max() < 1e-12
+        rng = np.random.default_rng(0)
+        rough = rng.standard_normal((grid_2d.nx_total, grid_2d.nv_total))
+        back = hermite_values(hermite_coefficients(rough, grid_2d), grid_2d)
+        assert np.abs(back - rough).max() < 1e-10
+
+    def test_separable_coefficients_are_outer_products(self, grid_2d):
+        grid_1d = build_grid(GridSpec(dim=1, nx=8, nv=grid_2d.spec.nv))
+        v = grid_1d.v_nodes[:, 0]
+        a, b = np.exp(0.3 * v), 1.0 / (1.0 + 0.1 * v**2)
+        ca = hermite_coefficients(a[None, :], grid_1d)[0]
+        cb = hermite_coefficients(b[None, :], grid_1d)[0]
+        v0, v1 = grid_2d.v_nodes.T
+        sep = np.exp(0.3 * v0) / (1.0 + 0.1 * v1**2)
+        c = hermite_coefficients(sep[None, :], grid_2d)[0]
+        assert np.abs(c - np.outer(ca, cb).ravel()).max() < 1e-13
+
+    def test_tail_fraction_of_second_axis_top_mode(self, grid_2d):
+        nv = grid_2d.spec.nv
+        v0, v1 = grid_2d.v_nodes.T
+        eps = 1e-3
+        ones = np.ones((grid_2d.nx_total, 1))
+        top = ones * (1.0 + eps * phi(nv - 1, v1))[None, :]
+        assert hermite_tail_fraction(top, grid_2d) == pytest.approx(
+            eps / math.sqrt(1.0 + eps**2), rel=1e-9)
+        below = ones * (1.0 + eps * phi(nv - 3, v1) * phi(nv - 3, v0))[None, :]
+        assert hermite_tail_fraction(below, grid_2d) < 1e-13
