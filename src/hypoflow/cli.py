@@ -58,7 +58,8 @@ def _load_config(path) -> configparser.ConfigParser:
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
     cfg = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    cfg.read(path)
+    if not cfg.read(path):
+        raise ConfigError(f"cannot read config file: {path}")
     return cfg
 
 
@@ -435,6 +436,11 @@ def main(argv=None) -> int:
     except (SimulationError, PositivityError) as exc:
         print(f"invariant failure: {exc}", file=sys.stderr)
         return EXIT_ASSERTION
+    except OSError as exc:
+        # inputs that cannot be read are ConfigErrors already, so an
+        # OSError here came from creating or writing an output
+        print(f"configuration error: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -92,6 +92,11 @@ class TestSimulate:
     def test_missing_config_is_config_error(self, tmp_path):
         assert main(["simulate", str(tmp_path / "nope.ini")]) == 1
 
+    def test_unreadable_config_is_config_error(self, tmp_path, capsys):
+        # a directory exists but reads as no config at all
+        assert main(["simulate", str(tmp_path)]) == 1
+        assert "cannot read config file" in _one_config_error_line(capsys)
+
     def test_amplitude_floor_enforced(self, tmp_path):
         cfg = write_config(tmp_path, BASE.format(out=tmp_path / "o").replace(
             "amplitude = 0.5", "amplitude = 0.95"))
@@ -267,6 +272,19 @@ def test_bad_config_value_is_config_error(tmp_path, capsys, command, old, new):
     cfg = write_config(tmp_path, text)
     assert main([command, cfg]) == 1
     assert _one_config_error_line(capsys)
+
+
+@pytest.mark.parametrize("command", ["simulate", "certify", "verify", "estimate-constant"])
+def test_unwritable_output_is_config_error(tmp_path, capsys, command):
+    blocker = tmp_path / "a-file"
+    blocker.write_text("not a directory\n")
+    text = BASE.format(out=tmp_path / "o") + "\n[verify]\nn_states = 2\n"
+    cfg = write_config(tmp_path, text)
+    assert main([command, cfg, "--output-dir", str(blocker)]) == 1
+    line = _one_config_error_line(capsys)
+    assert line.startswith("configuration error: cannot write output:"), line
+    assert "a-file" in line
+    assert blocker.read_text() == "not a directory\n"
 
 
 def _truncate(path):

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,7 @@ from hypoflow import (
 )
 from hypoflow.functionals import BOLTZMANN, entropy
 from hypoflow.initial import cosine, equilibrium, random_band_limited, velocity_perturbation
-from hypoflow.phase_space import floor_immaterial
+from hypoflow.phase_space import floor_immaterial, save_state
 
 
 def physical_strang(initial, schedule):
@@ -222,6 +224,70 @@ def test_trajectory_roundtrip(grid_small, tmp_path):
     for (t0, s0), (t1, s1) in zip(traj.snapshots, back.snapshots):
         assert t0 == pytest.approx(t1, abs=1e-15)
         assert np.array_equal(s0.h, s1.h)
+
+
+def _writers(monkeypatch, cpus=3):
+    """Report `cpus` usable CPUs (None: a platform without
+    os.sched_getaffinity) and record the pid of every writer forked."""
+    if cpus is None:
+        monkeypatch.delattr(os, "sched_getaffinity")
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    forked, fork = [], os.fork
+
+    def recording_fork():
+        pid = fork()
+        forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return forked
+
+
+# 7 snapshots on 3 CPUs: shares of 3, 2 and 2, so the parent and two children
+@pytest.mark.parametrize("cpus,t_end,n_snapshots,n_forked", [
+    (3, 0.3, 7, 2), (3, 0.0, 1, 0), (None, 0.3, 7, 0),
+], ids=["3-writers", "one-snapshot", "no-affinity"])
+def test_parallel_writes_match_serial(grid_small, tmp_path, monkeypatch,
+                                      cpus, t_end, n_snapshots, n_forked):
+    forked = _writers(monkeypatch, cpus)
+    traj = simulate(cosine(grid_small, 0.4, 0.1),
+                    Schedule(dt=0.05, t_end=t_end, collision=BGK(1.0)))
+    assert len(traj.snapshots) == n_snapshots
+    save_trajectory(traj, tmp_path / "run")
+    assert len(forked) == n_forked
+    (tmp_path / "ref").mkdir()
+    for i, state in enumerate(traj.states):
+        name = f"snapshot_{i:06d}.txt"
+        save_state(state, tmp_path / "ref" / name)
+        assert (tmp_path / "run" / name).read_bytes() == (tmp_path / "ref" / name).read_bytes()
+    assert sorted(os.listdir(tmp_path / "run")) == sorted(
+        ["manifest.json"] + os.listdir(tmp_path / "ref"))
+    back = load_trajectory(tmp_path / "run")
+    assert back.times.tolist() == traj.times.tolist()
+    for s0, s1 in zip(traj.states, back.states):
+        assert np.array_equal(s0.h, s1.h)
+
+
+def test_failed_child_write_reaches_parent(grid_small, tmp_path, monkeypatch, capfd):
+    _writers(monkeypatch)
+    traj = simulate(cosine(grid_small, 0.4, 0.1),
+                    Schedule(dt=0.05, t_end=0.3, collision=BGK(1.0)))
+    run = tmp_path / "run"
+    # snapshot 1 opens the first child's share; a non-empty directory in its
+    # place makes that child's os.replace fail
+    (run / "snapshot_000001.txt").mkdir(parents=True)
+    (run / "snapshot_000001.txt" / "keep").write_text("")
+    with pytest.raises(OSError, match=r"writer of snapshot_000001\.txt"):
+        save_trajectory(traj, run)
+    assert "snapshot_000001.txt" in capfd.readouterr().err
+    assert not list(run.glob("*.tmp"))
+    # the parent's share (0, 3, 6) and the other child's (2, 5) were written
+    for i in (0, 2, 3, 5, 6):
+        assert (run / f"snapshot_{i:06d}.txt").is_file()
+    # every writer was reaped: no child, not even a zombie, is left
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_fp_trajectory_roundtrip(grid_small, tmp_path):
