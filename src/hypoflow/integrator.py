@@ -15,8 +15,6 @@ from __future__ import annotations
 
 import json
 import os
-import sys
-import traceback
 from dataclasses import dataclass
 
 import numpy as np
@@ -199,55 +197,8 @@ def save_trajectory(traj: Trajectory, directory) -> None:
     with open(os.path.join(directory, "manifest.json"), "w") as f:
         json.dump(manifest, f, indent=1, sort_keys=True)
         f.write("\n")
-    paths = [os.path.join(directory, entry["file"]) for entry in manifest["snapshots"]]
-    _write_snapshots(traj.states, paths)
-
-
-def _write_snapshots(states: list[State], paths: list[str]) -> None:
-    """save_state(states[i], paths[i]) for every i, by one process per CPU
-    this one may run on.
-
-    Share j holds the snapshots j, j + n, j + 2n, ... The parent writes
-    share 0 and forks a child for each other share; children inherit the
-    states copy-on-write and leave by os._exit, so nothing is pickled and
-    no exit handler of the parent runs twice. A child only formats text and
-    writes files, so a lock held by a BLAS thread of the parent at the fork
-    cannot block it. Every child is waited for, also when a write fails.
-    """
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    n = min(len(states), cpus)
-    shares = [range(j, len(states), n) for j in range(n)]
-    children = {}
-    # a child's traceback must not repeat output the parent still buffers
-    sys.stdout.flush()
-    sys.stderr.flush()
-    try:
-        for share in shares[1:]:
-            pid = os.fork()
-            if pid == 0:
-                # whatever happens, a child leaves here and never unwinds
-                # into its parent's callers
-                status = 1
-                try:
-                    for i in share:
-                        save_state(states[i], paths[i])
-                    status = 0
-                except BaseException:
-                    traceback.print_exc()
-                    sys.stderr.flush()
-                finally:
-                    os._exit(status)
-            children[pid] = share
-        for i in shares[0]:
-            save_state(states[i], paths[i])
-    finally:
-        failed = [i for pid, share in children.items()
-                  if os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) != 0
-                  for i in share]
-    if failed:
-        names = ", ".join(os.path.basename(paths[i]) for i in failed)
-        raise OSError(f"{os.path.dirname(paths[0])}: the writer of {names} failed; "
-                      "its traceback is on stderr")
+    for (_, state), entry in zip(traj.snapshots, manifest["snapshots"]):
+        save_state(state, os.path.join(directory, entry["file"]))
 
 
 def load_trajectory(directory) -> Trajectory:

@@ -372,21 +372,151 @@ def floor_immaterial(h: np.ndarray, grid: Grid,
 
 SNAPSHOT_MAGIC = "hypoflow-state 1"
 
+# Values formatted and written at a time; bounds the formatter's
+# temporaries to about 1 MB.
+_WRITE_BLOCK = 8192
+
+# --- exact "%.17e" text, vectorized -----------------------------------------
+#
+# "%.17e" prints the 18 significant digits D = round(|x| * 10**(17 - E)),
+# E = floor(log10 |x|), as "d.ddddddddddddddddde+EE". Both are found exactly
+# in float64 arithmetic. E: |x| is compared with a (hi, lo) double-double
+# table of 10**k. D: Dekker's two-product forms |x| * 10**(17 - E) as
+# p + err, within 1e-13 of the exact product, which is then rounded. A value
+# whose product lies within _TIE_GUARD of a rounding tie, that is not
+# finite, or whose magnitude is outside [_EXACT_MIN, _EXACT_MAX] (beyond
+# which the table's lo parts or Dekker's split leave the normal float64
+# range) is printed by "%" itself, so every line is the bytes "%" prints.
+
+_EXACT_MIN, _EXACT_MAX = 1e-280, 1e280
+_TIE_GUARD = 1e-6
+# the table holds 10**E, 10**(E + 1) and 10**(17 - E) for every such E
+_K_MIN, _K_MAX = -290, 300
+_DEKKER_SPLIT = 134217729.0  # 2**27 + 1
+_LOG10_2 = np.log10(2.0)
+
+
+def _dekker_split(a: np.ndarray):
+    """a = hi + lo with hi holding the upper 26 bits of the mantissa."""
+    t = a * _DEKKER_SPLIT
+    hi = t - (t - a)
+    return hi, a - hi
+
+
+def _pow10_table():
+    """10**k = hi + lo for k in [_K_MIN, _K_MAX], each part correctly rounded
+    from exact integer arithmetic, and the Dekker split of hi."""
+    hi, lo = [], []
+    for k in range(_K_MIN, _K_MAX + 1):
+        num, den = (10**k, 1) if k >= 0 else (1, 10**-k)
+        h = num / den
+        n, d = h.as_integer_ratio()
+        hi.append(h)
+        lo.append((num * d - n * den) / (den * d))
+    hi = np.array(hi)
+    return (hi, np.array(lo), *_dekker_split(hi))
+
+
+_P10_HI, _P10_LO, _P10_HI_HI, _P10_HI_LO = _pow10_table()
+
+# the text of "d.dd" (first three digits), of three digits and of "e+EE"
+_HEAD = np.array([b"%d.%02d" % divmod(i, 100) for i in range(1000)], dtype="S4")
+_DIGITS3 = np.array([b"%03d" % i for i in range(1000)], dtype="S3")
+_EXP2 = np.array([b"e%+03d" % e for e in range(-99, 100)], dtype="S4")
+_EXP3 = np.array([b"e%c%03d" % (b"-+"[e >= 0], abs(e))
+                  for e in range(-_K_MAX, _K_MAX + 1)], dtype="S5")
+# one line as a record: the 24-byte line of a positive value with a
+# two-digit exponent, and one with room for a sign and a third digit
+_DIGIT_FIELDS = [("head", "S4")] + [(f"g{i}", "S3") for i in range(5)]
+_LINE = np.dtype(_DIGIT_FIELDS + [("exp", "S4"), ("nl", "S1")])
+_LONG_LINE = np.dtype([("sign", "S1")] + _DIGIT_FIELDS + [("exp", "S5"), ("nl", "S1")])
+
+
+def _at_least_pow10(a: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """a >= 10**k exactly, from the table's hi + lo."""
+    hi, lo = _P10_HI[k - _K_MIN], _P10_LO[k - _K_MIN]
+    return (a > hi) | ((a == hi) & (lo <= 0))
+
+
+def _decimal(a: np.ndarray):
+    """(D, E, near_tie) for positive normal a within [_EXACT_MIN, _EXACT_MAX]:
+    a rounds to D * 10**(E - 17) with 10**17 <= D < 10**18, and near_tie
+    marks where the rounding is too close to call."""
+    # a in [2**b, 2**(b + 1)) puts E at floor(b log10 2) or one above
+    e = np.floor((np.frexp(a)[1] - 1) * _LOG10_2).astype(np.int64) + 1
+    e -= ~_at_least_pow10(a, e)
+    k = 17 - e - _K_MIN
+    p = a * _P10_HI[k]
+    ah, al = _dekker_split(a)
+    bh, bl = _P10_HI_HI[k], _P10_HI_LO[k]
+    err = ((ah * bh - p) + ah * bl + al * bh) + al * bl + a * _P10_LO[k]
+    floor = np.floor(err)
+    err -= floor
+    d = p.astype(np.int64) + floor.astype(np.int64) + (err > 0.5)
+    # rounding up to 10**18 carries into the exponent
+    carry = d == 10**18
+    d[carry] = 10**17
+    e += carry
+    return d, e, np.abs(err - 0.5) < _TIE_GUARD
+
+
+def _format_values(x: np.ndarray) -> bytes:
+    """b"".join(b"%.17e\\n" % v for v in x) for a 1-D float64 array."""
+    n = x.shape[0]
+    with np.errstate(invalid="ignore"):
+        exact = (np.abs(x) >= _EXACT_MIN) & (np.abs(x) <= _EXACT_MAX)
+    # _decimal's temporaries are freed on return, which cuts the peak memory
+    # of a block by about 40%
+    d, e, near_tie = _decimal(np.abs(np.where(exact, x, 1.0)))
+    exact &= ~near_tie
+    neg = np.signbit(x)
+    long_exp = (e >= 100) | (e <= -100)
+    short = not (neg.any() or long_exp.any())
+    rec = np.empty(n, _LINE if short else _LONG_LINE)
+    head = d // 10**15
+    rec["head"] = np.take(_HEAD, head)
+    rest = d - head * 10**15
+    for i in range(5):
+        scale = 10 ** (12 - 3 * i)
+        group = rest // scale
+        rest -= group * scale
+        rec[f"g{i}"] = np.take(_DIGITS3, group)
+    rec["nl"] = b"\n"
+    if short:
+        rec["exp"] = np.take(_EXP2, e + 99)
+        text = rec.tobytes()
+    else:
+        rec["sign"] = b"-"
+        rec["exp"] = np.take(_EXP3, e + _K_MAX)
+        keep = np.ones((n, _LONG_LINE.itemsize), dtype=bool)
+        keep[:, 0] = neg
+        keep[:, _LONG_LINE.fields["exp"][1] + 2] = long_exp
+        text = rec.view(np.uint8).reshape(n, -1)[keep].tobytes()
+    if exact.all():
+        return text
+    # splice in what "%" prints for the values not formatted exactly here
+    ends = np.cumsum(24 + neg + long_exp)
+    pieces, start = [], 0
+    for i in np.flatnonzero(~exact):
+        pieces += [text[start:ends[i - 1] if i else 0], b"%.17e\n" % x[i]]
+        start = ends[i]
+    pieces.append(text[start:])
+    return b"".join(pieces)
+
 
 def save_state(state: State, path) -> None:
     """Write a snapshot atomically: a temporary file beside `path`, then a
     rename, so an interrupted write leaves any previous file intact."""
     tmp = f"{path}.tmp"
+    s = state.grid.spec
+    header = (f"{SNAPSHOT_MAGIC}\n"
+              f"dim={s.dim} nx={s.nx} nv={s.nv} period={s.period!r} time={state.time!r}\n")
+    values = np.asarray(state.h, dtype=np.float64).reshape(-1)
     try:
-        with open(tmp, "w") as f:
-            f.write(SNAPSHOT_MAGIC + "\n")
-            s = state.grid.spec
-            f.write(f"dim={s.dim} nx={s.nx} nv={s.nv} period={s.period!r} time={state.time!r}\n")
-            # one write per x-row: the same text as one "%.17e" line per
-            # value, without holding the whole file in memory
-            row_format = "%.17e\n" * state.grid.nv_total
-            for row in state.h:
-                f.write(row_format % tuple(row.tolist()))
+        with open(tmp, "wb") as f:
+            f.write(header.encode())
+            for start in range(0, values.size, _WRITE_BLOCK):
+                f.write(_format_values(values[start:start + _WRITE_BLOCK]))
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):

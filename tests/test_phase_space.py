@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.polynomial.hermite_e import hermeval
 
 from hypoflow import (
@@ -235,7 +237,7 @@ class TestState:
         before = path.read_bytes()
 
         class FailingFile:
-            # lets the header and a few values through, then fails
+            # lets the header through, then fails on the first block of values
             def __init__(self, f):
                 self.f, self.writes = f, 0
 
@@ -247,7 +249,7 @@ class TestState:
 
             def write(self, text):
                 self.writes += 1
-                if self.writes > 5:
+                if self.writes > 1:
                     raise OSError("no space left on device")
                 return self.f.write(text)
 
@@ -259,6 +261,57 @@ class TestState:
             save_state(State(grid_small, h / integrate_mu(h, grid_small), time=2.0), path)
         assert path.read_bytes() == before
         assert [q.name for q in tmp_path.iterdir()] == ["snap.txt"]
+
+
+def _percent(values) -> bytes:
+    return b"".join(b"%.17e\n" % v for v in np.asarray(values, dtype=np.float64).tolist())
+
+
+# signed zeros, subnormals, the extreme normals, three-digit exponents, the
+# edges of the range formatted without "%", non-finite values, 1e153 (the
+# double just below 10**153, whose 18 digits round up to a power of ten) and
+# exact ties between two 18-digit decimals
+EDGE_VALUES = [
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -2.2250738585072014e-308,
+    1.7976931348623157e308, -1.7976931348623157e308, 1e-100, -1e100, 1e-280, 1e280,
+    np.nextafter(1e-280, 0.0), np.nextafter(1e280, math.inf), math.inf, -math.inf, math.nan,
+    1e153, 1e23, 1e22, 1.0, -1.0, 10.0, 0.1, 123.456, 518556607.5224609375,
+    -518556607.5224609375, 2.0**-10, 2.0**60,
+]
+
+
+class TestExactFormatter:
+    """phase_space._format_values against "%.17e\\n" % v, value by value."""
+
+    @given(st.lists(st.floats(), min_size=1, max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_any_floats(self, values):
+        assert phase_space._format_values(np.array(values)) == _percent(values)
+
+    def test_random_bit_patterns(self):
+        bits = np.random.default_rng(5).integers(0, 2**64, 200_000, dtype=np.uint64)
+        values = bits.view(np.float64)
+        assert phase_space._format_values(values) == _percent(values)
+
+    def test_edge_values(self):
+        assert phase_space._format_values(np.array(EDGE_VALUES)) == _percent(EDGE_VALUES)
+        for v in EDGE_VALUES:
+            assert phase_space._format_values(np.array([v])) == _percent([v]), v
+        assert 1e153 < 10**153
+        assert phase_space._format_values(np.array([1e153])) == b"1.00000000000000000e+153\n"
+        # 5.18556607522460937|5 exactly: a tie, printed rounded half to even
+        assert (phase_space._format_values(np.array([518556607.5224609375]))
+                == b"5.18556607522460938e+08\n")
+
+    def test_block_size_does_not_change_the_file(self, grid_2d, tmp_path, monkeypatch):
+        rng = np.random.default_rng(13)
+        h = np.exp(0.1 * rng.standard_normal((grid_2d.nx_total, grid_2d.nv_total)))
+        h[5, 7], h[200, 3] = -2.5e-120, math.nan
+        save_state(State(grid_2d, h, time=0.5), tmp_path / "one.txt")
+        monkeypatch.setattr(phase_space, "_WRITE_BLOCK", 1000)
+        save_state(State(grid_2d, h, time=0.5), tmp_path / "blocks.txt")
+        assert (tmp_path / "one.txt").read_bytes() == (tmp_path / "blocks.txt").read_bytes()
+        assert (tmp_path / "one.txt").read_bytes().endswith(_percent(h.ravel()))
 
 
 class TestTwoDimensional:
