@@ -226,11 +226,38 @@ def test_trajectory_roundtrip(grid_small, tmp_path):
         assert np.array_equal(s0.h, s1.h)
 
 
-def test_saved_snapshots_match_save_state(grid_small, tmp_path):
+def _writers(monkeypatch, cpus=3):
+    """Report `cpus` usable CPUs (None: a platform without
+    os.sched_getaffinity) and record the pid of every process forked."""
+    if cpus is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+    forked, fork = [], os.fork
+
+    def recording_fork():
+        pid = fork()
+        forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return forked
+
+
+# whatever number of CPUs is usable, the snapshots are written by this one
+# process, and each file holds the bytes save_state writes for its state
+@pytest.mark.parametrize("cpus,t_end,n_snapshots", [
+    (3, 0.3, 7), (3, 0.0, 1), (None, 0.3, 7),
+], ids=["3-writers", "one-snapshot", "no-affinity"])
+def test_parallel_writes_match_serial(grid_small, tmp_path, monkeypatch,
+                                      cpus, t_end, n_snapshots):
+    forked = _writers(monkeypatch, cpus)
     traj = simulate(cosine(grid_small, 0.4, 0.1),
-                    Schedule(dt=0.05, t_end=0.3, collision=BGK(1.0)))
-    assert len(traj.snapshots) == 7
+                    Schedule(dt=0.05, t_end=t_end, collision=BGK(1.0)))
+    assert len(traj.snapshots) == n_snapshots
     save_trajectory(traj, tmp_path / "run")
+    assert forked == []
     (tmp_path / "ref").mkdir()
     for i, state in enumerate(traj.states):
         name = f"snapshot_{i:06d}.txt"
