@@ -40,6 +40,7 @@ from .integrator import (
     load_trajectory,
     save_trajectory,
     simulate,
+    snapshot_times,
 )
 from .operators import BGK, FokkerPlanck
 from .phase_space import GridSpec, PositivityError, build_grid
@@ -334,16 +335,20 @@ def cmd_fit_decay(args) -> int:
     if not os.path.isdir(traj_dir):
         raise ConfigError(f"trajectory directory not found: {traj_dir}")
     collision, p = _model_from_config(cfg)
+    t_lo = _value(cfg, "fit", "t_start", _finite_float)
+    t_hi = _value(cfg, "fit", "t_end", _finite_float)
     try:
-        traj = load_trajectory(traj_dir)
+        # an absent bound is the first or last snapshot the manifest lists
+        times = snapshot_times(traj_dir)
+        t_lo = times[0] if t_lo is None else t_lo
+        t_hi = times[-1] if t_hi is None else t_hi
+        traj = load_trajectory(traj_dir, window=(t_lo, t_hi))
     except (OSError, KeyError, ValueError) as exc:
         raise ConfigError(f"unreadable trajectory in {traj_dir}: {exc}") from exc
     if traj.schedule.collision != collision:
         raise ConfigError(f"the trajectory in {traj_dir} was simulated with "
                           f"{traj.schedule.collision}, but [model] gives {collision}")
-    t_lo = _value(cfg, "fit", "t_start", _finite_float, traj.times[0])
-    t_hi = _value(cfg, "fit", "t_end", _finite_float, traj.times[-1])
-    if len(traj.window(t_lo, t_hi)) < 2:
+    if len(traj.snapshots) < 2:
         raise ConfigError(f"the fit window [{t_lo}, {t_hi}] holds fewer than two snapshots")
     name = cfg.get("fit", "functional", fallback="entropy").strip()
     if name != "composite" and name not in FunctionalReport.diagnostics():

@@ -80,7 +80,11 @@ class Trajectory:
 
     def window(self, t0: float, t1: float) -> list[tuple[float, State]]:
         """The snapshots with t0 <= t <= t1, up to 1e-12 of round-off."""
-        return [(t, s) for t, s in self.snapshots if t0 - 1e-12 <= t <= t1 + 1e-12]
+        return [(t, s) for t, s in self.snapshots if _in_window(t, t0, t1)]
+
+
+def _in_window(t: float, t0: float, t1: float) -> bool:
+    return t0 - 1e-12 <= t <= t1 + 1e-12
 
 
 def default_dt(collision: CollisionKind) -> float:
@@ -201,9 +205,25 @@ def save_trajectory(traj: Trajectory, directory) -> None:
         save_state(state, os.path.join(directory, entry["file"]))
 
 
-def load_trajectory(directory) -> Trajectory:
+def _read_manifest(directory) -> dict:
     with open(os.path.join(directory, "manifest.json")) as f:
-        manifest = json.load(f)
+        return json.load(f)
+
+
+def snapshot_times(directory) -> list[float]:
+    """The snapshot times the manifest of a trajectory directory lists; no
+    snapshot file is opened."""
+    times = [entry["time"] for entry in _read_manifest(directory)["snapshots"]]
+    if not times:
+        raise ValueError(f"{directory}: the manifest lists no snapshots")
+    return times
+
+
+def load_trajectory(directory, window: tuple[float, float] | None = None) -> Trajectory:
+    """The trajectory saved in `directory`. With a window (t0, t1), only the
+    snapshots that `Trajectory.window(t0, t1)` keeps are read, by their
+    manifest time; the others are not opened."""
+    manifest = _read_manifest(directory)
     g = manifest["grid"]
     grid = build_grid(GridSpec(dim=g["dim"], nx=g["nx"], nv=g["nv"],
                                period=g["period"]))
@@ -215,6 +235,7 @@ def load_trajectory(directory) -> Trajectory:
     )
     snaps = []
     for entry in manifest["snapshots"]:
-        state = load_state(os.path.join(directory, entry["file"]), grid)
-        snaps.append((entry["time"], state))
+        t, path = entry["time"], os.path.join(directory, entry["file"])
+        if window is None or _in_window(t, *window):
+            snaps.append((t, load_state(path, grid)))
     return Trajectory(snaps, schedule)

@@ -555,7 +555,10 @@ def load_state(path, grid: Grid | None = None) -> State:
         elif grid.spec != spec:
             raise ValueError(f"{path}: snapshot header {spec} disagrees with "
                              f"the expected grid {grid.spec}")
-        vals = np.loadtxt(f)
+        try:
+            vals = np.array(f.read().split(), dtype=np.float64)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
     expect = grid.nx_total * grid.nv_total
     if vals.size != expect:
         raise ValueError(f"{path}: {vals.size} values, expected {expect}")

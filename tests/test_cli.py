@@ -1,11 +1,13 @@
 import csv
 import json
 import os
+import re
 import textwrap
 
 import numpy as np
 import pytest
 
+from hypoflow import cli, integrator
 from hypoflow.cli import main
 
 BASE = """\
@@ -231,6 +233,54 @@ class TestFitDecay:
         # the certified rate is a lower bound on the observed decay
         assert fit["rate"] > 1.0 / 36.0
 
+    def test_narrowed_window_reads_only_its_snapshots(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "sim"
+        text = BASE.format(out=out).replace("t_end = 5.0", "t_end = 1.0")
+        text = text.replace("snapshot_every = 50", "snapshot_every = 10")
+        assert main(["simulate", write_config(tmp_path, text)]) == 0
+        traj_dir = out / "trajectory"
+        fit_cfg = write_config(tmp_path, text + f"\n[fit]\ntrajectory = {traj_dir}\n"
+                               "t_start = 0.3\nt_end = 0.6\n", name="fit.ini")
+        opened = []
+
+        def counting_load_state(path, grid=None):
+            opened.append(os.path.basename(path))
+            return load_state(path, grid)
+
+        load_state = integrator.load_state
+        monkeypatch.setattr(integrator, "load_state", counting_load_state)
+        assert main(["fit-decay", fit_cfg, "--output-dir", str(tmp_path / "part")]) == 0
+        assert opened == [f"snapshot_{i:06d}.txt" for i in (3, 4, 5, 6)]
+
+        # the same fit on the fully loaded trajectory
+        load_trajectory = integrator.load_trajectory
+        with monkeypatch.context() as m:
+            m.setattr(cli, "load_trajectory", lambda d, window: load_trajectory(d))
+            assert main(["fit-decay", fit_cfg, "--output-dir", str(tmp_path / "full")]) == 0
+        assert len(opened) == 4 + 11
+        assert (tmp_path / "part" / "decay_fit.json").read_bytes() == \
+            (tmp_path / "full" / "decay_fit.json").read_bytes()
+
+        _bad_number(traj_dir / "snapshot_000005.txt")
+        capsys.readouterr()
+        assert main(["fit-decay", fit_cfg, "--output-dir", str(tmp_path / "part")]) == 1
+        line = _one_config_error_line(capsys)
+        assert "snapshot_000005.txt" in line and "'abc'" in line, line
+
+    def test_manifest_without_snapshots_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "sim"
+        text = BASE.format(out=out).replace("t_end = 5.0", "t_end = 0.0")
+        assert main(["simulate", write_config(tmp_path, text)]) == 0
+        manifest_path = out / "trajectory" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["snapshots"] = []
+        manifest_path.write_text(json.dumps(manifest))
+        fit_cfg = write_config(tmp_path, text + f"\n[fit]\ntrajectory = {out / 'trajectory'}\n",
+                               name="fit.ini")
+        capsys.readouterr()
+        assert main(["fit-decay", fit_cfg, "--output-dir", str(tmp_path / "fit")]) == 1
+        assert "lists no snapshots" in _one_config_error_line(capsys)
+
 
 def _one_config_error_line(capsys):
     """The single `configuration error:` line on stderr, or "" if there is
@@ -298,6 +348,12 @@ def _move_period(path):
     path.write_text(text.replace(" period=1.0 ", " period=2.0 ", 1))
 
 
+def _bad_number(path):
+    lines = path.read_text().splitlines(keepends=True)
+    lines[2] = "abc\n"
+    path.write_text("".join(lines))
+
+
 def _edit_header(old, new):
     def damage(path):
         text = path.read_text()
@@ -309,7 +365,8 @@ def _edit_header(old, new):
 @pytest.mark.parametrize("damage,named", [
     (_truncate, None), (_move_period, None),
     (_edit_header(" nv=16 ", " "), "'nv'"), (_edit_header(" nx=32 ", " nx=abc "), "nx='abc'"),
-], ids=["truncated", "mismatched-header", "missing-key", "bad-value"])
+    (_bad_number, "'abc'"),
+], ids=["truncated", "mismatched-header", "missing-key", "bad-value", "bad-number"])
 def test_damaged_snapshot_is_config_error(tmp_path, capsys, damage, named):
     out = tmp_path / "sim"
     text = BASE.format(out=out).replace("t_end = 5.0", "t_end = 1.0")
@@ -325,16 +382,19 @@ def test_damaged_snapshot_is_config_error(tmp_path, capsys, damage, named):
         assert named in line and "snapshot_000001.txt" in line, line
 
 
-@pytest.mark.parametrize("sim_model,fit_model,fit_keys,named", [
-    (BGK_MODEL, BGK_MODEL, "functional = p", "'p'"),
-    (BGK_MODEL, BGK_MODEL, "t_start = 5\nt_end = 1", "fewer than two snapshots"),
-    (FP_MODEL, "kind = bgk\nlambda = 3\np = boltzmann", "", "FokkerPlanck()"),
-    (BGK_MODEL, BGK_MODEL.replace("1.0", "3"), "", "BGK(rate=1.0)"),
-], ids=["non-numeric-functional", "empty-window", "other-kind", "other-rate"])
-def test_bad_fit_is_config_error(tmp_path, capsys, sim_model, fit_model, fit_keys, named):
+@pytest.mark.parametrize("sim_model,t_end,fit_model,fit_keys,named", [
+    (BGK_MODEL, "1.0", BGK_MODEL, "functional = p", "'p'"),
+    (BGK_MODEL, "1.0", BGK_MODEL, "t_start = 5\nt_end = 1", "fewer than two snapshots"),
+    # no window keys: the window is the single snapshot's time on both sides
+    (BGK_MODEL, "0.0", BGK_MODEL, "", "[0.0, 0.0] holds fewer than two snapshots"),
+    (FP_MODEL, "1.0", "kind = bgk\nlambda = 3\np = boltzmann", "", "FokkerPlanck()"),
+    (BGK_MODEL, "1.0", BGK_MODEL.replace("1.0", "3"), "", "BGK(rate=1.0)"),
+], ids=["non-numeric-functional", "empty-window", "one-snapshot", "other-kind", "other-rate"])
+def test_bad_fit_is_config_error(tmp_path, capsys, sim_model, t_end, fit_model, fit_keys, named):
     out = tmp_path / "sim"
     # nv = 32: the velocity-diffusion run needs it to keep mass
-    text = BASE.format(out=out).replace("t_end = 5.0", "t_end = 1.0").replace("nv = 16", "nv = 32")
+    text = BASE.format(out=out).replace("t_end = 5.0", f"t_end = {t_end}")
+    text = text.replace("nv = 16", "nv = 32")
     assert main(["simulate", write_config(tmp_path, text.replace(BGK_MODEL, sim_model))]) == 0
     fit_text = (text.replace(BGK_MODEL, fit_model)
                 + f"\n[fit]\ntrajectory = {out / 'trajectory'}\n{fit_keys}\n")
@@ -342,7 +402,7 @@ def test_bad_fit_is_config_error(tmp_path, capsys, sim_model, fit_model, fit_key
     capsys.readouterr()
     assert main(["fit-decay", fit_cfg, "--output-dir", str(tmp_path / "fit")]) == 1
     line = _one_config_error_line(capsys)
-    assert named in line, line
+    assert named in line and not re.search(r"\binf\b", line), line
 
 
 class TestEstimateConstant:

@@ -271,6 +271,25 @@ def test_parallel_writes_match_serial(grid_small, tmp_path, monkeypatch,
         assert np.array_equal(s0.h, s1.h)
 
 
+# a snapshot 5e-13 outside a window edge is inside its round-off tolerance,
+# one 1e-11 outside is not; the loader and Trajectory.window agree on both
+@pytest.mark.parametrize("outside,n_kept", [(-1e-11, 4), (0.0, 4), (5e-13, 4), (1e-11, 2)])
+def test_windowed_load_matches_window(grid_small, tmp_path, outside, n_kept):
+    traj = simulate(cosine(grid_small, 0.4, 0.1),
+                    Schedule(dt=0.05, t_end=0.3, collision=BGK(1.0)))
+    save_trajectory(traj, tmp_path / "run")
+    full = load_trajectory(tmp_path / "run")
+    window = (full.times[2] + outside, full.times[5] - outside)
+    part = load_trajectory(tmp_path / "run", window=window)
+    expect = full.window(*window)
+    assert len(part.snapshots) == len(expect) == n_kept
+    assert part.schedule == full.schedule
+    for (t0, s0), (t1, s1) in zip(expect, part.snapshots):
+        assert t0 == t1
+        assert s0.time == s1.time
+        assert s0.h.tobytes() == s1.h.tobytes()
+
+
 def test_blocked_snapshot_raises_and_leaves_no_tmp(grid_small, tmp_path):
     traj = simulate(cosine(grid_small, 0.4, 0.1),
                     Schedule(dt=0.05, t_end=0.3, collision=BGK(1.0)))
