@@ -11,7 +11,6 @@ from .certificate import (
     estimate_functional_constant,
     optimize_rate,
     paper_constants_bgk,
-    paper_constants_bgk_p,
     paper_constants_fp,
 )
 from .functionals import (
@@ -27,6 +26,8 @@ from .functionals import (
     projected_entropy,
     projected_entropy_rate,
     projected_quantities,
+    torus_entropy,
+    torus_fisher,
 )
 from .initial import (
     cosine,

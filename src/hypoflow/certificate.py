@@ -18,9 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import kernels
-from .functionals import PIndex
-from .phase_space import Grid, grad_x_spatial, integrate_x
+from .functionals import PIndex, torus_entropy, torus_fisher
+from .phase_space import Grid
 
 
 @dataclass
@@ -108,73 +107,21 @@ class CertificateParams:
             f.write("\n")
 
 
-def paper_constants_bgk(lam: float, C: float = math.inf,
-                        eta: float = 1.0 / 3.0) -> CertificateParams:
-    """Log-entropy relaxation certificate.
+def paper_constants_bgk(lam: float, C: float = math.inf, eta: float = 1.0 / 3.0,
+                        p: float | None = None) -> CertificateParams:
+    """Relaxation certificate for the log entropy (p None) or the power
+    entropy with p in (1, 2]; one recipe serves both, and in the power
+    case only the functional constant changes with p.
 
-    Coefficients: A2 = lam A3, eps = 1/lam, A1 = (lam + 2/lam) A3 / eta,
-    entropy weight A4 = (lam^2 + 2) A3, alpha = 1/2; certified rate
-    lam^2 eta / (4 (lam^2 + 2)) when every recorded constraint holds.
+    Coefficients: A2 = lam A3, A1 = (lam + 2/lam) A3 / eta, entropy weight
+    A4 = (lam^2 + 2) A3, alpha = 1/2. The log certificate splits with
+    eps = 1/lam and certifies the rate lam^2 eta / (4 (lam^2 + 2)); the
+    power certificate splits with eps1 = eps2 = 2/lam and certifies twice
+    that rate. The rate holds when every recorded constraint does.
     """
     if not lam > 0:
         raise ValueError(f"relaxation rate must be positive, got {lam}")
-    if not eta > 0:
-        raise ValueError(f"eta must be positive, got {eta}")
-    if not C > 0:
-        raise ValueError(f"C must be positive, got {C}")
-    A3 = 1.0
-    A2 = lam * A3
-    A1 = (lam + 2.0 / lam) * A3 / eta
-    A4 = (lam * A2 + 2.0 * A3)          # = (lam^2 + 2) A3
-    eps = 1.0 / lam
-    rate = lam**2 * eta / (4.0 * (lam**2 + 2.0))
-
-    fz = FeasibilityReport()
-    # coefficient of the relative spatial Fisher term must stay nonnegative
-    fz.add("pi_xx_coefficient", lam * A1 - lam * A2 / eps)
-    # trivially-true member of the proof's list, kept in non-reduced form
-    fz.add("pi_x_gap_coefficient", lam * A1 - (lam * A2 + 2.0 * A3) / (2.0 * eta))
-    fz.add("v_pi_coefficient", lam * (A3 - eps * A2), identity=True)
-    # velocity coefficient must retain half of the bare relaxation rate
-    fz.add("velocity_margin", (lam - 0.5 * eta * (lam**2 + 2.0)) - 0.5 * lam)
-    # sufficient conditions for (1/2) A3 I <= J <= 2 A1 I via Young
-    fz.add("norm_equivalence_lower", (A1 - 0.5 * A3) * 0.5 * A3 - 0.25 * A2**2)
-    fz.add("norm_equivalence_upper", min(A1 - 0.5 * A2, 2.0 * A1 - A3 - 0.5 * A2))
-    # the Fisher decay term must dominate the projected-entropy decay term
-    if math.isfinite(C):
-        fz.add("rate_domination",
-               C * lam / (2.0 * (lam**2 + 2.0)) - rate)
-    else:
-        fz.add("rate_domination", math.inf)
-
-    beta = 2.0 * (lam**2 + 2.0)
-    alpha_pref = 4.0 * (lam**2 + 2.0) / (eta * lam)
-    gamma = None
-    if math.isfinite(C):
-        # entropy is dominated by Fisher information with the phase-space
-        # ratio constant; 1/2 is the Gaussian-direction value
-        ratio = max(1.0 / C, 0.5)
-        gamma = ratio * (alpha_pref + 2.0 * beta * ratio)
-
-    return CertificateParams(
-        model="bgk-log", lam=lam, A1=A1, A2=A2, A3=A3, A4=A4,
-        eps=eps, eta=eta, C=C, alpha=0.5, rate=rate,
-        prefactor_alpha=alpha_pref, prefactor_beta=beta,
-        prefactor_gamma=gamma, feasibility=fz.finalize(),
-    )
-
-
-def paper_constants_bgk_p(lam: float, p: float, C: float = math.inf,
-                          eta: float = 1.0 / 3.0) -> CertificateParams:
-    """Power-entropy relaxation certificate; the recipe is p-uniform and
-    only the functional constant changes with p.
-
-    Coefficients: A2 = lam A3, eps1 = eps2 = 2/lam,
-    A1 = (lam + 2/lam) A3 / eta; rate lam^2 eta / (2 (lam^2 + 2)).
-    """
-    if not lam > 0:
-        raise ValueError(f"relaxation rate must be positive, got {lam}")
-    if not (1.0 < p <= 2.0):
+    if p is not None and not (1.0 < p <= 2.0):
         raise ValueError(f"p must lie in (1, 2], got {p}")
     if not eta > 0:
         raise ValueError(f"eta must be positive, got {eta}")
@@ -183,32 +130,51 @@ def paper_constants_bgk_p(lam: float, p: float, C: float = math.inf,
     A3 = 1.0
     A2 = lam * A3
     A1 = (lam + 2.0 / lam) * A3 / eta
-    A4 = lam * A2 + 2.0 * A3
-    eps1 = eps2 = 2.0 / lam
-    rate = lam**2 * eta / (2.0 * (lam**2 + 2.0))
+    A4 = (lam * A2 + 2.0 * A3)          # = (lam^2 + 2) A3
+    gain = 1.0 if p is None else 2.0
+    rate = gain * lam**2 * eta / (4.0 * (lam**2 + 2.0))
 
     fz = FeasibilityReport()
-    fz.add("cross_dissipation_coefficient", lam * (A1 - A2 / (2.0 * eps1)))
-    fz.add("pi_x_gap_coefficient", lam * A1 - (lam * A2 + 2.0 * A3) / (2.0 * eta))
-    fz.add("correction_x_coefficient", lam * (A1 - A2 / (2.0 * eps2)))
-    fz.add("v_pi_coefficient", lam * (A3 - 0.5 * eps1 * A2), identity=True)
-    fz.add("vf_coefficient", lam * (A3 - 0.5 * eps2 * A2), identity=True)
+    # trivially-true member of the proof's list, kept in non-reduced form
+    pi_x_gap = lam * A1 - (lam * A2 + 2.0 * A3) / (2.0 * eta)
+    eps = eps1 = eps2 = None
+    if p is None:
+        eps = 1.0 / lam
+        # coefficient of the relative spatial Fisher term must stay nonnegative
+        fz.add("pi_xx_coefficient", lam * A1 - lam * A2 / eps)
+        fz.add("pi_x_gap_coefficient", pi_x_gap)
+        fz.add("v_pi_coefficient", lam * (A3 - eps * A2), identity=True)
+    else:
+        eps1 = eps2 = 2.0 / lam
+        fz.add("cross_dissipation_coefficient", lam * (A1 - A2 / (2.0 * eps1)))
+        fz.add("pi_x_gap_coefficient", pi_x_gap)
+        fz.add("correction_x_coefficient", lam * (A1 - A2 / (2.0 * eps2)))
+        fz.add("v_pi_coefficient", lam * (A3 - 0.5 * eps1 * A2), identity=True)
+        fz.add("vf_coefficient", lam * (A3 - 0.5 * eps2 * A2), identity=True)
+    # velocity coefficient must retain half of the bare relaxation rate
     fz.add("velocity_margin", (lam - 0.5 * eta * (lam**2 + 2.0)) - 0.5 * lam)
+    # sufficient conditions for (1/2) A3 I <= J <= 2 A1 I via Young
     fz.add("norm_equivalence_lower", (A1 - 0.5 * A3) * 0.5 * A3 - 0.25 * A2**2)
     fz.add("norm_equivalence_upper", min(A1 - 0.5 * A2, 2.0 * A1 - A3 - 0.5 * A2))
-    if math.isfinite(C):
-        fz.add("rate_domination", C * lam / (lam**2 + 2.0) - rate)
-    else:
-        fz.add("rate_domination", math.inf)
+    # the Fisher decay term must dominate the projected-entropy decay term
+    # (infinite slack for C = inf)
+    fz.add("rate_domination", C * lam / (2.0 * (lam**2 + 2.0)) * gain - rate)
 
     beta = 2.0 * (lam**2 + 2.0)
     alpha_pref = 4.0 * (lam**2 + 2.0) / (eta * lam)
+    gamma = None
+    if p is None and math.isfinite(C):
+        # entropy is dominated by Fisher information with the phase-space
+        # ratio constant; 1/2 is the Gaussian-direction value
+        ratio = max(1.0 / C, 0.5)
+        gamma = ratio * (alpha_pref + 2.0 * beta * ratio)
 
     return CertificateParams(
-        model="bgk-power", lam=lam, p=p, A1=A1, A2=A2, A3=A3, A4=A4,
-        eps1=eps1, eps2=eps2, eta=eta, C=C, alpha=0.5, rate=rate,
+        model="bgk-log" if p is None else "bgk-power", lam=lam, p=p,
+        A1=A1, A2=A2, A3=A3, A4=A4, eps=eps, eps1=eps1, eps2=eps2,
+        eta=eta, C=C, alpha=0.5, rate=rate,
         prefactor_alpha=alpha_pref, prefactor_beta=beta,
-        feasibility=fz.finalize(),
+        prefactor_gamma=gamma, feasibility=fz.finalize(),
     )
 
 
@@ -246,25 +212,18 @@ def paper_constants_fp(C: float, p: float = 1.5) -> CertificateParams:
     )
 
 
-def optimize_rate(model: str, lam: float | None = None, p: float | None = None,
-                  C: float = math.inf, rel_tol: float = 1e-12) -> CertificateParams:
-    """Maximize the certified rate over the free splitter.
+def optimize_rate(lam: float, C: float = math.inf,
+                  p: float | None = None) -> CertificateParams:
+    """The relaxation certificate of `paper_constants_bgk` with the splitter
+    eta that maximizes the certified rate.
 
     The rate is linear in eta and every constraint is an upper bound on
     eta, so the optimum sits on the feasibility boundary; it is located
     by bisection on the feasibility predicate, which stays correct if the
     constraint list changes shape.
     """
-    if model == "fokker-planck-power":
-        return paper_constants_fp(C=C, p=p if p is not None else 1.5)
-    if model == "bgk-log":
-        def make(eta):
-            return paper_constants_bgk(lam, C=C, eta=eta)
-    elif model == "bgk-power":
-        def make(eta):
-            return paper_constants_bgk_p(lam, p, C=C, eta=eta)
-    else:
-        raise ValueError(f"unknown certificate model {model!r}")
+    def make(eta):
+        return paper_constants_bgk(lam, C=C, eta=eta, p=p)
 
     lo = 1e-12
     if not make(lo).feasible:
@@ -277,7 +236,7 @@ def optimize_rate(model: str, lam: float | None = None, p: float | None = None,
         if hi > 1e12:
             break
     # invariant: lo feasible, hi infeasible (or astronomically large)
-    while (hi - lo) > rel_tol * hi:
+    while (hi - lo) > 1e-12 * hi:
         mid = 0.5 * (lo + hi)
         if make(mid).feasible:
             lo = mid
@@ -308,16 +267,6 @@ class ConstantEstimate:
         return 1.0 / self.value
 
 
-def _spatial_entropy(rho: np.ndarray, p: PIndex, grid: Grid) -> float:
-    return integrate_x(kernels.convex_entropy_density(rho, p.p), grid)
-
-
-def _spatial_fisher(rho: np.ndarray, p: PIndex, grid: Grid) -> float:
-    g = grad_x_spatial(rho, grid)
-    w = 1.0 / rho if p.is_log else rho**(p.p - 2.0)
-    return integrate_x(w * (g * g).sum(axis=0), grid)
-
-
 def estimate_functional_constant(grid: Grid,
                                  p: PIndex = PIndex(None)) -> ConstantEstimate:
     """The spatial entropy/Fisher ratio constant, times SAFETY.
@@ -332,5 +281,5 @@ def estimate_functional_constant(grid: Grid,
     """
     x = grid.x_nodes[:, 0]
     rho = np.ones(grid.nx_total) + 1e-4 * np.cos(2.0 * np.pi / grid.spec.period * x)
-    ratio = _spatial_entropy(rho, p, grid) / _spatial_fisher(rho, p, grid)
+    ratio = torus_entropy(rho, grid, p) / torus_fisher(rho, grid, p)
     return ConstantEstimate(value=ratio * SAFETY, raw_ratio=ratio, p=p.label())

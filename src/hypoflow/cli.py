@@ -22,7 +22,7 @@ from .certificate import (
     estimate_functional_constant,
     optimize_rate,
     paper_constants_bgk,
-    paper_constants_bgk_p,
+    paper_constants_fp,
 )
 from .functionals import (
     FunctionalReport,
@@ -81,6 +81,13 @@ def _value(cfg, section, key, parse, default=None):
         raise ConfigError(f"[{section}] {key} = {value!r}: {exc}") from exc
 
 
+def _given(cfg, section, **parsers) -> dict:
+    """The keys of `section` that the config sets, each read by its parser;
+    a key left out is not passed on, so the library's default applies."""
+    return {key: _value(cfg, section, key, parse)
+            for key, parse in parsers.items() if cfg.has_option(section, key)}
+
+
 def _finite_float(text) -> float:
     value = float(text)
     if not math.isfinite(value):
@@ -105,12 +112,8 @@ def _seed(cfg, section, override) -> int:
 
 
 def _grid_from_config(cfg) -> GridSpec:
-    return _validated(
-        "grid section", GridSpec,
-        dim=_value(cfg, "grid", "dim", int, 1),
-        nx=_value(cfg, "grid", "nx", int, 64),
-        nv=_value(cfg, "grid", "nv", int, 32),
-    )
+    return _validated("grid section", GridSpec,
+                      **_given(cfg, "grid", dim=int, nx=int, nv=int))
 
 
 def _model_from_config(cfg):
@@ -138,20 +141,15 @@ def _initial_from_config(cfg, grid, seed_override):
     elif family == "cosine":
         state = _validated(
             "initial data", cosine, grid=grid,
-            amplitude=_value(cfg, "initial", "amplitude", _finite_float, 0.5),
-            v_amplitude=_value(cfg, "initial", "v_amplitude", _finite_float, 0.0),
-        )
+            **_given(cfg, "initial", amplitude=_finite_float, v_amplitude=_finite_float))
     elif family == "velocity":
         state = _validated(
             "initial data", velocity_perturbation, grid=grid,
-            amplitude=_value(cfg, "initial", "amplitude", _finite_float, 0.3))
+            **_given(cfg, "initial", amplitude=_finite_float))
     elif family == "random":
         state = _validated(
             "initial data", random_band_limited, grid=grid, seed=seed,
-            amplitude=_value(cfg, "initial", "amplitude", _finite_float, 0.25),
-            x_modes=_value(cfg, "initial", "x_modes", int, 2),
-            v_degree=_value(cfg, "initial", "v_degree", int, 2),
-        )
+            **_given(cfg, "initial", amplitude=_finite_float, x_modes=int, v_degree=int))
     else:
         raise ConfigError(f"unknown initial family {family!r}")
     if float(state.h.min()) < 0.1:
@@ -197,12 +195,6 @@ def _model_name(collision) -> str:
     return "fokker-planck" if isinstance(collision, FokkerPlanck) else "bgk"
 
 
-def _model_tag(collision, p: PIndex) -> str:
-    if isinstance(collision, BGK):
-        return "bgk-log" if p.is_log else "bgk-power"
-    return "fokker-planck-power"
-
-
 def _certificate_inputs(cfg, grid, collision, p):
     """Resolve the functional constant and splitter, honoring overrides."""
     C = _value(cfg, "certificate", "c", _finite_float)
@@ -223,19 +215,17 @@ def _certificate_inputs(cfg, grid, collision, p):
     return C, eta
 
 
-def _certificate(model, collision, p, C, eta):
+def _certificate(collision, p, C, eta):
+    if isinstance(collision, FokkerPlanck):
+        return paper_constants_fp(C=C, p=p.p)
     if eta is None:
-        return optimize_rate(model,
-                             lam=collision.rate if isinstance(collision, BGK) else None,
-                             p=p.p, C=C)
-    if model == "bgk-log":
-        return paper_constants_bgk(collision.rate, C=C, eta=eta)
-    return paper_constants_bgk_p(collision.rate, p.p, C=C, eta=eta)
+        return optimize_rate(collision.rate, C=C, p=p.p)
+    return paper_constants_bgk(collision.rate, C=C, eta=eta, p=p.p)
 
 
 def _certify(cfg, grid, collision, p):
     C, eta = _certificate_inputs(cfg, grid, collision, p)
-    return _validated("certificate", _certificate, model=_model_tag(collision, p),
+    return _validated("certificate", _certificate,
                       collision=collision, p=p, C=C, eta=eta)
 
 
@@ -297,8 +287,7 @@ def cmd_verify(args) -> int:
     n_states = _value(cfg, "verify", "n_states", int, 100)
     if n_states < 1:
         raise ConfigError(f"n_states must be at least 1, got {n_states}")
-    amplitude = _value(cfg, "verify", "amplitude", _finite_float, 0.25)
-    corruption = _value(cfg, "verify", "corruption", _finite_float, 0.0)
+    overrides = _given(cfg, "verify", amplitude=_finite_float, corruption=_finite_float)
     seed0 = _seed(cfg, "verify", args.seed)
     outdir = _output_dir(cfg, args.output_dir)
     os.makedirs(outdir, exist_ok=True)
@@ -311,8 +300,7 @@ def cmd_verify(args) -> int:
     results = run_suite(
         grid, model, p,
         lam=collision.rate if isinstance(collision, BGK) else None,
-        n_states=n_states, seed0=seed0, C=C,
-        amplitude=amplitude, jobs=args.jobs, corruption=corruption,
+        n_states=n_states, seed0=seed0, C=C, jobs=args.jobs, **overrides,
     )
     save_results(results, os.path.join(outdir, "verification.json"))
     table = summarize(results)

@@ -21,6 +21,7 @@ import numpy as np
 
 from . import kernels
 from .phase_space import (
+    Grid,
     State,
     div_x_spatial,
     grad_v_field,
@@ -135,19 +136,34 @@ def local_mean_velocity(state: State) -> np.ndarray:
     return (state.h @ wv).T
 
 
-def projected_entropy(state: State, p: PIndex = BOLTZMANN,
-                      pih: np.ndarray | None = None) -> float:
-    """Entropy of the velocity average as a density on the torus.
+def torus_entropy(rho: np.ndarray, grid: Grid, p: PIndex = BOLTZMANN) -> float:
+    """Entropy of a positive density rho on the torus, shape (nx_total,).
 
     Evaluated in the pointwise-nonnegative convex arrangement, which has
-    the same integral for unit-mass states and is roundoff-safe near
+    the same integral for unit-mass densities and is roundoff-safe near
     equilibrium.
     """
-    grid = state.grid
+    return integrate_x(kernels.convex_entropy_density(rho, p.p), grid)
+
+
+def torus_fisher(rho: np.ndarray, grid: Grid, p: PIndex = BOLTZMANN,
+                 grad: np.ndarray | None = None) -> float:
+    """Spatial Fisher information of a positive density rho on the torus,
+    weighted rho^(p-2) (1/rho for the log entropy); `grad` is the spatial
+    gradient of rho when the caller has it already."""
+    if grad is None:
+        grad = grad_x_spatial(rho, grid)
+    sq = (grad**2).sum(axis=0)
+    return integrate_x(sq / rho if p.is_log else rho**(p.p - 2.0) * sq, grid)
+
+
+def projected_entropy(state: State, p: PIndex = BOLTZMANN,
+                      pih: np.ndarray | None = None) -> float:
+    """Entropy of the velocity average as a density on the torus."""
     if pih is None:
         pih = project_pi(state)
     require_bounded_below(pih, "velocity average of h")
-    return integrate_x(kernels.convex_entropy_density(pih, p.p), grid)
+    return torus_entropy(pih, state.grid, p)
 
 
 def projected_entropy_rate(state: State, p: PIndex = BOLTZMANN,
@@ -188,9 +204,9 @@ def projected_quantities(state: State, p: PIndex = BOLTZMANN,
     out = {
         "entropy_projected": projected_entropy(state, p, pih=pih),
         "projected_entropy_rate": projected_entropy_rate(state, p, pih=pih),
+        "fisher_x_projected": torus_fisher(pih, grid, p, grad=gpi),
     }
     if p.is_log:
-        out["fisher_x_projected"] = integrate_x((gpi**2).sum(axis=0) / pih, grid)
         out["fisher_x_ratio"] = kernels.pi_ratio_x(
             state.h, gx, gpi, pih, grid.v_weights)
         if gv is None:
@@ -199,11 +215,8 @@ def projected_quantities(state: State, p: PIndex = BOLTZMANN,
         out["fisher_v_ratio"] = kernels.weighted_fisher(
             state.h, gv, grid.v_weights, -1.0, ratio)
     else:
-        pp = p.p
-        out["fisher_x_projected"] = integrate_x(
-            pih**(pp - 2.0) * (gpi**2).sum(axis=0), grid)
         out["cross_dissipation"] = kernels.cross_dissipation(
-            state.h, gx, gpi, pih, grid.v_weights, pp)
+            state.h, gx, gpi, pih, grid.v_weights, p.p)
     return out
 
 

@@ -14,6 +14,7 @@ mass checks still read the physical h after every step.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 
@@ -210,10 +211,21 @@ def _read_manifest(directory) -> dict:
         return json.load(f)
 
 
+def _snapshot_time(directory, index: int, entry: dict) -> float:
+    """The time of manifest entry `index`; a ValueError naming the manifest
+    and the entry unless it is a finite number."""
+    t = entry["time"]
+    if isinstance(t, bool) or not isinstance(t, (int, float)) or not math.isfinite(t):
+        raise ValueError(f"{os.path.join(directory, 'manifest.json')}: snapshots[{index}] "
+                         f"has time {t!r}, expected a finite number")
+    return t
+
+
 def snapshot_times(directory) -> list[float]:
     """The snapshot times the manifest of a trajectory directory lists; no
     snapshot file is opened."""
-    times = [entry["time"] for entry in _read_manifest(directory)["snapshots"]]
+    times = [_snapshot_time(directory, i, entry)
+             for i, entry in enumerate(_read_manifest(directory)["snapshots"])]
     if not times:
         raise ValueError(f"{directory}: the manifest lists no snapshots")
     return times
@@ -234,8 +246,9 @@ def load_trajectory(directory, window: tuple[float, float] | None = None) -> Tra
         collision=_collision_from_dict(manifest["collision"]),
     )
     snaps = []
-    for entry in manifest["snapshots"]:
-        t, path = entry["time"], os.path.join(directory, entry["file"])
+    for i, entry in enumerate(manifest["snapshots"]):
+        t = _snapshot_time(directory, i, entry)
+        path = os.path.join(directory, entry["file"])
         if window is None or _in_window(t, *window):
             snaps.append((t, load_state(path, grid)))
     return Trajectory(snaps, schedule)

@@ -22,7 +22,7 @@ from .functionals import BOLTZMANN, FunctionalReport, PIndex, build_report
 from .initial import random_band_limited
 from .integrator import Trajectory
 from .operators import BGK, FokkerPlanck, Transport, bgk_flow
-from .phase_space import Grid, State, hermite_tail_fraction
+from .phase_space import TAIL_WARN_FRACTION, Grid, State, hermite_tail_fraction
 
 Generator = Transport | BGK | FokkerPlanck
 
@@ -354,7 +354,7 @@ def check_transport_polynomial(state: State, times: np.ndarray | list,
 
     meta = {"p": p.label(), "t_max": float(times.max()),
             "final_hermite_tail": final_tail,
-            "aliasing_warning": bool(final_tail > 1e-6)}
+            "aliasing_warning": bool(final_tail > TAIL_WARN_FRACTION)}
     out = [
         _equality("transport_polynomial.fisher_x_constant",
                   max_err["x"], 0.0, abs_tol, 0.0,

@@ -170,7 +170,7 @@ def test_criterion_05_closed_form_relaxation(grid):
 
 def test_criterion_06_relaxation_log_certificate(grid, coercivity_constant):
     t0 = time.monotonic()
-    cert = optimize_rate("bgk-log", lam=1.0, C=coercivity_constant)
+    cert = optimize_rate(1.0, C=coercivity_constant)
     traj, reports = _certificate_run(grid, BGK(1.0), BOLTZMANN)
 
     vals = np.array([
@@ -204,7 +204,7 @@ def test_criterion_06_relaxation_log_certificate(grid, coercivity_constant):
 def test_criterion_07_relaxation_power_certificate(grid):
     p = PIndex(1.5)
     est = estimate_functional_constant(grid, p)
-    cert = optimize_rate("bgk-power", lam=1.0, p=1.5, C=est.coercivity)
+    cert = optimize_rate(1.0, C=est.coercivity, p=1.5)
     traj, reports = _certificate_run(grid, BGK(1.0), p)
 
     vals = np.array([

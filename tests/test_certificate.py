@@ -9,10 +9,10 @@ from hypoflow import (
     estimate_functional_constant,
     optimize_rate,
     paper_constants_bgk,
-    paper_constants_bgk_p,
     paper_constants_fp,
+    torus_entropy,
+    torus_fisher,
 )
-from hypoflow.certificate import _spatial_entropy, _spatial_fisher
 
 
 def _trial_density(grid, coefs, modes):
@@ -84,29 +84,41 @@ class TestRelaxationLogRecipe:
 
 class TestRelaxationPowerRecipe:
     def test_p_uniform_shape(self):
-        a = paper_constants_bgk_p(1.0, 1.5, C=1e9, eta=0.2)
-        b = paper_constants_bgk_p(1.0, 2.0, C=1e9, eta=0.2)
+        a = paper_constants_bgk(1.0, C=1e9, eta=0.2, p=1.5)
+        b = paper_constants_bgk(1.0, C=1e9, eta=0.2, p=2.0)
         for name in ("A1", "A2", "A3", "A4", "eps1", "eps2", "rate"):
             assert getattr(a, name) == getattr(b, name)
 
     def test_rate_display(self):
-        c = paper_constants_bgk_p(1.0, 1.5, C=1e9, eta=0.25)
+        c = paper_constants_bgk(1.0, C=1e9, eta=0.25, p=1.5)
         assert c.rate == pytest.approx(0.25 / 6.0, abs=1e-15)
 
     def test_rate_linear_in_eta(self):
-        r1 = paper_constants_bgk_p(1.0, 1.5, C=1e9, eta=0.1).rate
-        r2 = paper_constants_bgk_p(1.0, 1.5, C=1e9, eta=0.05).rate
+        r1 = paper_constants_bgk(1.0, C=1e9, eta=0.1, p=1.5).rate
+        r2 = paper_constants_bgk(1.0, C=1e9, eta=0.05, p=1.5).rate
         assert r1 == pytest.approx(2.0 * r2, rel=1e-13)
 
     def test_splitters(self):
-        c = paper_constants_bgk_p(2.0, 1.5, C=1e9, eta=0.1)
+        c = paper_constants_bgk(2.0, C=1e9, eta=0.1, p=1.5)
         assert c.eps1 == c.eps2 == 1.0
 
     def test_rejects_bad_p(self):
         with pytest.raises(ValueError):
-            paper_constants_bgk_p(1.0, 1.0)
+            paper_constants_bgk(1.0, p=1.0)
         with pytest.raises(ValueError):
-            paper_constants_bgk_p(1.0, 2.2)
+            paper_constants_bgk(1.0, p=2.2)
+
+    @pytest.mark.parametrize("lam,eta,C", [(0.5, 0.05, 0.0139), (1.0, 1.0 / 3.0, 1e9),
+                                           (2.0, 0.4, np.inf)])
+    def test_shares_the_log_recipe(self, lam, eta, C):
+        # one recipe: the power certificate keeps every coefficient and
+        # prefactor of the log one and certifies exactly twice its rate
+        log = paper_constants_bgk(lam, C=C, eta=eta)
+        power = paper_constants_bgk(lam, C=C, eta=eta, p=1.5)
+        for name in ("A1", "A2", "A3", "A4", "prefactor_alpha", "prefactor_beta"):
+            assert getattr(power, name) == getattr(log, name), name
+        assert power.rate == 2.0 * log.rate
+        assert (log.model, power.model) == ("bgk-log", "bgk-power")
 
 
 class TestDiffusionRecipe:
@@ -130,36 +142,26 @@ class TestDiffusionRecipe:
 
 class TestOptimizer:
     def test_recovers_known_optimum(self):
-        c = optimize_rate("bgk-log", lam=1.0, C=1e9)
+        c = optimize_rate(1.0, C=1e9)
         assert c.eta == pytest.approx(1.0 / 3.0, rel=1e-9)
         assert c.rate == pytest.approx(1.0 / 36.0, rel=1e-9)
         assert c.feasibility.binding == "velocity_margin"
 
     def test_small_constant_binds_rate_domination(self):
         C = 0.01
-        c = optimize_rate("bgk-log", lam=1.0, C=C)
+        c = optimize_rate(1.0, C=C)
         assert c.feasibility.binding == "rate_domination"
         assert c.rate == pytest.approx(C * 1.0 / (2.0 * 3.0), rel=1e-9)
 
     def test_power_case(self):
-        c = optimize_rate("bgk-power", lam=1.0, p=1.5, C=1e9)
+        c = optimize_rate(1.0, C=1e9, p=1.5)
         assert c.eta == pytest.approx(1.0 / 3.0, rel=1e-9)
         assert c.rate == pytest.approx(1.0 / 18.0, rel=1e-9)
-
-    def test_diffusion_has_no_free_parameter(self):
-        direct = paper_constants_fp(C=0.7, p=1.5)
-        opt = optimize_rate("fokker-planck-power", p=1.5, C=0.7)
-        assert opt.rate == direct.rate
-        assert opt.to_dict() == direct.to_dict()
-
-    def test_unknown_model(self):
-        with pytest.raises(ValueError):
-            optimize_rate("nope", lam=1.0)
 
     @given(lam=st.floats(0.2, 4.0))
     @settings(max_examples=30, deadline=None)
     def test_optimum_feasible_and_boundary(self, lam):
-        c = optimize_rate("bgk-log", lam=lam, C=1e9)
+        c = optimize_rate(lam, C=1e9)
         assert c.feasible
         assert not paper_constants_bgk(lam, C=1e9, eta=c.eta * 1.01).feasible
 
@@ -205,8 +207,8 @@ class TestConstantEstimator:
                             coefs[6 * a + 2: 6 * a + 6] = rng.uniform(-1.0, 1.0, 4) * (
                                 admix * min(amp, 1.0 - amp) / (4.0 * grid.dim))
                         rho = _trial_density(grid, coefs, 3)
-                        ratio = (_spatial_entropy(rho, p, grid)
-                                 / _spatial_fisher(rho, p, grid))
+                        ratio = (torus_entropy(rho, grid, p)
+                                 / torus_fisher(rho, grid, p))
                         assert ratio <= bound, (grid.dim, p.label(), amp, admix)
 
     def test_monotone_in_p(self, grid_small):
@@ -232,7 +234,7 @@ class TestCertificateChainOnStates:
         from hypoflow import GridSpec, build_grid, build_report, random_band_limited
         from hypoflow.functionals import composite_value
         grid = build_grid(GridSpec(dim=1, nx=64, nv=32))
-        cert = optimize_rate("bgk-log", lam=1.0, C=1e9)
+        cert = optimize_rate(1.0, C=1e9)
         for seed in range(20):
             s = random_band_limited(grid, seed)
             rep = build_report(s, BOLTZMANN, model="bgk")

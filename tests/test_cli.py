@@ -1,4 +1,5 @@
 import csv
+import inspect
 import json
 import os
 import re
@@ -7,7 +8,7 @@ import textwrap
 import numpy as np
 import pytest
 
-from hypoflow import cli, integrator
+from hypoflow import GridSpec, cli, cosine, integrator, random_band_limited, run_suite
 from hypoflow.cli import main
 
 BASE = """\
@@ -150,14 +151,24 @@ class TestCertify:
         cfg = write_config(tmp_path, text)
         assert main(["certify", cfg]) == 1
 
-    def test_explicit_eta(self, tmp_path):
+    @pytest.mark.parametrize("p", ["boltzmann", "1.5"])
+    def test_explicit_eta(self, tmp_path, p):
         out = tmp_path / "out"
-        text = BASE.format(out=out) + "\n[certificate]\nC = 1000000.0\neta = 0.1\n"
+        text = BASE.format(out=out).replace("p = boltzmann", f"p = {p}")
+        text += "\n[certificate]\nC = 1000000.0\neta = 0.1\n"
         cfg = write_config(tmp_path, text)
         assert main(["certify", cfg]) == 0
         cert = json.loads((out / "certificate.json").read_text())
         assert cert["eta"] == 0.1
-        assert cert["rate"] == pytest.approx(0.1 / 12.0, rel=1e-12)
+        lam = 1.0
+        if p == "boltzmann":
+            assert cert["model"] == "bgk-log"
+            assert cert["eps"] == 1.0 / lam
+            assert cert["rate"] == pytest.approx(0.1 / 12.0, rel=1e-12)
+        else:
+            assert cert["model"] == "bgk-power"
+            assert cert["eps1"] == cert["eps2"] == 2.0 / lam
+            assert cert["rate"] == pytest.approx(0.1 / 6.0, rel=1e-12)
 
 
 class TestVerify:
@@ -281,6 +292,22 @@ class TestFitDecay:
         assert main(["fit-decay", fit_cfg, "--output-dir", str(tmp_path / "fit")]) == 1
         assert "lists no snapshots" in _one_config_error_line(capsys)
 
+    @pytest.mark.parametrize("time", ["0.0", None, True, float("inf")])
+    def test_manifest_with_bad_time_is_config_error(self, tmp_path, capsys, time):
+        out = tmp_path / "sim"
+        text = BASE.format(out=out).replace("t_end = 5.0", "t_end = 0.0")
+        assert main(["simulate", write_config(tmp_path, text)]) == 0
+        manifest_path = out / "trajectory" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["snapshots"][0]["time"] = time
+        manifest_path.write_text(json.dumps(manifest))
+        fit_cfg = write_config(tmp_path, text + f"\n[fit]\ntrajectory = {out / 'trajectory'}\n",
+                               name="fit.ini")
+        capsys.readouterr()
+        assert main(["fit-decay", fit_cfg, "--output-dir", str(tmp_path / "fit")]) == 1
+        line = _one_config_error_line(capsys)
+        assert "manifest.json" in line and "snapshots[0]" in line, line
+
 
 def _one_config_error_line(capsys):
     """The single `configuration error:` line on stderr, or "" if there is
@@ -403,6 +430,57 @@ def test_bad_fit_is_config_error(tmp_path, capsys, sim_model, t_end, fit_model, 
     assert main(["fit-decay", fit_cfg, "--output-dir", str(tmp_path / "fit")]) == 1
     line = _one_config_error_line(capsys)
     assert named in line and not re.search(r"\binf\b", line), line
+
+
+def _signature_defaults(fn, names=None) -> dict:
+    """The defaults of `fn`'s parameters (those in `names`, else all that
+    have one)."""
+    params = inspect.signature(fn).parameters
+    if names is None:
+        names = [n for n, prm in params.items() if prm.default is not prm.empty]
+    return {n: params[n].default for n in names}
+
+
+def _outputs(out) -> dict:
+    """Every file under `out` by relative path; the run manifest without its
+    config hash, which differs between two config texts."""
+    files = {}
+    for path in sorted(out.rglob("*")):
+        if path.is_file():
+            data = path.read_bytes()
+            if path == out / "manifest.json":
+                data = json.loads(data)
+                del data["config_hash"]
+            files[str(path.relative_to(out))] = data
+    return files
+
+
+@pytest.mark.parametrize("command,family", [
+    ("simulate", "cosine"), ("simulate", "random"), ("verify", "random")])
+def test_omitted_keys_take_the_library_defaults(tmp_path, command, family):
+    # the library signatures are the only home of these defaults: a config
+    # that leaves the keys out and one that sets them to the signatures'
+    # defaults give the same bytes
+    given = {
+        "grid": _signature_defaults(GridSpec, ("dim", "nx", "nv")),
+        "initial": _signature_defaults({"cosine": cosine,
+                                        "random": random_band_limited}[family]),
+        "verify": _signature_defaults(run_suite, ("amplitude", "corruption")),
+    }
+    runs = {}
+    for name, keys in (("omitted", {}), ("set", given)):
+        def lines(section):
+            return "".join(f"{k} = {v!r}\n" for k, v in keys.get(section, {}).items())
+        text = (f"[grid]\n{lines('grid')}\n[model]\n{BGK_MODEL}\n\n"
+                f"[initial]\nfamily = {family}\n{lines('initial')}\n"
+                "[schedule]\ndt = 0.01\nt_end = 0.02\nsnapshot_every = 1\n\n"
+                f"[verify]\nn_states = 1\n{lines('verify')}")
+        cfg = write_config(tmp_path, text, name=f"{name}.ini")
+        out = tmp_path / name
+        assert main([command, cfg, "--output-dir", str(out)]) == 0
+        runs[name] = _outputs(out)
+    assert runs["omitted"] == runs["set"]
+    assert len(runs["set"]) >= 3
 
 
 class TestEstimateConstant:
