@@ -18,14 +18,8 @@ from .functionals import (
     FunctionalReport,
     PIndex,
     build_report,
-    correction_terms,
     correction_weight,
     entropy,
-    fisher_components,
-    fp_dissipation_terms,
-    projected_entropy,
-    projected_entropy_rate,
-    projected_quantities,
     torus_entropy,
     torus_fisher,
 )

@@ -107,6 +107,14 @@ class CertificateParams:
             f.write("\n")
 
 
+def phase_space_ratio(spatial_ratio: float) -> float:
+    """The phase-space entropy/Fisher ratio constant (entropy at most this
+    times the full Fisher information) for a given spatial ratio constant:
+    the larger of the two, since the Gaussian direction contributes 1/2 to
+    the product measure."""
+    return max(spatial_ratio, 0.5)
+
+
 def paper_constants_bgk(lam: float, C: float = math.inf, eta: float = 1.0 / 3.0,
                         p: float | None = None) -> CertificateParams:
     """Relaxation certificate for the log entropy (p None) or the power
@@ -165,8 +173,8 @@ def paper_constants_bgk(lam: float, C: float = math.inf, eta: float = 1.0 / 3.0,
     gamma = None
     if p is None and math.isfinite(C):
         # entropy is dominated by Fisher information with the phase-space
-        # ratio constant; 1/2 is the Gaussian-direction value
-        ratio = max(1.0 / C, 0.5)
+        # ratio constant
+        ratio = phase_space_ratio(1.0 / C)
         gamma = ratio * (alpha_pref + 2.0 * beta * ratio)
 
     return CertificateParams(

@@ -3,7 +3,8 @@ estimate-constant.
 
 Configs are INI files (key = value under sections); the only positional
 arguments are the subcommand and the config path, with --output-dir,
---seed and --jobs overrides. Exit codes: 0 success, 1 configuration
+--seed and --jobs (only 1) overrides. An unknown key in a known section
+is a configuration error. Exit codes: 0 success, 1 configuration
 error, 2 invariant or assertion failure.
 """
 
@@ -23,6 +24,7 @@ from .certificate import (
     optimize_rate,
     paper_constants_bgk,
     paper_constants_fp,
+    phase_space_ratio,
 )
 from .functionals import (
     FunctionalReport,
@@ -55,12 +57,31 @@ class ConfigError(ValueError):
     pass
 
 
+# Every key each section is read for; any other key in these sections is
+# rejected rather than silently ignored.
+KNOWN_KEYS = {
+    "grid": {"dim", "nx", "nv"},
+    "model": {"kind", "lambda", "p"},
+    "initial": {"family", "seed", "amplitude", "v_amplitude", "x_modes", "v_degree"},
+    "schedule": {"dt", "t_end", "snapshot_every"},
+    "output": {"directory"},
+    "certificate": {"c", "eta"},
+    "verify": {"n_states", "seed", "amplitude", "corruption"},
+    "fit": {"trajectory", "functional", "t_start", "t_end"},
+}
+
+
 def _load_config(path) -> configparser.ConfigParser:
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
     cfg = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     if not cfg.read(path):
         raise ConfigError(f"cannot read config file: {path}")
+    for section, known in KNOWN_KEYS.items():
+        if cfg.has_section(section):
+            unknown = sorted(set(cfg.options(section)) - known)
+            if unknown:
+                raise ConfigError(f"[{section}] unknown key: {', '.join(unknown)}")
     return cfg
 
 
@@ -209,9 +230,7 @@ def _certificate_inputs(cfg, grid, collision, p):
             # spatial inequality
             C = est.coercivity
         else:
-            # phase-space ratio constant: the Gaussian direction dominates
-            # the product measure at 1/2
-            C = max(est.value, 0.5)
+            C = phase_space_ratio(est.value)
     return C, eta
 
 
@@ -300,7 +319,7 @@ def cmd_verify(args) -> int:
     results = run_suite(
         grid, model, p,
         lam=collision.rate if isinstance(collision, BGK) else None,
-        n_states=n_states, seed0=seed0, C=C, jobs=args.jobs, **overrides,
+        n_states=n_states, seed0=seed0, C=C, **overrides,
     )
     save_results(results, os.path.join(outdir, "verification.json"))
     table = summarize(results)
@@ -414,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None,
                        help="override the config / HYPOFLOW_SEED seed")
         p.add_argument("--jobs", type=int, default=1,
-                       help="concurrent workers for independent checks")
+                       help="worker count; only 1 is accepted")
         p.set_defaults(fn=fn)
     return parser
 
@@ -422,6 +441,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.jobs != 1:
+            raise ConfigError(f"--jobs {args.jobs}: only 1 is accepted")
         return args.fn(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

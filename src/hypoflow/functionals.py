@@ -15,18 +15,22 @@ from __future__ import annotations
 
 import csv
 import json
+import warnings
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import kernels
 from .phase_space import (
+    TAIL_WARN_FRACTION,
     Grid,
+    SpectralResolutionWarning,
     State,
     div_x_spatial,
     grad_v_field,
     grad_x_field,
     grad_x_spatial,
+    hermite_tail_fraction,
     integrate_x,
     project_pi,
     require_bounded_below,
@@ -115,20 +119,6 @@ def entropy(state: State, p: PIndex = BOLTZMANN) -> float:
     return kernels.entropy(state.h, state.grid.v_weights, p.p)
 
 
-def fisher_components(state: State, p: PIndex = BOLTZMANN,
-                      gx: np.ndarray | None = None,
-                      gv: np.ndarray | None = None):
-    """Spatial, velocity and mixed Fisher components (weight h^(p-2))."""
-    require_bounded_below(state.h)
-    grid = state.grid
-    if gx is None:
-        gx = grad_x_field(state.h, grid)
-    if gv is None:
-        gv = grad_v_field(state.h, grid)
-    e = -1.0 if p.is_log else p.p - 2.0
-    return kernels.fisher(state.h, gx, gv, grid.v_weights, e)
-
-
 def local_mean_velocity(state: State) -> np.ndarray:
     """First velocity moment per spatial node; shape (dim, nx_total)."""
     grid = state.grid
@@ -157,170 +147,71 @@ def torus_fisher(rho: np.ndarray, grid: Grid, p: PIndex = BOLTZMANN,
     return integrate_x(sq / rho if p.is_log else rho**(p.p - 2.0) * sq, grid)
 
 
-def projected_entropy(state: State, p: PIndex = BOLTZMANN,
-                      pih: np.ndarray | None = None) -> float:
-    """Entropy of the velocity average as a density on the torus."""
-    if pih is None:
-        pih = project_pi(state)
-    require_bounded_below(pih, "velocity average of h")
-    return torus_entropy(pih, state.grid, p)
-
-
-def projected_entropy_rate(state: State, p: PIndex = BOLTZMANN,
-                           pih: np.ndarray | None = None) -> float:
-    """Exact time derivative of the projected entropy along the kinetic flow.
-
-    Pairs the entropy variable of the velocity average against the
-    divergence of the local mean velocity; no differencing involved.
-    """
-    grid = state.grid
-    if pih is None:
-        pih = project_pi(state)
-    require_bounded_below(pih, "velocity average of h")
-    div_u = div_x_spatial(local_mean_velocity(state), grid)
-    if p.is_log:
-        return -integrate_x(np.log(pih) * div_u, grid)
-    return -integrate_x(pih**(p.p - 1.0) / (p.p - 1.0) * div_u, grid)
-
-
-def projected_quantities(state: State, p: PIndex = BOLTZMANN,
-                         gx: np.ndarray | None = None,
-                         gv: np.ndarray | None = None) -> dict:
-    """Diagnostics built from the velocity average.
-
-    Returns entropy_projected, fisher_x_projected, the exact projected
-    entropy rate, and the model-dependent relative terms: the ratio
-    Fisher informations for the log entropy, the cross dissipation for
-    the power case.
-    """
-    grid = state.grid
-    require_bounded_below(state.h)
-    pih = project_pi(state)
-    require_bounded_below(pih, "velocity average of h")
-    if gx is None:
-        gx = grad_x_field(state.h, grid)
-    gpi = grad_x_spatial(pih, grid)
-
-    out = {
-        "entropy_projected": projected_entropy(state, p, pih=pih),
-        "projected_entropy_rate": projected_entropy_rate(state, p, pih=pih),
-        "fisher_x_projected": torus_fisher(pih, grid, p, grad=gpi),
-    }
-    if p.is_log:
-        out["fisher_x_ratio"] = kernels.pi_ratio_x(
-            state.h, gx, gpi, pih, grid.v_weights)
-        if gv is None:
-            gv = grad_v_field(state.h, grid)
-        ratio = pih[:, None] / state.h
-        out["fisher_v_ratio"] = kernels.weighted_fisher(
-            state.h, gv, grid.v_weights, -1.0, ratio)
-    else:
-        out["cross_dissipation"] = kernels.cross_dissipation(
-            state.h, gx, gpi, pih, grid.v_weights, p.p)
-    return out
-
-
-def correction_terms(state: State, p: float,
-                     gx: np.ndarray | None = None,
-                     gv: np.ndarray | None = None):
-    """The three p-only weighted Fisher terms (all nonnegative).
-
-    correction_x / correction_v carry the correction weight of the local
-    density ratio; fisher_v_scaled carries (pi h / h)^(2-p).
-    """
-    if not (1.0 < p <= 2.0):
-        raise ValueError(f"correction terms exist for p in (1, 2], got {p}")
-    grid = state.grid
-    require_bounded_below(state.h)
-    pih = project_pi(state)
-    require_bounded_below(pih, "velocity average of h")
-    if gx is None:
-        gx = grad_x_field(state.h, grid)
-    if gv is None:
-        gv = grad_v_field(state.h, grid)
-    ratio = pih[:, None] / state.h
-    fac = correction_weight(ratio, p)
-    cx = kernels.weighted_fisher(state.h, gx, grid.v_weights, p - 2.0, fac)
-    cv = kernels.weighted_fisher(state.h, gv, grid.v_weights, p - 2.0, fac)
-    vs = kernels.weighted_fisher(state.h, gv, grid.v_weights, p - 2.0,
-                                 ratio**(2.0 - p))
-    return cx, cv, vs
-
-
-def _hessians(state: State, gx: np.ndarray, gv: np.ndarray):
-    """Second spectral derivatives: (v,x) and (v,v) blocks."""
-    grid = state.grid
-    d = grid.dim
-    n = state.h.shape
-    hess_vx = np.empty((d, d) + n)
-    hess_vv = np.empty((d, d) + n)
-    for j in range(d):
-        hess_vx[:, j] = grad_v_field(gx[j], grid, warn=False)
-        hess_vv[:, j] = grad_v_field(gv[j], grid, warn=False)
-    return hess_vx, hess_vv
-
-
-def fp_dissipation_terms(state: State, p: float,
-                         gx: np.ndarray | None = None,
-                         gv: np.ndarray | None = None):
-    """Second-order dissipation functionals of the velocity diffusion model.
-
-    The squared mixed/pure second derivatives of the entropy variable
-    h^(p-1)/(p-1) are expanded by the chain rule in h, its gradients and
-    spectral Hessian blocks; the two quartic gradient terms complete the
-    set. All four are nonnegative.
-    """
-    if not (1.0 < p <= 2.0):
-        raise ValueError(f"dissipation terms exist for p in (1, 2], got {p}")
-    grid = state.grid
-    require_bounded_below(state.h)
-    if gx is None:
-        gx = grad_x_field(state.h, grid)
-    if gv is None:
-        gv = grad_v_field(state.h, grid)
-    hess_vx, hess_vv = _hessians(state, gx, gv)
-    wv = grid.v_weights
-    i_vx = kernels.hessian_norm(state.h, hess_vx, gv, gx, wv, p)
-    i_vv = kernels.hessian_norm(state.h, hess_vv, gv, gv, wv, p)
-    i2_xv = kernels.quartic(state.h, gv, gx, wv, p)
-    i2_v = kernels.quartic(state.h, gv, gv, wv, p)
-    return i_vx, i_vv, i2_xv, i2_v
-
-
 def build_report(state: State, p: PIndex, model: str = "bgk") -> FunctionalReport:
-    """Assemble the full diagnostic row for one snapshot.
+    """Every diagnostic of one snapshot, in one pass over one set of gradients.
 
-    model is "bgk" or "fokker-planck"; it decides which projected /
-    second-order entries exist.
+    model is "bgk" or "fokker-planck"; with p it decides which columns exist
+    (every other column is None):
+    - both models: entropy, entropy_projected and the three Fisher components;
+    - bgk: fisher_x_projected and projected_entropy_rate, plus fisher_x_ratio
+      and fisher_v_ratio for the log entropy, or cross_dissipation,
+      correction_x, correction_v and fisher_v_scaled for p in (1, 2];
+    - fokker-planck with p in (1, 2]: hess_xv, hess_vv, quartic_xv, quartic_v.
+
+    Emits one SpectralResolutionWarning when the Hermite coefficient tail of
+    h carries more than TAIL_WARN_FRACTION of its norm.
     """
-    grid = state.grid
-    gx = grad_x_field(state.h, grid)
-    gv = grad_v_field(state.h, grid)
-    ix, iv, im = fisher_components(state, p, gx=gx, gv=gv)
+    if model not in ("bgk", "fokker-planck"):
+        raise ValueError(f"unknown model {model!r}")
+    grid, h, wv = state.grid, state.h, state.grid.v_weights
+    require_bounded_below(h)
+    pih = project_pi(state)
+    require_bounded_below(pih, "velocity average of h")
+    gx = grad_x_field(h, grid)
+    tail = hermite_tail_fraction(h, grid)
+    if tail > TAIL_WARN_FRACTION:
+        # order-of-magnitude message so repeated warnings deduplicate
+        warnings.warn(
+            f"Hermite coefficient tail fraction ~1e{int(np.ceil(np.log10(tail)))} "
+            f"exceeds {TAIL_WARN_FRACTION:.0e}; increase nv",
+            SpectralResolutionWarning,
+            stacklevel=2,
+        )
+    gv = grad_v_field(h, grid)
+    ix, iv, im = kernels.fisher(h, gx, gv, wv, -1.0 if p.is_log else p.p - 2.0)
     rep = FunctionalReport(
         time=state.time, p=p.label(),
-        entropy=entropy(state, p),
+        entropy=kernels.entropy(h, wv, p.p),
+        entropy_projected=torus_entropy(pih, grid, p),
         fisher_x=ix, fisher_v=iv, fisher_mixed=im,
     )
     if model == "bgk":
-        proj = projected_quantities(state, p, gx=gx, gv=gv)
-        for key, val in proj.items():
-            setattr(rep, key, val)
-        if not p.is_log:
-            cx, cv, vs = correction_terms(state, p.p, gx=gx, gv=gv)
-            rep.correction_x = cx
-            rep.correction_v = cv
-            rep.fisher_v_scaled = vs
-    elif model == "fokker-planck":
-        rep.entropy_projected = projected_entropy(state, p)
-        if not p.is_log:
-            i_vx, i_vv, i2_xv, i2_v = fp_dissipation_terms(state, p.p, gx=gx, gv=gv)
-            rep.hess_xv = i_vx
-            rep.hess_vv = i_vv
-            rep.quartic_xv = i2_xv
-            rep.quartic_v = i2_v
-    else:
-        raise ValueError(f"unknown model {model!r}")
+        gpi = grad_x_spatial(pih, grid)
+        # exact d/dt of entropy_projected, no differencing: the entropy
+        # variable of pi h paired with minus the divergence of the mean velocity
+        div_u = div_x_spatial(local_mean_velocity(state), grid)
+        entropy_var = np.log(pih) if p.is_log else pih**(p.p - 1.0) / (p.p - 1.0)
+        rep.projected_entropy_rate = -integrate_x(entropy_var * div_u, grid)
+        rep.fisher_x_projected = torus_fisher(pih, grid, p, grad=gpi)
+        if p.is_log:
+            rep.fisher_x_ratio = kernels.pi_ratio_x(h, gx, gpi, pih, wv)
+            rep.fisher_v_ratio = kernels.weighted_fisher(h, gv, wv, -1.0, pih[:, None] / h)
+        else:
+            rep.cross_dissipation = kernels.cross_dissipation(h, gx, gpi, pih, wv, p.p)
+            ratio = pih[:, None] / h
+            fac = correction_weight(ratio, p.p)
+            rep.correction_x = kernels.weighted_fisher(h, gx, wv, p.p - 2.0, fac)
+            rep.correction_v = kernels.weighted_fisher(h, gv, wv, p.p - 2.0, fac)
+            rep.fisher_v_scaled = kernels.weighted_fisher(h, gv, wv, p.p - 2.0,
+                                                          ratio**(2.0 - p.p))
+    elif not p.is_log:
+        # hess[i, j]: d/dv_i of the j-th gradient component
+        hess_vx = np.stack([grad_v_field(g, grid) for g in gx], axis=1)
+        hess_vv = np.stack([grad_v_field(g, grid) for g in gv], axis=1)
+        rep.hess_xv = kernels.hessian_norm(h, hess_vx, gv, gx, wv, p.p)
+        rep.hess_vv = kernels.hessian_norm(h, hess_vv, gv, gv, wv, p.p)
+        rep.quartic_xv = kernels.quartic(h, gv, gx, wv, p.p)
+        rep.quartic_v = kernels.quartic(h, gv, gv, wv, p.p)
     return rep
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import contextlib
 import os
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -102,8 +101,6 @@ class Grid:
     # per spatial axis, the wavenumbers 2*pi*m/period of to_modes (Nyquist
     # zeroed), shaped to broadcast over its output
     k_modes: tuple
-    v_axis: np.ndarray          # (nv,) Gauss-Hermite abscissae
-    w_axis: np.ndarray          # (nv,) weights, sum 1
     x_nodes: np.ndarray         # (nx_total, dim)
     v_nodes: np.ndarray         # (nv_total, dim)
     v_weights: np.ndarray       # (nv_total,) tensor-product weights
@@ -163,7 +160,7 @@ def build_grid(spec: GridSpec) -> Grid:
     ortho, sqw, deriv = _hermite_matrices(v, w)
     degrees = np.indices((nv,) * d).reshape(d, -1)
     return Grid(
-        spec=spec, x_axis=x, k_modes=k_modes, v_axis=v, w_axis=w,
+        spec=spec, x_axis=x, k_modes=k_modes,
         x_nodes=_tensor_nodes(x, d), v_nodes=_tensor_nodes(v, d),
         v_weights=_tensor_product(w, d),
         hermite_ortho=ortho, sqrt_w=_tensor_product(sqw, d), hermite_deriv=deriv,
@@ -275,24 +272,12 @@ def _along_v(fld: np.ndarray, grid: Grid, matrix: np.ndarray, axis: int) -> np.n
     return (tens @ matrix.T).swapaxes(axis + 1, -1).reshape(fld.shape)
 
 
-def grad_v_field(fld: np.ndarray, grid: Grid, warn: bool = True) -> np.ndarray:
+def grad_v_field(fld: np.ndarray, grid: Grid) -> np.ndarray:
     """Hermite-recurrence gradient along every velocity axis.
 
     Expands each x-slice in orthonormal Hermite polynomials, lowers the
-    coefficients and re-evaluates at the nodes. Emits a
-    SpectralResolutionWarning when the coefficient tail carries more than
-    TAIL_WARN_FRACTION of the total norm.
+    coefficients and re-evaluates at the nodes.
     """
-    if warn:
-        tail = hermite_tail_fraction(fld, grid)
-        if tail > TAIL_WARN_FRACTION:
-            # order-of-magnitude message so repeated warnings deduplicate
-            warnings.warn(
-                f"Hermite coefficient tail fraction ~1e{int(np.ceil(np.log10(tail)))} "
-                f"exceeds {TAIL_WARN_FRACTION:.0e}; increase nv",
-                SpectralResolutionWarning,
-                stacklevel=2,
-            )
     return np.array([_along_v(fld, grid, grid.hermite_deriv, axis)
                      for axis in range(grid.dim)])
 

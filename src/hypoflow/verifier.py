@@ -420,7 +420,6 @@ def run_suite(grid: Grid, model: str, p: PIndex, lam: float | None = None,
               amplitude: float = 0.25,
               abs_tol: float = DEFAULT_ABS_TOL,
               rel_tol: float = DEFAULT_REL_TOL,
-              jobs: int = 1,
               corruption: float = 0.0) -> list[LemmaCheckResult]:
     """Full verification sweep over seeded random states.
 
@@ -461,16 +460,9 @@ def run_suite(grid: Grid, model: str, p: PIndex, lam: float | None = None,
             r.params["seed"] = seed
         return res
 
-    seeds = list(range(seed0, seed0 + n_states))
     results: list[LemmaCheckResult] = []
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            for chunk in pool.map(one_state, seeds):
-                results.extend(chunk)
-    else:
-        for s in seeds:
-            results.extend(one_state(s))
+    for s in range(seed0, seed0 + n_states):
+        results.extend(one_state(s))
     if model == "bgk" and not p.is_log:
         results.extend(check_correction_weight())
     return results

@@ -14,7 +14,6 @@ from hypoflow import (
     Schedule,
     build_grid,
     build_report,
-    correction_terms,
     correction_weight,
     entropy,
     estimate_functional_constant,
@@ -94,7 +93,7 @@ def test_criterion_02_lemma_suite_boltzmann(grid, coercivity_constant):
     t0 = time.monotonic()
     results = run_suite(grid, "bgk", BOLTZMANN, lam=1.0, n_states=100,
                         C=1.0 / coercivity_constant,
-                        abs_tol=1e-6, rel_tol=1e-4, jobs=1)
+                        abs_tol=1e-6, rel_tol=1e-4)
     failed = [r for r in results if not r.passed]
     elapsed = time.monotonic() - t0
     ok = not failed and elapsed < 300.0
@@ -108,13 +107,14 @@ def test_criterion_03_lemma_suite_power(grid, coercivity_constant):
     for p in (PIndex(1.5), PIndex(2.0)):
         results = run_suite(grid, "bgk", p, lam=1.0, n_states=100,
                             C=1.0 / coercivity_constant,
-                            abs_tol=1e-6, rel_tol=1e-4, jobs=1)
+                            abs_tol=1e-6, rel_tol=1e-4)
         total += len(results)
         failed += [r for r in results if not r.passed]
     # the correction weight vanishes identically at p = 2
     for seed in range(5):
         s = random_band_limited(grid, seed)
-        cx, cv, _ = correction_terms(s, 2.0)
+        rep = build_report(s, PIndex(2.0))
+        cx, cv = rep.correction_x, rep.correction_v
         if abs(cx) > 1e-12 or abs(cv) > 1e-12:
             failed.append(("p2 correction nonzero", cx, cv))
         total += 1

@@ -13,6 +13,7 @@ from hypoflow import (
     torus_entropy,
     torus_fisher,
 )
+from hypoflow.certificate import phase_space_ratio
 
 
 def _trial_density(grid, coefs, modes):
@@ -251,11 +252,7 @@ class TestCertificateChainOnStates:
         grid = build_grid(GridSpec(dim=1, nx=64, nv=32))
         for p in (BOLTZMANN, PIndex(1.5)):
             est = estimate_functional_constant(grid, p)
-            C_full = max(est.value, 0.5)
+            C_full = phase_space_ratio(est.value)
             for seed in range(20):
-                s = random_band_limited(grid, seed)
-                rep_model = "bgk"
-                from hypoflow import entropy, fisher_components
-                h = entropy(s, p)
-                ix, iv, _ = fisher_components(s, p)
-                assert h <= C_full * (ix + iv) * (1 + 1e-9)
+                rep = build_report(random_band_limited(grid, seed), p)
+                assert rep.entropy <= C_full * (rep.fisher_x + rep.fisher_v) * (1 + 1e-9)

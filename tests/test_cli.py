@@ -190,11 +190,15 @@ class TestVerify:
         results = json.loads((out / "verification.json").read_text())
         assert any(not r["passed"] for r in results if r["kind"] == "equality")
 
-    def test_jobs_flag(self, tmp_path):
+    def test_jobs_flag(self, tmp_path, capsys):
+        # one worker is the only mode; any other count is rejected
         out = tmp_path / "out"
         text = BASE.format(out=out) + "\n[verify]\nn_states = 2\n"
         cfg = write_config(tmp_path, text)
-        assert main(["verify", cfg, "--jobs", "2"]) == 0
+        assert main(["verify", cfg, "--jobs", "2"]) == 1
+        assert "--jobs 2" in _one_config_error_line(capsys)
+        assert not out.exists()
+        assert main(["verify", cfg, "--jobs", "1"]) == 0
 
 
 class TestFitDecay:
@@ -349,6 +353,30 @@ def test_bad_config_value_is_config_error(tmp_path, capsys, command, old, new):
     cfg = write_config(tmp_path, text)
     assert main([command, cfg]) == 1
     assert _one_config_error_line(capsys)
+
+
+@pytest.mark.parametrize("command,section,key", [
+    ("simulate", "grid", "period"),
+    ("simulate", "model", "rate"),
+    ("simulate", "initial", "amplitud"),
+    ("simulate", "schedule", "steps"),
+    ("simulate", "output", "dir"),
+    ("certify", "certificate", "epsilon"),
+    ("verify", "verify", "states"),
+    ("estimate-constant", "fit", "window"),
+])
+def test_unknown_key_is_config_error(tmp_path, capsys, command, section, key):
+    # a misspelt or unsupported key is never silently ignored, whichever
+    # command reads the config
+    out = tmp_path / "o"
+    text = (BASE.format(out=out) + "\n[verify]\nn_states = 2\n"
+            + "\n[certificate]\nC = 1000000.0\n\n[fit]\ntrajectory = t\n")
+    text = text.replace(f"[{section}]\n", f"[{section}]\n{key} = 1\n")
+    cfg = write_config(tmp_path, text)
+    assert main([command, cfg]) == 1
+    line = _one_config_error_line(capsys)
+    assert f"[{section}]" in line and key in line, line
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["simulate", "certify", "verify", "estimate-constant"])

@@ -10,13 +10,8 @@ from hypoflow import (
     PIndex,
     State,
     build_report,
-    correction_terms,
     correction_weight,
     entropy,
-    fisher_components,
-    fp_dissipation_terms,
-    projected_entropy_rate,
-    projected_quantities,
     random_band_limited,
 )
 from hypoflow.functionals import (
@@ -106,31 +101,35 @@ class TestEntropy:
             assert mine == pytest.approx(want, rel=1e-8, abs=1e-10)
 
 
+def fisher(rep):
+    return rep.fisher_x, rep.fisher_v, rep.fisher_mixed
+
+
 class TestFisher:
     def test_zero_at_equilibrium(self, grid_small):
         s = State(grid_small, np.ones((grid_small.nx_total, grid_small.nv_total)))
-        for val in fisher_components(s, BOLTZMANN):
+        for val in fisher(build_report(s, BOLTZMANN)):
             assert abs(val) < 1e-25
 
     def test_spatial_field_has_no_velocity_part(self, grid_small):
         x = grid_small.x_nodes[:, 0]
         h = (1 + 0.4 * np.cos(2 * np.pi * x))[:, None] * np.ones(grid_small.nv_total)
-        ix, iv, im = fisher_components(State(grid_small, h), BOLTZMANN)
-        assert iv == pytest.approx(0.0, abs=1e-25)
-        assert im == pytest.approx(0.0, abs=1e-15)
+        rep = build_report(State(grid_small, h), BOLTZMANN)
+        assert rep.fisher_v == pytest.approx(0.0, abs=1e-25)
+        assert rep.fisher_mixed == pytest.approx(0.0, abs=1e-15)
 
     def test_frozen_spatial_value(self, grid_accept):
         # independent dense quadrature gives 4 pi^2 (1 - sqrt(0.91))
         x = grid_accept.x_nodes[:, 0]
         h = (1 + 0.3 * np.cos(2 * np.pi * x))[:, None] * np.ones(grid_accept.nv_total)
-        ix, _, _ = fisher_components(State(grid_accept, h), BOLTZMANN)
-        assert ix == pytest.approx(1.8184074416520146, abs=1e-8)
+        rep = build_report(State(grid_accept, h), BOLTZMANN)
+        assert rep.fisher_x == pytest.approx(1.8184074416520146, abs=1e-8)
 
     def test_exponential_field_vs_oracle(self, state_exp, field_exp, dense_xy):
         x, v = dense_xy
         for p in (None, 1.5):
             pi = BOLTZMANN if p is None else PIndex(p)
-            mine = fisher_components(state_exp, pi)
+            mine = fisher(build_report(state_exp, pi))
             want = oracles.oracle_fisher(field_exp, x, v, p)
             for a, b in zip(mine, want):
                 assert a == pytest.approx(b, rel=1e-7, abs=1e-9)
@@ -139,20 +138,18 @@ class TestFisher:
 class TestProjectedQuantities:
     def test_equilibrium_all_zero(self, grid_small):
         s = State(grid_small, np.ones((grid_small.nx_total, grid_small.nv_total)))
-        out = projected_quantities(s, BOLTZMANN)
-        assert out["entropy_projected"] == 0.0
-        assert out["projected_entropy_rate"] == pytest.approx(0.0, abs=1e-15)
-        assert out["fisher_x_ratio"] == pytest.approx(0.0, abs=1e-20)
+        rep = build_report(s, BOLTZMANN)
+        assert rep.entropy_projected == 0.0
+        assert rep.projected_entropy_rate == pytest.approx(0.0, abs=1e-15)
+        assert rep.fisher_x_ratio == pytest.approx(0.0, abs=1e-20)
         assert np.abs(local_mean_velocity(s)).max() < 1e-14
 
     def test_spatial_field_ratio_vanishes(self, grid_small):
         x = grid_small.x_nodes[:, 0]
         h = (1 + 0.4 * np.cos(2 * np.pi * x))[:, None] * np.ones(grid_small.nv_total)
-        s = State(grid_small, h)
-        out = projected_quantities(s, BOLTZMANN)
-        ix, _, _ = fisher_components(s, BOLTZMANN)
-        assert out["fisher_x_ratio"] == pytest.approx(0.0, abs=1e-18)
-        assert out["fisher_x_projected"] == pytest.approx(ix, rel=1e-12)
+        rep = build_report(State(grid_small, h), BOLTZMANN)
+        assert rep.fisher_x_ratio == pytest.approx(0.0, abs=1e-18)
+        assert rep.fisher_x_projected == pytest.approx(rep.fisher_x, rel=1e-12)
 
     def test_mean_velocity_of_odd_mode(self, grid_small):
         x = grid_small.x_nodes[:, 0]
@@ -177,21 +174,25 @@ class TestProjectedQuantities:
         assert np.abs(u - u_o[::stride]).max() < 1e-8
 
 
+def corrections(rep):
+    return rep.correction_x, rep.correction_v, rep.fisher_v_scaled
+
+
 class TestCorrectionTerms:
     def test_zero_at_equilibrium(self, grid_small):
         s = State(grid_small, np.ones((grid_small.nx_total, grid_small.nv_total)))
-        for val in correction_terms(s, 1.5):
+        for val in corrections(build_report(s, PIndex(1.5))):
             assert abs(val) < 1e-25
 
     def test_vanish_at_p_two(self, state_exp):
-        cx, cv, vs = correction_terms(state_exp, 2.0)
+        cx, cv, vs = corrections(build_report(state_exp, PIndex(2.0)))
         assert abs(cx) < 1e-12
         assert abs(cv) < 1e-12
         assert vs > 0.0
 
     def test_vs_oracle(self, state_exp, field_exp, dense_xy):
         x, v = dense_xy
-        mine = correction_terms(state_exp, 1.5)
+        mine = corrections(build_report(state_exp, PIndex(1.5)))
         want = oracles.oracle_correction_terms(field_exp, x, v, 1.5)
         for a, b in zip(mine, want):
             assert a == pytest.approx(b, rel=1e-6, abs=1e-8)
@@ -199,7 +200,7 @@ class TestCorrectionTerms:
     def test_nonnegative_on_random_states(self, grid_small):
         for seed in range(20):
             s = random_band_limited(grid_small, seed)
-            cx, cv, vs = correction_terms(s, 1.5)
+            cx, cv, vs = corrections(build_report(s, PIndex(1.5)))
             assert cx >= -1e-14 and cv >= -1e-14 and vs >= 0.0
 
 
@@ -219,16 +220,21 @@ class TestCorrectionWeight:
             correction_weight(-0.5, 1.5)
 
 
+def second_order(state):
+    rep = build_report(state, PIndex(1.5), model="fokker-planck")
+    return rep.hess_xv, rep.hess_vv, rep.quartic_xv, rep.quartic_v
+
+
 class TestSecondOrderTerms:
     def test_equilibrium_zero(self, grid_small):
         s = State(grid_small, np.ones((grid_small.nx_total, grid_small.nv_total)))
-        for val in fp_dissipation_terms(s, 1.5):
+        for val in second_order(s):
             assert abs(val) < 1e-25
 
     def test_spatial_field_kills_velocity_terms(self, grid_small):
         x = grid_small.x_nodes[:, 0]
         h = (1 + 0.4 * np.cos(2 * np.pi * x))[:, None] * np.ones(grid_small.nv_total)
-        i_vx, i_vv, i2_xv, i2_v = fp_dissipation_terms(State(grid_small, h), 1.5)
+        i_vx, i_vv, i2_xv, i2_v = second_order(State(grid_small, h))
         assert i_vv == pytest.approx(0.0, abs=1e-18)
         assert i2_v == pytest.approx(0.0, abs=1e-18)
         assert i2_xv == pytest.approx(0.0, abs=1e-18)
@@ -260,7 +266,7 @@ class TestSecondOrderTerms:
     def test_quartic_signs(self, grid_small):
         for seed in range(10):
             s = random_band_limited(grid_small, seed)
-            vals = fp_dissipation_terms(s, 1.5)
+            vals = second_order(s)
             assert all(v >= -1e-16 for v in vals)
 
 
@@ -310,8 +316,8 @@ class TestReportInvariants:
         h_log = entropy(s, BOLTZMANN)
         h_near = entropy(s, PIndex(1.001))
         assert abs(h_near - h_log) / h_log < 0.01
-        f_log = fisher_components(s, BOLTZMANN)
-        f_near = fisher_components(s, PIndex(1.001))
+        f_log = fisher(build_report(s, BOLTZMANN))
+        f_near = fisher(build_report(s, PIndex(1.001)))
         for a, b in zip(f_log, f_near):
             assert abs(a - b) / max(abs(a), 1e-12) < 0.01
 
@@ -364,7 +370,7 @@ class TestReportSerialization:
 def test_projected_entropy_rate_matches_divergence_form(grid_accept):
     # cross-check the pairing against an independently assembled divergence
     s = random_band_limited(grid_accept, seed=11)
-    rate = projected_entropy_rate(s, BOLTZMANN)
+    rate = build_report(s, BOLTZMANN).projected_entropy_rate
     pih = s.h @ grid_accept.v_weights
     u = local_mean_velocity(s)[0]
     du = grad_x_field(u[:, None], grid_accept)[0][:, 0]

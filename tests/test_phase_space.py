@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,11 +8,14 @@ from hypothesis import strategies as st
 from numpy.polynomial.hermite_e import hermeval
 
 from hypoflow import (
+    BOLTZMANN,
     GridSpec,
+    PIndex,
     PositivityError,
     SpectralResolutionWarning,
     State,
     build_grid,
+    build_report,
     integrate_mu,
     load_state,
     project_pi,
@@ -180,10 +184,21 @@ class TestGradients:
         assert werr < 1e-7
 
     def test_tail_warning_fires(self, grid_small):
+        # the report warns once per under-resolved state and never for a
+        # resolved one; the gradient itself stays silent
         v = grid_small.v_nodes[:, 0]
-        rough = np.ones(grid_small.nx_total)[:, None] * np.sign(v)[None, :]
-        with pytest.warns(SpectralResolutionWarning):
-            grad_v_field(rough, grid_small)
+        ones = np.ones(grid_small.nx_total)[:, None]
+        rough = State(grid_small, ones * (1.0 + 0.5 * np.sign(v))[None, :])
+        smooth = State(grid_small, ones * (1.0 + 0.1 * v)[None, :])
+        for p, model in ((BOLTZMANN, "bgk"), (PIndex(1.5), "bgk"),
+                         (PIndex(1.5), "fokker-planck")):
+            for state, expect in ((rough, 1), (smooth, 0)):
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    grad_v_field(state.h, grid_small)
+                    build_report(state, p, model=model)
+                kinds = [w.category for w in caught]
+                assert kinds == [SpectralResolutionWarning] * expect, (p, model)
 
     def test_tail_fraction_zero_for_resolved(self, grid_small):
         v = grid_small.v_nodes[:, 0]
