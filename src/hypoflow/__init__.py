@@ -18,6 +18,7 @@ from .functionals import (
     FunctionalReport,
     PIndex,
     build_report,
+    composite_report,
     correction_weight,
     entropy,
     torus_entropy,

@@ -3,9 +3,9 @@ estimate-constant.
 
 Configs are INI files (key = value under sections); the only positional
 arguments are the subcommand and the config path, with --output-dir,
---seed and --jobs (only 1) overrides. An unknown key in a known section
-is a configuration error. Exit codes: 0 success, 1 configuration
-error, 2 invariant or assertion failure.
+--seed and --jobs (only 1) overrides. An unknown section, or an unknown
+key in a known section, is a configuration error. Exit codes: 0 success,
+1 configuration error, 2 invariant or assertion failure.
 """
 
 from __future__ import annotations
@@ -57,8 +57,8 @@ class ConfigError(ValueError):
     pass
 
 
-# Every key each section is read for; any other key in these sections is
-# rejected rather than silently ignored.
+# The sections that are read, each with every key it is read for; any other
+# section or key is rejected rather than silently ignored.
 KNOWN_KEYS = {
     "grid": {"dim", "nx", "nv"},
     "model": {"kind", "lambda", "p"},
@@ -77,6 +77,9 @@ def _load_config(path) -> configparser.ConfigParser:
     cfg = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     if not cfg.read(path):
         raise ConfigError(f"cannot read config file: {path}")
+    unknown = sorted(set(cfg.sections()) - set(KNOWN_KEYS))
+    if unknown:
+        raise ConfigError(f"unknown section: {', '.join(f'[{s}]' for s in unknown)}")
     for section, known in KNOWN_KEYS.items():
         if cfg.has_section(section):
             unknown = sorted(set(cfg.options(section)) - known)
@@ -365,8 +368,8 @@ def cmd_fit_decay(args) -> int:
     os.makedirs(outdir, exist_ok=True)
 
     model = _model_name(collision)
+    grid = traj.snapshots[0][1].grid
     if name == "composite":
-        grid = traj.snapshots[0][1].grid
         cert = _certify(cfg, grid, collision, p)
         ent_term = "entropy" if model == "fokker-planck" else "entropy_projected"
 
@@ -387,6 +390,11 @@ def cmd_fit_decay(args) -> int:
     with open(path, "w") as f:
         json.dump(fit.to_dict(), f, indent=1, sort_keys=True)
         f.write("\n")
+    # a fit draws no random numbers, so it records no seed
+    _write_manifest(outdir, args.config, grid.spec, None, extra={
+        "command": "fit-decay", "model": model, "p": p.label(),
+        "trajectory": traj_dir, "functional": name, "window": [t_lo, t_hi],
+    })
     print(f"{name}: rate {fit.rate:.6e}, r^2 {fit.r_squared:.6f} "
           f"over [{fit.t_start}, {fit.t_end}]")
     return EXIT_OK

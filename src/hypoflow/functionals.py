@@ -26,7 +26,6 @@ from .phase_space import (
     Grid,
     SpectralResolutionWarning,
     State,
-    div_x_spatial,
     grad_v_field,
     grad_x_field,
     grad_x_spatial,
@@ -113,6 +112,11 @@ class FunctionalReport:
         return [c for c in FunctionalReport.columns() if c not in ("time", "p")]
 
 
+# The columns of the composite functional A1 Ix + A2 Im + A3 Iv + A4 H.
+COMPOSITE_COLUMNS = ("entropy", "entropy_projected", "fisher_x", "fisher_v",
+                     "fisher_mixed")
+
+
 def entropy(state: State, p: PIndex = BOLTZMANN) -> float:
     """Relative entropy of the state against equilibrium."""
     require_bounded_below(state.h)
@@ -147,12 +151,37 @@ def torus_fisher(rho: np.ndarray, grid: Grid, p: PIndex = BOLTZMANN,
     return integrate_x(sq / rho if p.is_log else rho**(p.p - 2.0) * sq, grid)
 
 
+def _composite(state: State, p: PIndex):
+    """composite_report of `state`, with the pi h and the gradients it read."""
+    grid, h, wv = state.grid, state.h, state.grid.v_weights
+    require_bounded_below(h)
+    pih = project_pi(state)
+    require_bounded_below(pih, "velocity average of h")
+    gx = grad_x_field(h, grid)
+    gv = grad_v_field(h, grid)
+    ix, iv, im = kernels.fisher(h, gx, gv, wv, -1.0 if p.is_log else p.p - 2.0)
+    rep = FunctionalReport(
+        time=state.time, p=p.label(),
+        entropy=kernels.entropy(h, wv, p.p),
+        entropy_projected=torus_entropy(pih, grid, p),
+        fisher_x=ix, fisher_v=iv, fisher_mixed=im,
+    )
+    return rep, pih, gx, gv
+
+
+def composite_report(state: State, p: PIndex) -> FunctionalReport:
+    """The COMPOSITE_COLUMNS of `state`, bit for bit as build_report gives
+    them, every other column None: all that A1 Ix + A2 Im + A3 Iv + A4 H reads,
+    with H = entropy_projected (BGK) or entropy (Fokker-Planck)."""
+    return _composite(state, p)[0]
+
+
 def build_report(state: State, p: PIndex, model: str = "bgk") -> FunctionalReport:
     """Every diagnostic of one snapshot, in one pass over one set of gradients.
 
     model is "bgk" or "fokker-planck"; with p it decides which columns exist
     (every other column is None):
-    - both models: entropy, entropy_projected and the three Fisher components;
+    - both models: the COMPOSITE_COLUMNS, as composite_report computes them;
     - bgk: fisher_x_projected and projected_entropy_rate, plus fisher_x_ratio
       and fisher_v_ratio for the log entropy, or cross_dissipation,
       correction_x, correction_v and fisher_v_scaled for p in (1, 2];
@@ -163,11 +192,8 @@ def build_report(state: State, p: PIndex, model: str = "bgk") -> FunctionalRepor
     """
     if model not in ("bgk", "fokker-planck"):
         raise ValueError(f"unknown model {model!r}")
+    rep, pih, gx, gv = _composite(state, p)
     grid, h, wv = state.grid, state.h, state.grid.v_weights
-    require_bounded_below(h)
-    pih = project_pi(state)
-    require_bounded_below(pih, "velocity average of h")
-    gx = grad_x_field(h, grid)
     tail = hermite_tail_fraction(h, grid)
     if tail > TAIL_WARN_FRACTION:
         # order-of-magnitude message so repeated warnings deduplicate
@@ -177,19 +203,14 @@ def build_report(state: State, p: PIndex, model: str = "bgk") -> FunctionalRepor
             SpectralResolutionWarning,
             stacklevel=2,
         )
-    gv = grad_v_field(h, grid)
-    ix, iv, im = kernels.fisher(h, gx, gv, wv, -1.0 if p.is_log else p.p - 2.0)
-    rep = FunctionalReport(
-        time=state.time, p=p.label(),
-        entropy=kernels.entropy(h, wv, p.p),
-        entropy_projected=torus_entropy(pih, grid, p),
-        fisher_x=ix, fisher_v=iv, fisher_mixed=im,
-    )
     if model == "bgk":
-        gpi = grad_x_spatial(pih, grid)
+        # one x-gradient of [pi h | u]: the gradient of pi h, and the
+        # divergence of the mean velocity u from the diagonal
+        g = grad_x_field(np.column_stack([pih, local_mean_velocity(state).T]), grid)
+        gpi = g[:, :, 0]
+        div_u = sum(g[i, :, 1 + i] for i in range(grid.dim))
         # exact d/dt of entropy_projected, no differencing: the entropy
-        # variable of pi h paired with minus the divergence of the mean velocity
-        div_u = div_x_spatial(local_mean_velocity(state), grid)
+        # variable of pi h paired with minus the divergence of u
         entropy_var = np.log(pih) if p.is_log else pih**(p.p - 1.0) / (p.p - 1.0)
         rep.projected_entropy_rate = -integrate_x(entropy_var * div_u, grid)
         rep.fisher_x_projected = torus_fisher(pih, grid, p, grad=gpi)

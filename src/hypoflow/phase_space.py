@@ -258,14 +258,6 @@ def grad_x_spatial(spatial: np.ndarray, grid: Grid) -> np.ndarray:
     return grad_x_field(spatial[:, None], grid)[:, :, 0]
 
 
-def div_x_spatial(vec: np.ndarray, grid: Grid) -> np.ndarray:
-    """Divergence of a spatial vector field (dim, nx_total)."""
-    out = np.zeros(grid.nx_total)
-    for i in range(grid.dim):
-        out += grad_x_spatial(vec[i], grid)[i]
-    return out
-
-
 def _along_v(fld: np.ndarray, grid: Grid, matrix: np.ndarray, axis: int) -> np.ndarray:
     """Apply an (nv, nv) matrix along one velocity axis of a (rows, nv_total) field."""
     tens = fld.reshape(-1, *grid.v_shape()).swapaxes(axis + 1, -1)

@@ -3,8 +3,9 @@
 Each check compares a semigroup finite difference of a functional (the
 sub-flows are exact, so differencing error is the probe step squared)
 against the closed-form combination of diagnostics the theory predicts.
-Each state, and each state a probe flows it to, is reported once; every
-row reads from those reports. Equality checks report a residual,
+Each state gets one full report, and each state a probe flows it to one
+composite report of the five columns the rows difference; every row
+reads from those reports. Equality checks report a residual,
 inequality checks a slack; both carry the tolerance they were judged
 against.
 """
@@ -12,13 +13,13 @@ against.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from . import functionals as fns
-from .functionals import BOLTZMANN, FunctionalReport, PIndex, build_report
+from .functionals import BOLTZMANN, FunctionalReport, PIndex, build_report, composite_report
 from .initial import random_band_limited
 from .integrator import Trajectory
 from .operators import BGK, FokkerPlanck, Transport, bgk_flow
@@ -136,20 +137,19 @@ def _inequality(check_id, lhs, rhs, abs_tol, desc="", params=None):
 def report_derivatives(state: State, rep: FunctionalReport,
                        generator: Generator, p: PIndex,
                        delta: float | None = None) -> FunctionalReport:
-    """d/dt of every column of `rep`, the report of `state`, along the
-    generator's flow, as a report with `rep`'s time and entropy label.
-    Each flowed state is reported once and all columns are differenced
-    together."""
-    model = "fokker-planck" if isinstance(generator, FokkerPlanck) else "bgk"
-    cols = [c for c in FunctionalReport.diagnostics() if getattr(rep, c) is not None]
+    """d/dt of the COMPOSITE_COLUMNS along the generator's flow at `state`,
+    whose report is `rep`: a report with `rep`'s time and entropy label that
+    holds those five rates, every other column None. Each flowed state gets
+    one composite_report, and the five columns are differenced together."""
 
     def columns_at(s: State) -> np.ndarray:
         # the one-sided collision difference also evaluates the state itself
-        at = rep if s is state else build_report(s, p, model=model)
-        return np.array([getattr(at, c) for c in cols])
+        at = rep if s is state else composite_report(s, p)
+        return np.array([getattr(at, c) for c in fns.COMPOSITE_COLUMNS])
 
     d = semigroup_derivative(state, generator, columns_at, delta)
-    return replace(rep, **{c: float(v) for c, v in zip(cols, d)})
+    return FunctionalReport(time=rep.time, p=rep.p,
+                            **dict(zip(fns.COMPOSITE_COLUMNS, map(float, d))))
 
 
 def check_lemma_table(rep: FunctionalReport, rates: FunctionalReport,

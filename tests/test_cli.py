@@ -221,6 +221,27 @@ class TestFitDecay:
         fit = json.loads((fit_out / "decay_fit.json").read_text())
         assert fit["rate"] == pytest.approx(2.0, rel=0.05)
 
+    def test_writes_manifest(self, tmp_path):
+        out = tmp_path / "sim"
+        text = BASE.format(out=out)
+        assert main(["simulate", write_config(tmp_path, text)]) == 0
+        # no [grid]: the manifest takes the grid from the trajectory
+        fit_text = text.replace("[grid]\ndim = 1\nnx = 32\nnv = 16\n", "")
+        assert "[grid]" not in fit_text
+        fit_text += f"\n[fit]\ntrajectory = {out / 'trajectory'}\nt_start = 1.0\n"
+        fit_cfg = write_config(tmp_path, fit_text, name="fit.ini")
+        fit_out = tmp_path / "fit"
+        assert main(["fit-decay", fit_cfg, "--output-dir", str(fit_out)]) == 0
+        manifest = json.loads((fit_out / "manifest.json").read_text())
+        assert manifest["config_hash"] == cli._config_hash(fit_cfg)
+        assert manifest["grid"] == {"dim": 1, "nx": 32, "nv": 16}
+        assert manifest["seed"] is None
+        assert {k: manifest[k] for k in ("command", "model", "p", "trajectory",
+                                         "functional", "window")} == {
+            "command": "fit-decay", "model": "bgk", "p": "log",
+            "trajectory": str(out / "trajectory"), "functional": "entropy",
+            "window": [1.0, 5.0]}
+
     def test_missing_trajectory_is_config_error(self, tmp_path):
         text = BASE.format(out=tmp_path / "o") + "\n[fit]\nfunctional = entropy\n"
         cfg = write_config(tmp_path, text)
@@ -376,6 +397,19 @@ def test_unknown_key_is_config_error(tmp_path, capsys, command, section, key):
     assert main([command, cfg]) == 1
     line = _one_config_error_line(capsys)
     assert f"[{section}]" in line and key in line, line
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "certify", "verify", "fit-decay",
+                                     "estimate-constant"])
+def test_unknown_section_is_config_error(tmp_path, capsys, command):
+    # a misspelt section name would leave its keys unread: simulate would
+    # run the default t_end = 10.0 instead of 0.05
+    out = tmp_path / "o"
+    cfg = write_config(tmp_path, BASE.format(out=out) + "\n[schedul]\nt_end = 0.05\n")
+    assert main([command, cfg]) == 1
+    line = _one_config_error_line(capsys)
+    assert "[schedul]" in line, line
     assert not out.exists()
 
 

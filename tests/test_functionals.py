@@ -15,7 +15,9 @@ from hypoflow import (
     random_band_limited,
 )
 from hypoflow.functionals import (
+    COMPOSITE_COLUMNS,
     FunctionalReport,
+    composite_report,
     local_mean_velocity,
     write_report_csv,
     write_report_json,
@@ -336,6 +338,22 @@ class TestFokkerPlanckReport:
     def test_unknown_model_rejected(self, grid_small):
         with pytest.raises(ValueError):
             build_report(random_band_limited(grid_small, 0), BOLTZMANN, model="nope")
+
+
+class TestCompositeReport:
+    @pytest.mark.parametrize("model", ["bgk", "fokker-planck"])
+    @pytest.mark.parametrize("p", [BOLTZMANN, PIndex(1.5)], ids=["log", "1.5"])
+    @pytest.mark.parametrize("grid_name", ["grid_accept", "grid_2d"])
+    def test_columns_equal_full_report(self, request, grid_name, p, model):
+        s = random_band_limited(request.getfixturevalue(grid_name), 5, amplitude=2.0)
+        full = build_report(s, p, model=model)
+        rep = composite_report(s, p)
+        assert (rep.time, rep.p) == (full.time, full.p)
+        for c in FunctionalReport.diagnostics():
+            if c in COMPOSITE_COLUMNS:
+                assert getattr(rep, c) == getattr(full, c), c
+            else:
+                assert getattr(rep, c) is None, c
 
 
 class TestReportSerialization:

@@ -254,24 +254,29 @@ class TestSuite:
         # + 3 mixed-term etas
         assert len(results) == n_states * 17
 
-    @pytest.mark.parametrize("model,p,lam,per_state", [
-        ("bgk", BOLTZMANN, 1.0, 5), ("bgk", PIndex(1.5), 1.0, 5),
-        ("fokker-planck", PIndex(1.5), None, 3),
+    @pytest.mark.parametrize("model,p,lam,probes", [
+        ("bgk", BOLTZMANN, 1.0, 4), ("bgk", PIndex(1.5), 1.0, 4),
+        ("fokker-planck", PIndex(1.5), None, 2),
     ], ids=["bgk-log", "bgk-1.5", "fp-1.5"])
     def test_one_report_per_flowed_state(self, grid_accept, monkeypatch,
-                                         model, p, lam, per_state):
-        # the base state plus transport at +-delta and a collision flow at
-        # delta/2 and delta (BGK), or the collision flows alone (FP)
-        calls = []
+                                         model, p, lam, probes):
+        # one full report of the base state; each probe state (transport at
+        # +-delta and a collision flow at delta/2 and delta for BGK, the
+        # collision flows alone for FP) gets only the composite columns
+        calls = {"build_report": 0, "composite_report": 0}
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return functionals.build_report(*args, **kwargs)
+        def counting(name):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return getattr(functionals, name)(*args, **kwargs)
+            return wrapper
 
-        monkeypatch.setattr(verifier, "build_report", counting)
+        for name in calls:
+            monkeypatch.setattr(verifier, name, counting(name))
         n_states = 2
         run_suite(grid_accept, model, p, lam=lam, n_states=n_states, C=0.014)
-        assert len(calls) == n_states * per_state
+        assert calls == {"build_report": n_states,
+                         "composite_report": n_states * probes}
 
     def test_corruption_hook_breaks_equalities(self, grid_accept):
         results = run_suite(grid_accept, "bgk", BOLTZMANN, lam=1.0,
