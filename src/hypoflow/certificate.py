@@ -12,14 +12,13 @@ most C times full Fisher information).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .functionals import PIndex, torus_entropy, torus_fisher
-from .phase_space import Grid
+from .phase_space import Grid, write_json
 
 
 @dataclass
@@ -30,9 +29,8 @@ class FeasibilityReport:
     binding: str | None = None
     identities: set[str] = field(default_factory=set)
 
-    def add(self, name: str, slack: float, tol: float = 0.0,
-            identity: bool = False) -> None:
-        self.entries[name] = (slack, bool(slack >= -tol))
+    def add(self, name: str, slack: float, identity: bool = False) -> None:
+        self.entries[name] = (slack, bool(slack >= 0.0))
         if identity:
             # holds with exact equality by construction; recorded for the
             # audit but never reported as the binding constraint
@@ -102,9 +100,7 @@ class CertificateParams:
         return out
 
     def save_json(self, path) -> None:
-        with open(path, "w") as f:
-            json.dump(self.to_dict(), f, indent=1, sort_keys=True, default=str)
-            f.write("\n")
+        write_json(path, self.to_dict())
 
 
 def phase_space_ratio(spatial_ratio: float) -> float:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import configparser
 import hashlib
-import json
 import math
 import os
 import sys
@@ -45,8 +44,8 @@ from .integrator import (
     snapshot_times,
 )
 from .operators import BGK, FokkerPlanck
-from .phase_space import GridSpec, PositivityError, build_grid
-from .verifier import fit_decay, run_suite, save_results, summarize
+from .phase_space import GridSpec, PositivityError, build_grid, write_json
+from .verifier import CorruptedBGK, fit_decay, run_suite, save_results, summarize
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -141,14 +140,14 @@ def _grid_from_config(cfg) -> GridSpec:
 
 
 def _model_from_config(cfg):
-    kind = cfg.get("model", "kind", fallback="bgk").strip().lower()
+    kind = cfg.get("model", "kind", fallback=BGK.name).strip().lower()
     p = _value(cfg, "model", "p", PIndex.parse, "boltzmann")
-    if kind == "bgk":
+    if kind == BGK.name:
         lam = _value(cfg, "model", "lambda", _finite_float)
         if lam is None:
             raise ConfigError("the relaxation model needs lambda")
         return _validated("model", BGK, rate=lam), p
-    if kind in ("fokker-planck", "fp"):
+    if kind in (FokkerPlanck.name, "fp"):
         if p.is_log:
             raise ConfigError(
                 "the velocity-diffusion model is analyzed for power entropies; "
@@ -210,13 +209,7 @@ def _write_manifest(outdir, config_path, grid_spec, seed, extra=None):
     }
     if extra:
         manifest.update(extra)
-    with open(os.path.join(outdir, "manifest.json"), "w") as f:
-        json.dump(manifest, f, indent=1, sort_keys=True)
-        f.write("\n")
-
-
-def _model_name(collision) -> str:
-    return "fokker-planck" if isinstance(collision, FokkerPlanck) else "bgk"
+    write_json(os.path.join(outdir, "manifest.json"), manifest)
 
 
 def _certificate_inputs(cfg, grid, collision, p):
@@ -261,7 +254,7 @@ def cmd_simulate(args) -> int:
     outdir = _output_dir(cfg, args.output_dir)
     os.makedirs(outdir, exist_ok=True)
 
-    model = _model_name(collision)
+    model = collision.name
     try:
         traj = simulate(initial, schedule)
     except (SimulationError, PositivityError) as exc:
@@ -309,7 +302,13 @@ def cmd_verify(args) -> int:
     n_states = _value(cfg, "verify", "n_states", int, 100)
     if n_states < 1:
         raise ConfigError(f"n_states must be at least 1, got {n_states}")
-    overrides = _given(cfg, "verify", amplitude=_finite_float, corruption=_finite_float)
+    skew = _value(cfg, "verify", "corruption", _finite_float)
+    if skew is not None:
+        if not isinstance(collision, BGK):
+            raise ConfigError("[verify] corruption skews the relaxation flow; "
+                              "the velocity-diffusion model has none")
+        collision = _validated("[verify] corruption", CorruptedBGK,
+                               rate=collision.rate, skew=skew)
     seed0 = _seed(cfg, "verify", args.seed)
     outdir = _output_dir(cfg, args.output_dir)
     os.makedirs(outdir, exist_ok=True)
@@ -318,19 +317,15 @@ def cmd_verify(args) -> int:
     if isinstance(collision, BGK):
         C = estimate_functional_constant(grid, p).value
 
-    model = _model_name(collision)
-    results = run_suite(
-        grid, model, p,
-        lam=collision.rate if isinstance(collision, BGK) else None,
-        n_states=n_states, seed0=seed0, C=C, **overrides,
-    )
+    results = run_suite(grid, collision, p, n_states=n_states, seed0=seed0, C=C,
+                        **_given(cfg, "verify", amplitude=_finite_float))
     save_results(results, os.path.join(outdir, "verification.json"))
     table = summarize(results)
     with open(os.path.join(outdir, "verification.txt"), "w") as f:
         f.write(table + "\n")
     print(table)
     _write_manifest(outdir, args.config, spec, seed0, extra={
-        "command": "verify", "model": model, "p": p.label(),
+        "command": "verify", "model": collision.name, "p": p.label(),
         "n_states": n_states, "checks": len(results),
     })
     failed = sum(0 if r.passed else 1 for r in results)
@@ -364,14 +359,12 @@ def cmd_fit_decay(args) -> int:
     if name != "composite" and name not in FunctionalReport.diagnostics():
         raise ConfigError(f"functional {name!r} is neither composite nor one of "
                           f"{', '.join(FunctionalReport.diagnostics())}")
-    outdir = _output_dir(cfg, args.output_dir)
-    os.makedirs(outdir, exist_ok=True)
 
-    model = _model_name(collision)
+    model = collision.name
     grid = traj.snapshots[0][1].grid
     if name == "composite":
         cert = _certify(cfg, grid, collision, p)
-        ent_term = "entropy" if model == "fokker-planck" else "entropy_projected"
+        ent_term = "entropy" if isinstance(collision, FokkerPlanck) else "entropy_projected"
 
         def functional(state):
             rep = build_report(state, p, model=model)
@@ -385,11 +378,16 @@ def cmd_fit_decay(args) -> int:
                 raise ConfigError(f"functional {name!r} not available for this model")
             return val
 
-    fit = fit_decay(traj, functional, (t_lo, t_hi), name=name)
-    path = os.path.join(outdir, "decay_fit.json")
-    with open(path, "w") as f:
-        json.dump(fit.to_dict(), f, indent=1, sort_keys=True)
-        f.write("\n")
+    try:
+        fit = fit_decay(traj, functional, (t_lo, t_hi), name=name)
+    except (ConfigError, PositivityError):
+        raise
+    except ValueError as exc:
+        # fewer than two snapshots above the floor
+        raise ConfigError(f"cannot fit {name} over [{t_lo}, {t_hi}]: {exc}") from exc
+    outdir = _output_dir(cfg, args.output_dir)
+    os.makedirs(outdir, exist_ok=True)
+    write_json(os.path.join(outdir, "decay_fit.json"), fit.to_dict())
     # a fit draws no random numbers, so it records no seed
     _write_manifest(outdir, args.config, grid.spec, None, extra={
         "command": "fit-decay", "model": model, "p": p.label(),
@@ -408,13 +406,10 @@ def cmd_estimate_constant(args) -> int:
     est = estimate_functional_constant(grid, p)
     outdir = _output_dir(cfg, args.output_dir)
     os.makedirs(outdir, exist_ok=True)
-    path = os.path.join(outdir, "constant.json")
-    with open(path, "w") as f:
-        json.dump({
-            "p": est.p, "ratio": est.value, "raw_ratio": est.raw_ratio,
-            "coercivity": est.coercivity,
-        }, f, indent=1, sort_keys=True)
-        f.write("\n")
+    write_json(os.path.join(outdir, "constant.json"), {
+        "p": est.p, "ratio": est.value, "raw_ratio": est.raw_ratio,
+        "coercivity": est.coercivity,
+    })
     print(f"entropy/Fisher ratio constant: {est.value:.8e}")
     print(f"coercivity orientation: {est.coercivity:.6e}")
     return EXIT_OK

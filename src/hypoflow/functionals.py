@@ -14,13 +14,13 @@ identities between the reported quantities exact at quadrature level.
 from __future__ import annotations
 
 import csv
-import json
 import warnings
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import kernels
+from .operators import BGK, FokkerPlanck
 from .phase_space import (
     TAIL_WARN_FRACTION,
     Grid,
@@ -33,6 +33,7 @@ from .phase_space import (
     integrate_x,
     project_pi,
     require_bounded_below,
+    write_json,
 )
 
 
@@ -155,7 +156,7 @@ def _composite(state: State, p: PIndex):
     """composite_report of `state`, with the pi h and the gradients it read."""
     grid, h, wv = state.grid, state.h, state.grid.v_weights
     require_bounded_below(h)
-    pih = project_pi(state)
+    pih = project_pi(h, grid)
     require_bounded_below(pih, "velocity average of h")
     gx = grad_x_field(h, grid)
     gv = grad_v_field(h, grid)
@@ -176,10 +177,10 @@ def composite_report(state: State, p: PIndex) -> FunctionalReport:
     return _composite(state, p)[0]
 
 
-def build_report(state: State, p: PIndex, model: str = "bgk") -> FunctionalReport:
+def build_report(state: State, p: PIndex, model: str = BGK.name) -> FunctionalReport:
     """Every diagnostic of one snapshot, in one pass over one set of gradients.
 
-    model is "bgk" or "fokker-planck"; with p it decides which columns exist
+    model is the name of BGK or FokkerPlanck; with p it decides which columns exist
     (every other column is None):
     - both models: the COMPOSITE_COLUMNS, as composite_report computes them;
     - bgk: fisher_x_projected and projected_entropy_rate, plus fisher_x_ratio
@@ -190,7 +191,7 @@ def build_report(state: State, p: PIndex, model: str = "bgk") -> FunctionalRepor
     Emits one SpectralResolutionWarning when the Hermite coefficient tail of
     h carries more than TAIL_WARN_FRACTION of its norm.
     """
-    if model not in ("bgk", "fokker-planck"):
+    if model not in (BGK.name, FokkerPlanck.name):
         raise ValueError(f"unknown model {model!r}")
     rep, pih, gx, gv = _composite(state, p)
     grid, h, wv = state.grid, state.h, state.grid.v_weights
@@ -203,7 +204,7 @@ def build_report(state: State, p: PIndex, model: str = "bgk") -> FunctionalRepor
             SpectralResolutionWarning,
             stacklevel=2,
         )
-    if model == "bgk":
+    if model == BGK.name:
         # one x-gradient of [pi h | u]: the gradient of pi h, and the
         # divergence of the mean velocity u from the diagonal
         g = grad_x_field(np.column_stack([pih, local_mean_velocity(state).T]), grid)
@@ -258,9 +259,7 @@ def write_report_csv(reports: list[FunctionalReport], path) -> None:
 def write_report_json(reports: list[FunctionalReport], path) -> None:
     data = [{c: getattr(rep, c) for c in FunctionalReport.columns()}
             for rep in reports]
-    with open(path, "w") as f:
-        json.dump(data, f, indent=1, sort_keys=True)
-        f.write("\n")
+    write_json(path, data)
 
 
 def composite_value(report: FunctionalReport, a1: float, a2: float, a3: float,

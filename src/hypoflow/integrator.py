@@ -32,9 +32,15 @@ from .phase_space import (
     save_state,
     to_modes,
     to_nodes,
+    write_json,
 )
 
 TRAJECTORY_FORMAT_VERSION = 1
+
+# A run aborts when the mass of h after a step drifts from 1 by more than
+# STEP_MASS_TOL, or when min h falls below STEP_POSITIVITY_FLOOR.
+STEP_MASS_TOL = 1e-9
+STEP_POSITIVITY_FLOOR = -1e-8
 
 
 class SimulationError(RuntimeError):
@@ -124,8 +130,7 @@ def strang_step(state: State, dt: float, collision: CollisionKind) -> State:
     return state.replace(h, time=state.time + dt)
 
 
-def simulate(initial: State, schedule: Schedule,
-             mass_tol: float = 1e-9, positivity_floor: float = -1e-8) -> Trajectory:
+def simulate(initial: State, schedule: Schedule) -> Trajectory:
     """Run the schedule, recording snapshots at the requested stride.
 
     Aborts with SimulationError when mass conservation or positivity is
@@ -153,11 +158,11 @@ def simulate(initial: State, schedule: Schedule,
         modes, h = _strang_modes(modes, grid, phases, dt, schedule.collision)
         state = State(grid, h, time=target)
         hmin = float(h.min())
-        if hmin < positivity_floor:
+        if hmin < STEP_POSITIVITY_FLOOR:
             raise SimulationError(
                 f"positivity violated, min h = {hmin:.3e}", step)
         mass = integrate_mu(h, grid)
-        if abs(mass - 1.0) > mass_tol:
+        if abs(mass - 1.0) > STEP_MASS_TOL:
             raise SimulationError(
                 f"mass drifted to {mass!r}", step)
         if step % schedule.snapshot_every == 0 or step == n_steps:
@@ -169,16 +174,14 @@ def simulate(initial: State, schedule: Schedule,
 
 def _collision_to_dict(c: CollisionKind) -> dict:
     if isinstance(c, BGK):
-        return {"kind": "bgk", "rate": c.rate}
-    if isinstance(c, FokkerPlanck):
-        return {"kind": "fokker-planck"}
-    raise TypeError(f"unknown collision kind {c!r}")
+        return {"kind": c.name, "rate": c.rate}
+    return {"kind": c.name}
 
 
 def _collision_from_dict(d: dict) -> CollisionKind:
-    if d["kind"] == "bgk":
+    if d["kind"] == BGK.name:
         return BGK(rate=float(d["rate"]))
-    if d["kind"] == "fokker-planck":
+    if d["kind"] == FokkerPlanck.name:
         return FokkerPlanck()
     raise ValueError(f"unknown collision kind {d['kind']!r}")
 
@@ -199,9 +202,7 @@ def save_trajectory(traj: Trajectory, directory) -> None:
             for i, (t, _) in enumerate(traj.snapshots)
         ],
     }
-    with open(os.path.join(directory, "manifest.json"), "w") as f:
-        json.dump(manifest, f, indent=1, sort_keys=True)
-        f.write("\n")
+    write_json(os.path.join(directory, "manifest.json"), manifest)
     for (_, state), entry in zip(traj.snapshots, manifest["snapshots"]):
         save_state(state, os.path.join(directory, entry["file"]))
 

@@ -15,6 +15,7 @@ diagonal table of `transport_phases`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -34,6 +35,8 @@ from .phase_space import (
 class BGK:
     """Relaxation toward the local velocity average at a fixed rate."""
 
+    # the model's name in configs, manifests and build_report
+    name: ClassVar[str] = "bgk"
     rate: float
 
     def __post_init__(self):
@@ -50,6 +53,8 @@ class BGK:
 @dataclass(frozen=True)
 class FokkerPlanck:
     """Ornstein-Uhlenbeck diffusion in velocity."""
+
+    name: ClassVar[str] = "fokker-planck"
 
     def flow(self, state: State, t: float) -> State:
         return fokker_planck_flow(state, t)
@@ -138,7 +143,7 @@ def fokker_planck_flow(state: State, t: float) -> State:
     # flow the fluctuation around the velocity average and reconstruct only
     # the change: the v-constant part is exactly invariant, so states at or
     # near local equilibrium never accumulate transform round-trip noise
-    fluct = state.h - project_pi(state)[:, None]
+    fluct = state.h - project_pi(state.h, grid)[:, None]
     c = hermite_coefficients(fluct, grid)
     delta = hermite_values(c * (factor - 1.0)[None, :], grid)
     h = floor_immaterial(state.h + delta, grid)

@@ -9,6 +9,7 @@ weights and the velocity average is a single weighted sum.
 from __future__ import annotations
 
 import contextlib
+import json
 import os
 from dataclasses import dataclass, field
 
@@ -18,6 +19,9 @@ from numpy.polynomial.hermite_e import hermegauss
 # Densities below this are outside the bounded-below regime every weighted
 # functional assumes; integrands with 1/h or h**(p-2) refuse to evaluate.
 H_MIN = 1e-12
+
+# A valid state's mass against the equilibrium measure is 1 to within this.
+MASS_TOL = 1e-10
 
 # Relative Hermite-coefficient mass in the top two modes beyond which a
 # velocity derivative is considered under-resolved.
@@ -185,15 +189,15 @@ class State:
         if self.h.shape != expect:
             raise ValueError(f"h has shape {self.h.shape}, expected {expect}")
 
-    def validate(self, mass_tol: float = 1e-10) -> None:
+    def validate(self) -> None:
         if not np.all(np.isfinite(self.h)):
             raise ValueError("h contains non-finite entries")
         hmin = float(self.h.min())
         if hmin <= 0.0:
             raise PositivityError(f"h must be positive everywhere, min = {hmin:.3e}")
         mass = integrate_mu(self.h, self.grid)
-        if abs(mass - 1.0) > mass_tol:
-            raise ValueError(f"mass {mass!r} deviates from 1 by more than {mass_tol}")
+        if abs(mass - 1.0) > MASS_TOL:
+            raise ValueError(f"mass {mass!r} deviates from 1 by more than {MASS_TOL}")
 
     def replace(self, h: np.ndarray, time: float | None = None) -> "State":
         return State(self.grid, h, self.time if time is None else time)
@@ -216,12 +220,8 @@ def integrate_x(spatial: np.ndarray, grid: Grid) -> float:
     return float(spatial.sum()) / grid.nx_total
 
 
-def project_pi(state_or_h, grid: Grid | None = None) -> np.ndarray:
+def project_pi(h: np.ndarray, grid: Grid) -> np.ndarray:
     """Velocity average: weighted sum over v-nodes, one value per x-node."""
-    if isinstance(state_or_h, State):
-        h, grid = state_or_h.h, state_or_h.grid
-    else:
-        h = state_or_h
     return h @ grid.v_weights
 
 
@@ -323,15 +323,14 @@ def require_bounded_below(fld: np.ndarray, what: str = "h") -> None:
 POSITIVITY_REPAIR_BUDGET = 1e-10
 
 
-def floor_immaterial(h: np.ndarray, grid: Grid,
-                     budget: float = POSITIVITY_REPAIR_BUDGET) -> np.ndarray:
+def floor_immaterial(h: np.ndarray, grid: Grid) -> np.ndarray:
     """Floor sub-positive nodal values when the correction has negligible
     equilibrium measure; raise PositivityError otherwise."""
     if float(h.min()) >= H_MIN:
         return h
     low = h < H_MIN
     repair = float((np.where(low, H_MIN - h, 0.0) @ grid.v_weights).sum()) / grid.nx_total
-    if repair > budget:
+    if repair > POSITIVITY_REPAIR_BUDGET:
         raise PositivityError(
             f"positivity lost by a measurable amount "
             f"({repair:.3e} in the equilibrium measure)"
@@ -541,3 +540,11 @@ def load_state(path, grid: Grid | None = None) -> State:
         raise ValueError(f"{path}: {vals.size} values, expected {expect}")
     h = vals.reshape(grid.nx_total, grid.nv_total)
     return State(grid, h, time=_header_value(path, header, "time", float))
+
+
+def write_json(path, obj) -> None:
+    """Write `obj` in the one format of every JSON artifact: one-space
+    indent, sorted keys and a trailing newline."""
+    with open(path, "w") as f:
+        json.dump(obj, f, indent=1, sort_keys=True)
+        f.write("\n")

@@ -12,7 +12,6 @@ against.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -22,13 +21,23 @@ from . import functionals as fns
 from .functionals import BOLTZMANN, FunctionalReport, PIndex, build_report, composite_report
 from .initial import random_band_limited
 from .integrator import Trajectory
-from .operators import BGK, FokkerPlanck, Transport, bgk_flow
-from .phase_space import TAIL_WARN_FRACTION, Grid, State, hermite_tail_fraction
+from .operators import BGK, CollisionKind, Transport, bgk_flow
+from .phase_space import TAIL_WARN_FRACTION, Grid, State, hermite_tail_fraction, write_json
 
-Generator = Transport | BGK | FokkerPlanck
+Generator = Transport | CollisionKind
 
 DEFAULT_ABS_TOL = 1e-6
 DEFAULT_REL_TOL = 1e-4
+# run_suite's Young splitters: each relaxation inequality row and each
+# mixed-term row appears once per splitter
+SPLITTERS = (0.1, 1.0, 10.0)
+# check_correction_weight: the r grid, the entropy indices, and the
+# tolerance of a pointwise closed form
+CORRECTION_R_GRID = np.linspace(0.0, 10.0, 2001)
+CORRECTION_P_GRID = (1.1, 1.5, 1.9, 2.0)
+CORRECTION_ABS_TOL = 1e-12
+# fit_decay treats a functional at or below this as at equilibrium
+DECAY_FLOOR = 1e-14
 
 
 @dataclass
@@ -79,10 +88,15 @@ class CorruptedBGK(BGK):
 
     Predictions still use .rate, so with any nonzero skew every equality
     row of the derivative table must fail; used to prove the verifier can
-    detect a broken operator.
+    detect a broken operator. `[verify] corruption` sets the skew.
     """
 
     skew: float = 0.0
+
+    def __post_init__(self):
+        super().__post_init__()
+        if not self.skew > -1.0:
+            raise ValueError(f"skew must exceed -1, got {self.skew}")
 
     def flow(self, state: State, t: float) -> State:
         return bgk_flow(state, self.rate * (1.0 + self.skew), t)
@@ -135,8 +149,7 @@ def _inequality(check_id, lhs, rhs, abs_tol, desc="", params=None):
 
 
 def report_derivatives(state: State, rep: FunctionalReport,
-                       generator: Generator, p: PIndex,
-                       delta: float | None = None) -> FunctionalReport:
+                       generator: Generator, p: PIndex) -> FunctionalReport:
     """d/dt of the COMPOSITE_COLUMNS along the generator's flow at `state`,
     whose report is `rep`: a report with `rep`'s time and entropy label that
     holds those five rates, every other column None. Each flowed state gets
@@ -147,7 +160,7 @@ def report_derivatives(state: State, rep: FunctionalReport,
         at = rep if s is state else composite_report(s, p)
         return np.array([getattr(at, c) for c in fns.COMPOSITE_COLUMNS])
 
-    d = semigroup_derivative(state, generator, columns_at, delta)
+    d = semigroup_derivative(state, generator, columns_at)
     return FunctionalReport(time=rep.time, p=rep.p,
                             **dict(zip(fns.COMPOSITE_COLUMNS, map(float, d))))
 
@@ -239,8 +252,8 @@ def check_lemma_table(rep: FunctionalReport, rates: FunctionalReport,
 
 
 def check_projection_inequalities(rep: FunctionalReport, transport: FunctionalReport,
-                                  collision: FunctionalReport, C: float | None = None,
-                                  abs_tol: float = DEFAULT_ABS_TOL) -> list[LemmaCheckResult]:
+                                  collision: FunctionalReport,
+                                  C: float | None = None) -> list[LemmaCheckResult]:
     """Projection (Jensen) inequality, the functional inequality with an
     estimated constant, and the exact projected-entropy rate identity.
 
@@ -252,19 +265,19 @@ def check_projection_inequalities(rep: FunctionalReport, transport: FunctionalRe
     out = [
         _inequality(
             "jensen.projected_fisher", rep.fisher_x_projected, rep.fisher_x,
-            abs_tol,
+            DEFAULT_ABS_TOL,
             "projecting onto the velocity average cannot increase spatial Fisher",
             meta),
         _inequality(
             "jensen.projected_entropy", rep.entropy_projected, rep.entropy,
-            abs_tol,
+            DEFAULT_ABS_TOL,
             "the velocity average carries no more entropy than the state", meta),
     ]
     if C is not None:
         out.append(_inequality(
             "functional_inequality.projected_entropy",
             rep.entropy_projected, C * rep.fisher_x,
-            abs_tol,
+            DEFAULT_ABS_TOL,
             "projected entropy is dominated by C times spatial Fisher",
             dict(meta, C=C)))
 
@@ -273,13 +286,12 @@ def check_projection_inequalities(rep: FunctionalReport, transport: FunctionalRe
         "projected_entropy_rate.formula",
         transport.entropy_projected + collision.entropy_projected,
         rep.projected_entropy_rate,
-        abs_tol, DEFAULT_REL_TOL,
+        DEFAULT_ABS_TOL, DEFAULT_REL_TOL,
         "the projected entropy rate equals the divergence pairing", meta))
     return out
 
 
-def check_mixed_term(rep: FunctionalReport, eta: float,
-                     abs_tol: float = DEFAULT_ABS_TOL) -> LemmaCheckResult:
+def check_mixed_term(rep: FunctionalReport, eta: float) -> LemmaCheckResult:
     """The compensated mixed-term bound: minus the mixed Fisher term is
     controlled by split Fisher terms, the projection gap, and the exact
     projected-entropy rate (no differencing on the right-hand side).
@@ -295,36 +307,31 @@ def check_mixed_term(rep: FunctionalReport, eta: float,
            + 0.5 / eta * (rep.fisher_x - rep.fisher_x_projected)
            - rep.projected_entropy_rate)
     return _inequality(
-        "mixed_term.bound", lhs, rhs, abs_tol,
+        "mixed_term.bound", lhs, rhs, DEFAULT_ABS_TOL,
         "the mixed term is compensated by the projected entropy rate",
         {"time": rep.time, "p": rep.p, "eta": eta})
 
 
-def check_correction_weight(r_grid: np.ndarray | None = None,
-                            p_grid: tuple = (1.1, 1.5, 1.9, 2.0),
-                            abs_tol: float = 1e-12) -> list[LemmaCheckResult]:
+def check_correction_weight() -> list[LemmaCheckResult]:
     """Pointwise nonnegativity of the correction weight, and its vanishing
     at p = 2."""
-    if r_grid is None:
-        r_grid = np.linspace(0.0, 10.0, 2001)
     out = []
-    for p in p_grid:
-        vals = fns.correction_weight(r_grid, p)
+    for p in CORRECTION_P_GRID:
+        vals = fns.correction_weight(CORRECTION_R_GRID, p)
         out.append(_inequality(
             f"correction_weight.nonneg[p={p}]", -float(vals.min()), 0.0,
-            abs_tol, "the correction weight is nonnegative on the r grid",
+            CORRECTION_ABS_TOL, "the correction weight is nonnegative on the r grid",
             {"p": p}))
-    v2 = fns.correction_weight(r_grid, 2.0)
+    v2 = fns.correction_weight(CORRECTION_R_GRID, 2.0)
     out.append(_equality(
         "correction_weight.vanishes_at_two", float(np.abs(v2).max()), 0.0,
-        abs_tol, 0.0, "the correction weight vanishes identically at p = 2",
+        CORRECTION_ABS_TOL, 0.0, "the correction weight vanishes identically at p = 2",
         {"p": 2.0}))
     return out
 
 
 def check_transport_polynomial(state: State, times: np.ndarray | list,
-                               p: PIndex = BOLTZMANN,
-                               abs_tol: float = 1e-6) -> list[LemmaCheckResult]:
+                               p: PIndex = BOLTZMANN) -> list[LemmaCheckResult]:
     """Closed-form drift of the Fisher components under pure transport.
 
     The derivative table integrates exactly: the spatial component is
@@ -333,7 +340,7 @@ def check_transport_polynomial(state: State, times: np.ndarray | list,
     cross-checks the quadratic coefficient.
     """
     times = np.asarray(list(times), dtype=float)
-    rep0 = build_report(state, p, model="bgk")
+    rep0 = build_report(state, p)
     ix0, im0, iv0 = rep0.fisher_x, rep0.fisher_mixed, rep0.fisher_v
     tr = Transport()
 
@@ -345,7 +352,7 @@ def check_transport_polynomial(state: State, times: np.ndarray | list,
     max_err = {"x": 0.0, "m": 0.0, "v": 0.0}
     samples = []
     for t in times:
-        rep = build_report(tr.flow(state, float(t)), p, model="bgk")
+        rep = build_report(tr.flow(state, float(t)), p)
         max_err["x"] = max(max_err["x"], abs(rep.fisher_x - ix0))
         max_err["m"] = max(max_err["m"], abs(rep.fisher_mixed - (im0 - t * ix0)))
         max_err["v"] = max(max_err["v"],
@@ -357,13 +364,13 @@ def check_transport_polynomial(state: State, times: np.ndarray | list,
             "aliasing_warning": bool(final_tail > TAIL_WARN_FRACTION)}
     out = [
         _equality("transport_polynomial.fisher_x_constant",
-                  max_err["x"], 0.0, abs_tol, 0.0,
+                  max_err["x"], 0.0, DEFAULT_ABS_TOL, 0.0,
                   "spatial Fisher stays at its initial value", meta),
         _equality("transport_polynomial.fisher_mixed_linear",
-                  max_err["m"], 0.0, abs_tol, 0.0,
+                  max_err["m"], 0.0, DEFAULT_ABS_TOL, 0.0,
                   "mixed term follows its linear law", meta),
         _equality("transport_polynomial.fisher_v_quadratic",
-                  max_err["v"], 0.0, abs_tol, 0.0,
+                  max_err["v"], 0.0, DEFAULT_ABS_TOL, 0.0,
                   "velocity Fisher follows its quadratic law", meta),
     ]
     if len(samples) >= 3:
@@ -372,7 +379,7 @@ def check_transport_polynomial(state: State, times: np.ndarray | list,
             coef = np.polyfit([t1, t2, t3], [f1, f2, f3], 2)[0]
             out.append(_equality(
                 "transport_polynomial.parabola_coefficient",
-                float(coef), ix0, 10.0 * abs_tol, 1e-5,
+                float(coef), ix0, 10.0 * DEFAULT_ABS_TOL, 1e-5,
                 "the fitted quadratic coefficient is the spatial Fisher value",
                 meta))
     return out
@@ -381,18 +388,17 @@ def check_transport_polynomial(state: State, times: np.ndarray | list,
 def fit_decay(trajectory: Trajectory,
               functional: Callable[[State], float],
               window: tuple[float, float],
-              name: str = "functional",
-              floor: float = 1e-14) -> DecayFit:
+              name: str = "functional") -> DecayFit:
     """Least-squares exponential fit of a positive functional over a window.
 
-    Values at or below the floor (equilibrium reached) shrink the window
+    Values at or below DECAY_FLOOR (equilibrium reached) shrink the window
     and set a flag rather than poisoning the logarithm.
     """
     ts, vals = [], []
     shortened = False
     for t, state in trajectory.window(*window):
         v = functional(state)
-        if v <= floor:
+        if v <= DECAY_FLOOR:
             shortened = True
             break
         ts.append(t)
@@ -413,49 +419,29 @@ def fit_decay(trajectory: Trajectory,
     )
 
 
-def run_suite(grid: Grid, model: str, p: PIndex, lam: float | None = None,
+def run_suite(grid: Grid, collision: CollisionKind, p: PIndex,
               n_states: int = 100, seed0: int = 0,
-              splitters: tuple = (0.1, 1.0, 10.0),
               C: float | None = None,
-              amplitude: float = 0.25,
-              abs_tol: float = DEFAULT_ABS_TOL,
-              rel_tol: float = DEFAULT_REL_TOL,
-              corruption: float = 0.0) -> list[LemmaCheckResult]:
-    """Full verification sweep over seeded random states.
-
-    `corruption` is a test hook: it scales the relaxation rate used by the
-    flows inside the derivative probes (but not in the predicted
-    right-hand sides), so any nonzero value must break equality rows.
+              amplitude: float = 0.25) -> list[LemmaCheckResult]:
+    """Full verification sweep over seeded random states, differencing
+    along the flow of `collision`: BGK (with the transport, projection and
+    mixed-term rows), FokkerPlanck, or the test hook CorruptedBGK, whose
+    skewed flow must break equality rows.
     """
-    if model == "bgk":
-        if lam is None:
-            raise ValueError("the relaxation model needs a rate")
-        generator: Generator = (BGK(lam) if corruption == 0.0
-                                else CorruptedBGK(rate=lam, skew=corruption))
-    elif model == "fokker-planck":
-        if p.is_log:
-            raise ValueError("the diffusion table is stated for power entropies")
-        generator = FokkerPlanck()
-    else:
-        raise ValueError(f"unknown model {model!r}")
+    relaxation = isinstance(collision, BGK)
 
     def one_state(seed: int) -> list[LemmaCheckResult]:
         state = random_band_limited(grid, seed, amplitude=amplitude)
-        rep = build_report(state, p, model=model)
-        rates = report_derivatives(state, rep, generator, p)
-        if model == "bgk":
+        rep = build_report(state, p, model=collision.name)
+        rates = report_derivatives(state, rep, collision, p)
+        if relaxation:
             drift = report_derivatives(state, rep, Transport(), p)
-            res = check_lemma_table(rep, drift, Transport(), p,
-                                    abs_tol=abs_tol, rel_tol=rel_tol)
-            res += check_lemma_table(rep, rates, generator, p, splitters,
-                                     abs_tol=abs_tol, rel_tol=rel_tol)
-            res += check_projection_inequalities(rep, drift, rates, C=C,
-                                                 abs_tol=abs_tol)
-            res += [check_mixed_term(rep, eta, abs_tol=abs_tol)
-                    for eta in splitters]
+            res = check_lemma_table(rep, drift, Transport(), p)
+            res += check_lemma_table(rep, rates, collision, p, SPLITTERS)
+            res += check_projection_inequalities(rep, drift, rates, C=C)
+            res += [check_mixed_term(rep, eta) for eta in SPLITTERS]
         else:
-            res = check_lemma_table(rep, rates, generator, p,
-                                    abs_tol=abs_tol, rel_tol=rel_tol)
+            res = check_lemma_table(rep, rates, collision, p)
         for r in res:
             r.params["seed"] = seed
         return res
@@ -463,7 +449,7 @@ def run_suite(grid: Grid, model: str, p: PIndex, lam: float | None = None,
     results: list[LemmaCheckResult] = []
     for s in range(seed0, seed0 + n_states):
         results.extend(one_state(s))
-    if model == "bgk" and not p.is_log:
+    if relaxation and not p.is_log:
         results.extend(check_correction_weight())
     return results
 
@@ -497,6 +483,4 @@ def summarize(results: list[LemmaCheckResult]) -> str:
 
 
 def save_results(results: list[LemmaCheckResult], path) -> None:
-    with open(path, "w") as f:
-        json.dump([r.to_dict() for r in results], f, indent=1, sort_keys=True)
-        f.write("\n")
+    write_json(path, [r.to_dict() for r in results])

@@ -91,9 +91,8 @@ def test_criterion_01_constant_reproduction():
 
 def test_criterion_02_lemma_suite_boltzmann(grid, coercivity_constant):
     t0 = time.monotonic()
-    results = run_suite(grid, "bgk", BOLTZMANN, lam=1.0, n_states=100,
-                        C=1.0 / coercivity_constant,
-                        abs_tol=1e-6, rel_tol=1e-4)
+    results = run_suite(grid, BGK(1.0), BOLTZMANN, n_states=100,
+                        C=1.0 / coercivity_constant)
     failed = [r for r in results if not r.passed]
     elapsed = time.monotonic() - t0
     ok = not failed and elapsed < 300.0
@@ -105,9 +104,8 @@ def test_criterion_03_lemma_suite_power(grid, coercivity_constant):
     failed = []
     total = 0
     for p in (PIndex(1.5), PIndex(2.0)):
-        results = run_suite(grid, "bgk", p, lam=1.0, n_states=100,
-                            C=1.0 / coercivity_constant,
-                            abs_tol=1e-6, rel_tol=1e-4)
+        results = run_suite(grid, BGK(1.0), p, n_states=100,
+                            C=1.0 / coercivity_constant)
         total += len(results)
         failed += [r for r in results if not r.passed]
     # the correction weight vanishes identically at p = 2

@@ -10,6 +10,7 @@ import pytest
 
 from hypoflow import GridSpec, cli, cosine, integrator, random_band_limited, run_suite
 from hypoflow.cli import main
+from hypoflow.verifier import CorruptedBGK
 
 BASE = """\
 [grid]
@@ -190,6 +191,18 @@ class TestVerify:
         results = json.loads((out / "verification.json").read_text())
         assert any(not r["passed"] for r in results if r["kind"] == "equality")
 
+    def test_corruption_with_fokker_planck_is_config_error(self, tmp_path, capsys):
+        # the hook skews the relaxation flow; on the velocity-diffusion
+        # model it would be ignored and every row would pass
+        out = tmp_path / "out"
+        text = (BASE.format(out=out).replace(BGK_MODEL, FP_MODEL).replace("nv = 16", "nv = 8")
+                + "\n[verify]\nn_states = 2\ncorruption = 0.5\n")
+        cfg = write_config(tmp_path, text)
+        assert main(["verify", cfg]) == 1
+        line = _one_config_error_line(capsys)
+        assert "[verify] corruption" in line, line
+        assert not out.exists()
+
     def test_jobs_flag(self, tmp_path, capsys):
         # one worker is the only mode; any other count is rejected
         out = tmp_path / "out"
@@ -241,6 +254,24 @@ class TestFitDecay:
             "command": "fit-decay", "model": "bgk", "p": "log",
             "trajectory": str(out / "trajectory"), "functional": "entropy",
             "window": [1.0, 5.0]}
+
+    def test_functional_at_equilibrium_is_config_error(self, tmp_path, capsys):
+        # every snapshot's entropy is at the fit floor, so no snapshot is
+        # usable: one line and exit 1, not a traceback
+        out = tmp_path / "sim"
+        text = BASE.format(out=out)
+        for old, new in (("nx = 32", "nx = 16"), ("nv = 16", "nv = 8"),
+                         ("family = cosine", "family = equilibrium"),
+                         ("t_end = 5.0", "t_end = 0.5")):
+            text = text.replace(old, new)
+        assert main(["simulate", write_config(tmp_path, text)]) == 0
+        fit_text = text + f"\n[fit]\ntrajectory = {out / 'trajectory'}\nfunctional = entropy\n"
+        fit_cfg = write_config(tmp_path, fit_text, name="fit.ini")
+        capsys.readouterr()
+        assert main(["fit-decay", fit_cfg, "--output-dir", str(tmp_path / "fit")]) == 1
+        line = _one_config_error_line(capsys)
+        assert "entropy" in line and "fewer than two usable snapshots" in line, line
+        assert not (tmp_path / "fit").exists()
 
     def test_missing_trajectory_is_config_error(self, tmp_path):
         text = BASE.format(out=tmp_path / "o") + "\n[fit]\nfunctional = entropy\n"
@@ -350,6 +381,8 @@ def _one_config_error_line(capsys):
     ("verify", "p = boltzmann", "p = 3"),
     ("verify", "n_states = 2", "n_states = many"),
     ("verify", "n_states = 2", "n_states = 0"),
+    # a skew of -1 or below stops or reverses the relaxation flow
+    ("verify", "n_states = 2", "n_states = 2\ncorruption = -1"),
     ("simulate", "nx = 32", "nx = many"),
     ("simulate", "amplitude = 0.5", "amplitude = half"),
     ("simulate", "dt = 0.01", "dt = soon"),
@@ -527,7 +560,8 @@ def test_omitted_keys_take_the_library_defaults(tmp_path, command, family):
         "grid": _signature_defaults(GridSpec, ("dim", "nx", "nv")),
         "initial": _signature_defaults({"cosine": cosine,
                                         "random": random_band_limited}[family]),
-        "verify": _signature_defaults(run_suite, ("amplitude", "corruption")),
+        "verify": {**_signature_defaults(run_suite, ("amplitude",)),
+                   "corruption": _signature_defaults(CorruptedBGK)["skew"]},
     }
     runs = {}
     for name, keys in (("omitted", {}), ("set", given)):

@@ -165,7 +165,7 @@ class TestProjectedQuantities:
         x, v = dense_xy
         pih_o, u_o = oracles.oracle_projection(field_exp, x, v)
         from hypoflow import project_pi
-        pih = project_pi(state_exp)
+        pih = project_pi(state_exp.h, grid_accept)
         xg = grid_accept.x_nodes[:, 0]
         idx = (xg * x.size).astype(int) // 1
         # compare at shared spatial points (the dense grid contains the

@@ -158,6 +158,22 @@ def test_simulate_checks_positivity_between_snapshots():
                              snapshot_every=10**6))
 
 
+class LeakyBGK(BGK):
+    """Relaxation that gains a relative 1e-6 of mass on every flow."""
+
+    def flow_modes(self, modes, grid, t):
+        return super().flow_modes(modes, grid, t) * (1.0 + 1e-6)
+
+
+def test_simulate_checks_mass_every_step(grid_small):
+    # the gain keeps h positive but exceeds the mass tolerance at once
+    schedule = Schedule(dt=0.01, t_end=1.0, collision=LeakyBGK(1.0), snapshot_every=10**6)
+    with pytest.raises(SimulationError) as err:
+        simulate(cosine(grid_small, 0.3), schedule)
+    assert err.value.step == 1
+    assert "mass" in str(err.value)
+
+
 @pytest.mark.parametrize("collision", [BGK(1.3), FokkerPlanck()], ids=["bgk", "fp"])
 @pytest.mark.parametrize("dim", [1, 2])
 def test_simulate_matches_physical_strang(dim, collision):

@@ -78,7 +78,7 @@ class TestBGK:
 
     def test_contraction_to_average(self, grid_small):
         s = band_limited_state(grid_small)
-        pih = project_pi(s)
+        pih = project_pi(s.h, grid_small)
         lam, T = 0.7, 5.0
         out = bgk_flow(s, lam, T)
         gap0 = np.abs(s.h - pih[:, None]).max()
@@ -88,7 +88,7 @@ class TestBGK:
     def test_average_invariant(self, grid_small):
         s = band_limited_state(grid_small)
         out = bgk_flow(s, 2.0, 0.4)
-        assert np.abs(project_pi(out) - project_pi(s)).max() < 1e-13
+        assert np.abs(project_pi(out.h, grid_small) - project_pi(s.h, grid_small)).max() < 1e-13
 
     def test_closed_form_velocity_only(self, grid_small):
         s = velocity_perturbation(grid_small, 0.3)

@@ -24,12 +24,12 @@ from hypoflow import (
 from hypoflow import functionals, verifier
 from hypoflow.functionals import build_report, entropy
 from hypoflow.initial import cosine, equilibrium, velocity_perturbation
-from hypoflow.verifier import check_correction_weight, save_results, summarize
+from hypoflow.verifier import CorruptedBGK, check_correction_weight, save_results, summarize
 
 
 def lemma_rows(state, generator, p, **kw):
-    model = "fokker-planck" if isinstance(generator, FokkerPlanck) else "bgk"
-    rep = build_report(state, p, model=model)
+    # the transport rows read columns that every model's report has
+    rep = build_report(state, p, model=getattr(generator, "name", BGK.name))
     rates = report_derivatives(state, rep, generator, p)
     return check_lemma_table(rep, rates, generator, p, **kw)
 
@@ -81,7 +81,7 @@ class TestReportDerivatives:
     def test_rows_match_per_column_differences(self, grid_accept, generator, p):
         # reference: one semigroup derivative per column, every probe
         # reported afresh
-        model = "fokker-planck" if isinstance(generator, FokkerPlanck) else "bgk"
+        model = generator.name
         s = random_band_limited(grid_accept, 11)
         rep = build_report(s, p, model=model)
         gens = [generator] if model == "fokker-planck" else [Transport(), generator]
@@ -242,24 +242,23 @@ class TestDecayFit:
 
 class TestSuite:
     def test_small_sweep_all_pass(self, grid_accept):
-        results = run_suite(grid_accept, "bgk", BOLTZMANN, lam=1.0,
-                            n_states=3, C=0.014)
+        results = run_suite(grid_accept, BGK(1.0), BOLTZMANN, n_states=3, C=0.014)
         assert results and all(r.passed for r in results)
 
     def test_row_count_contract(self, grid_accept):
         n_states = 2
-        results = run_suite(grid_accept, "bgk", BOLTZMANN, lam=1.0,
+        results = run_suite(grid_accept, BGK(1.0), BOLTZMANN,
                             n_states=n_states, C=0.014)
         # per state: 3 transport + (3 + 2 + 2) relaxation + 4 projection
         # + 3 mixed-term etas
         assert len(results) == n_states * 17
 
-    @pytest.mark.parametrize("model,p,lam,probes", [
-        ("bgk", BOLTZMANN, 1.0, 4), ("bgk", PIndex(1.5), 1.0, 4),
-        ("fokker-planck", PIndex(1.5), None, 2),
+    @pytest.mark.parametrize("collision,p,probes", [
+        (BGK(1.0), BOLTZMANN, 4), (BGK(1.0), PIndex(1.5), 4),
+        (FokkerPlanck(), PIndex(1.5), 2),
     ], ids=["bgk-log", "bgk-1.5", "fp-1.5"])
     def test_one_report_per_flowed_state(self, grid_accept, monkeypatch,
-                                         model, p, lam, probes):
+                                         collision, p, probes):
         # one full report of the base state; each probe state (transport at
         # +-delta and a collision flow at delta/2 and delta for BGK, the
         # collision flows alone for FP) gets only the composite columns
@@ -274,18 +273,18 @@ class TestSuite:
         for name in calls:
             monkeypatch.setattr(verifier, name, counting(name))
         n_states = 2
-        run_suite(grid_accept, model, p, lam=lam, n_states=n_states, C=0.014)
+        run_suite(grid_accept, collision, p, n_states=n_states, C=0.014)
         assert calls == {"build_report": n_states,
                          "composite_report": n_states * probes}
 
     def test_corruption_hook_breaks_equalities(self, grid_accept):
-        results = run_suite(grid_accept, "bgk", BOLTZMANN, lam=1.0,
-                            n_states=1, corruption=0.02)
+        results = run_suite(grid_accept, CorruptedBGK(rate=1.0, skew=0.02), BOLTZMANN,
+                            n_states=1)
         failed_eq = [r for r in results if r.kind == "equality" and not r.passed]
         assert failed_eq
 
     def test_diffusion_sweep(self, grid_accept):
-        results = run_suite(grid_accept, "fokker-planck", PIndex(1.5), n_states=3)
+        results = run_suite(grid_accept, FokkerPlanck(), PIndex(1.5), n_states=3)
         assert all(r.passed for r in results)
         assert len(results) == 3 * 3
 
@@ -294,7 +293,7 @@ class TestSuite:
         assert all(r.passed for r in rows)
 
     def test_report_output(self, grid_accept, tmp_path):
-        results = run_suite(grid_accept, "bgk", BOLTZMANN, lam=1.0, n_states=1)
+        results = run_suite(grid_accept, BGK(1.0), BOLTZMANN, n_states=1)
         save_results(results, tmp_path / "res.json")
         import json
         data = json.loads((tmp_path / "res.json").read_text())
