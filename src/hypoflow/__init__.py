@@ -8,6 +8,7 @@ from .certificate import (
     CertificateParams,
     ConstantEstimate,
     FeasibilityReport,
+    certify,
     estimate_functional_constant,
     optimize_rate,
     paper_constants_bgk,

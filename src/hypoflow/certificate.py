@@ -1,13 +1,13 @@
 """Decay-rate certificates: coefficient recipes, feasibility audits and
-rate optimization for the Lyapunov functionals.
+rate optimization for the Lyapunov functionals, and `certify`, which picks
+the recipe and the constant for a model.
 
-The relaxation certificates build the weighted Fisher combination
-J = A1 Ix + A2 Im + A3 Iv plus an entropy term, with every inequality the
-construction must satisfy recorded explicitly. C is the coercivity
-constant of the spatial functional inequality (spatial Fisher information
-dominates C times the projected entropy); the velocity-diffusion
-certificate instead consumes the phase-space ratio constant (entropy at
-most C times full Fisher information).
+Each certificate builds A1 Ix + A2 Im + A3 Iv + A4 H with every constraint
+recorded explicitly. For relaxation H is the entropy of pi h and C the
+coercivity constant of the spatial inequality (spatial Fisher information
+dominates C times the projected entropy); for velocity diffusion H is the
+full entropy and C the phase-space ratio constant (entropy at most C times
+full Fisher information).
 """
 
 from __future__ import annotations
@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .functionals import PIndex, torus_entropy, torus_fisher
+from .functionals import FunctionalReport, PIndex, torus_entropy, torus_fisher
+from .operators import BGK, CollisionKind
 from .phase_space import Grid, write_json
 
 
@@ -101,6 +102,13 @@ class CertificateParams:
 
     def save_json(self, path) -> None:
         write_json(path, self.to_dict())
+
+    def functional(self, report: FunctionalReport) -> float:
+        """A1 Ix + A2 Im + A3 Iv + A4 H of `report`; H is the projected entropy
+        for the relaxation certificates, the full entropy for diffusion."""
+        ent = report.entropy_projected if self.model.startswith(BGK.name) else report.entropy
+        return (self.A1 * report.fisher_x + self.A2 * report.fisher_mixed
+                + self.A3 * report.fisher_v + self.A4 * ent)
 
 
 def phase_space_ratio(spatial_ratio: float) -> float:
@@ -192,7 +200,7 @@ def paper_constants_fp(C: float, p: float = 1.5) -> CertificateParams:
     """
     if not C > 0:
         raise ValueError(f"C must be positive, got {C}")
-    if not (1.0 < p <= 2.0):
+    if p is None or not (1.0 < p <= 2.0):
         raise ValueError(f"p must lie in (1, 2], got {p}")
     A1 = A2 = A3 = 1.0
     eps = 4.0 * A3
@@ -287,3 +295,28 @@ def estimate_functional_constant(grid: Grid,
     rho = np.ones(grid.nx_total) + 1e-4 * np.cos(2.0 * np.pi / grid.spec.period * x)
     ratio = torus_entropy(rho, grid, p) / torus_fisher(rho, grid, p)
     return ConstantEstimate(value=ratio * SAFETY, raw_ratio=ratio, p=p.label())
+
+
+def certify(grid: Grid, collision: CollisionKind, p: PIndex,
+            C: float | None = None, eta: float | None = None) -> CertificateParams:
+    """The certificate of `collision` for the entropy `p`.
+
+    Relaxation (BGK) takes `paper_constants_bgk` with the splitter `eta`,
+    or `optimize_rate` without one; velocity diffusion takes
+    `paper_constants_fp` and has no splitter, so an `eta` is a ValueError.
+    C defaults to the torus constant of `estimate_functional_constant` in
+    the orientation the recipe reads: its coercivity for relaxation, its
+    `phase_space_ratio` for diffusion.
+    """
+    relaxation = isinstance(collision, BGK)
+    if eta is not None and not relaxation:
+        raise ValueError("eta is the relaxation model's Young splitter; "
+                         "the velocity-diffusion certificate has none")
+    if C is None:
+        est = estimate_functional_constant(grid, p)
+        C = est.coercivity if relaxation else phase_space_ratio(est.value)
+    if not relaxation:
+        return paper_constants_fp(C=C, p=p.p)
+    if eta is None:
+        return optimize_rate(collision.rate, C=C, p=p.p)
+    return paper_constants_bgk(collision.rate, C=C, eta=eta, p=p.p)

@@ -18,18 +18,11 @@ import os
 import sys
 
 from . import __version__
-from .certificate import (
-    estimate_functional_constant,
-    optimize_rate,
-    paper_constants_bgk,
-    paper_constants_fp,
-    phase_space_ratio,
-)
+from .certificate import certify, estimate_functional_constant
 from .functionals import (
     FunctionalReport,
     PIndex,
     build_report,
-    composite_value,
     write_report_csv,
     write_report_json,
 )
@@ -147,7 +140,7 @@ def _model_from_config(cfg):
         if lam is None:
             raise ConfigError("the relaxation model needs lambda")
         return _validated("model", BGK, rate=lam), p
-    if kind in (FokkerPlanck.name, "fp"):
+    if kind == FokkerPlanck.name:
         if p.is_log:
             raise ConfigError(
                 "the velocity-diffusion model is analyzed for power entropies; "
@@ -212,36 +205,9 @@ def _write_manifest(outdir, config_path, grid_spec, seed, extra=None):
     write_json(os.path.join(outdir, "manifest.json"), manifest)
 
 
-def _certificate_inputs(cfg, grid, collision, p):
-    """Resolve the functional constant and splitter, honoring overrides."""
-    C = _value(cfg, "certificate", "c", _finite_float)
-    eta = _value(cfg, "certificate", "eta", _finite_float)
-    if eta is not None and not isinstance(collision, BGK):
-        raise ConfigError("[certificate] eta is the relaxation model's Young "
-                          "splitter; the velocity-diffusion certificate has none")
-    if C is None:
-        est = estimate_functional_constant(grid, p)
-        if isinstance(collision, BGK):
-            # certificates consume the coercivity orientation of the
-            # spatial inequality
-            C = est.coercivity
-        else:
-            C = phase_space_ratio(est.value)
-    return C, eta
-
-
-def _certificate(collision, p, C, eta):
-    if isinstance(collision, FokkerPlanck):
-        return paper_constants_fp(C=C, p=p.p)
-    if eta is None:
-        return optimize_rate(collision.rate, C=C, p=p.p)
-    return paper_constants_bgk(collision.rate, C=C, eta=eta, p=p.p)
-
-
-def _certify(cfg, grid, collision, p):
-    C, eta = _certificate_inputs(cfg, grid, collision, p)
-    return _validated("certificate", _certificate,
-                      collision=collision, p=p, C=C, eta=eta)
+def _certificate_from_config(cfg, grid, collision, p):
+    return _validated("certificate", certify, grid=grid, collision=collision, p=p,
+                      **_given(cfg, "certificate", C=_finite_float, eta=_finite_float))
 
 
 def cmd_simulate(args) -> int:
@@ -282,10 +248,11 @@ def cmd_certify(args) -> int:
     outdir = _output_dir(cfg, args.output_dir)
     os.makedirs(outdir, exist_ok=True)
 
-    cert = _certify(cfg, grid, collision, p)
+    cert = _certificate_from_config(cfg, grid, collision, p)
     path = os.path.join(outdir, "certificate.json")
     cert.save_json(path)
-    _write_manifest(outdir, args.config, spec, args.seed or 0, extra={
+    # a certificate draws no random numbers, so it records no seed
+    _write_manifest(outdir, args.config, spec, None, extra={
         "command": "certify", "model": cert.model,
     })
     print(f"model {cert.model}: rate {cert.rate:.6e} "
@@ -313,11 +280,7 @@ def cmd_verify(args) -> int:
     outdir = _output_dir(cfg, args.output_dir)
     os.makedirs(outdir, exist_ok=True)
 
-    C = None
-    if isinstance(collision, BGK):
-        C = estimate_functional_constant(grid, p).value
-
-    results = run_suite(grid, collision, p, n_states=n_states, seed0=seed0, C=C,
+    results = run_suite(grid, collision, p, n_states=n_states, seed0=seed0,
                         **_given(cfg, "verify", amplitude=_finite_float))
     save_results(results, os.path.join(outdir, "verification.json"))
     table = summarize(results)
@@ -363,13 +326,10 @@ def cmd_fit_decay(args) -> int:
     model = collision.name
     grid = traj.snapshots[0][1].grid
     if name == "composite":
-        cert = _certify(cfg, grid, collision, p)
-        ent_term = "entropy" if isinstance(collision, FokkerPlanck) else "entropy_projected"
+        cert = _certificate_from_config(cfg, grid, collision, p)
 
         def functional(state):
-            rep = build_report(state, p, model=model)
-            return composite_value(rep, cert.A1, cert.A2, cert.A3, cert.A4,
-                                   entropy_term=ent_term)
+            return cert.functional(build_report(state, p, model=model))
     else:
         def functional(state):
             rep = build_report(state, p, model=model)

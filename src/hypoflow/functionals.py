@@ -57,7 +57,7 @@ class PIndex:
     @staticmethod
     def parse(text: str) -> "PIndex":
         t = text.strip().lower()
-        if t in ("log", "boltzmann", "none"):
+        if t in ("log", "boltzmann"):
             return BOLTZMANN
         return PIndex(float(t))
 
@@ -261,10 +261,3 @@ def write_report_json(reports: list[FunctionalReport], path) -> None:
             for rep in reports]
     write_json(path, data)
 
-
-def composite_value(report: FunctionalReport, a1: float, a2: float, a3: float,
-                    a4: float, entropy_term: str = "entropy_projected") -> float:
-    """a1 Ix + a2 Im + a3 Iv + a4 * (projected or full) entropy."""
-    ent = getattr(report, entropy_term)
-    return (a1 * report.fisher_x + a2 * report.fisher_mixed
-            + a3 * report.fisher_v + a4 * ent)

@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -187,7 +188,9 @@ def _collision_from_dict(d: dict) -> CollisionKind:
 
 
 def save_trajectory(traj: Trajectory, directory) -> None:
-    """Manifest plus one snapshot file per stored step."""
+    """Manifest plus one snapshot file per stored step; a snapshot file that
+    an earlier run left in `directory` and the manifest does not list is
+    removed."""
     os.makedirs(directory, exist_ok=True)
     grid = traj.snapshots[0][1].grid
     manifest = {
@@ -205,6 +208,10 @@ def save_trajectory(traj: Trajectory, directory) -> None:
     write_json(os.path.join(directory, "manifest.json"), manifest)
     for (_, state), entry in zip(traj.snapshots, manifest["snapshots"]):
         save_state(state, os.path.join(directory, entry["file"]))
+    listed = {entry["file"] for entry in manifest["snapshots"]}
+    for name in os.listdir(directory):
+        if re.fullmatch(r"snapshot_\d+\.txt", name) and name not in listed:
+            os.remove(os.path.join(directory, name))
 
 
 def _read_manifest(directory) -> dict:

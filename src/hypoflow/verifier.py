@@ -18,6 +18,7 @@ from typing import Callable
 import numpy as np
 
 from . import functionals as fns
+from .certificate import estimate_functional_constant
 from .functionals import BOLTZMANN, FunctionalReport, PIndex, build_report, composite_report
 from .initial import random_band_limited
 from .integrator import Trajectory
@@ -421,14 +422,16 @@ def fit_decay(trajectory: Trajectory,
 
 def run_suite(grid: Grid, collision: CollisionKind, p: PIndex,
               n_states: int = 100, seed0: int = 0,
-              C: float | None = None,
               amplitude: float = 0.25) -> list[LemmaCheckResult]:
     """Full verification sweep over seeded random states, differencing
     along the flow of `collision`: BGK (with the transport, projection and
     mixed-term rows), FokkerPlanck, or the test hook CorruptedBGK, whose
-    skewed flow must break equality rows.
+    skewed flow must break equality rows. The relaxation functional
+    inequality row reads the ratio constant of
+    `estimate_functional_constant`.
     """
     relaxation = isinstance(collision, BGK)
+    C = estimate_functional_constant(grid, p).value if relaxation else None
 
     def one_state(seed: int) -> list[LemmaCheckResult]:
         state = random_band_limited(grid, seed, amplitude=amplitude)

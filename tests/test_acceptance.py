@@ -14,12 +14,11 @@ from hypoflow import (
     Schedule,
     build_grid,
     build_report,
+    certify,
     correction_weight,
     entropy,
-    estimate_functional_constant,
     fit_decay,
     integrate_mu,
-    optimize_rate,
     paper_constants_bgk,
     paper_constants_fp,
     random_band_limited,
@@ -28,7 +27,6 @@ from hypoflow import (
     GridSpec,
     Transport,
 )
-from hypoflow.functionals import composite_value
 from hypoflow.initial import cosine, velocity_perturbation
 
 
@@ -41,12 +39,6 @@ def report(criterion: str, passed: bool, detail: str = ""):
 @pytest.fixture(scope="module")
 def grid():
     return build_grid(GridSpec(dim=1, nx=64, nv=32))
-
-
-@pytest.fixture(scope="module")
-def coercivity_constant(grid):
-    est = estimate_functional_constant(grid, BOLTZMANN)
-    return est.coercivity
 
 
 def _certificate_run(grid, collision, p, t_end=20.0, dt=0.01, stride=10):
@@ -89,10 +81,9 @@ def test_criterion_01_constant_reproduction():
     report("01 (constant reproduction)", ok, "; ".join(detail) or f"{elapsed:.3f}s")
 
 
-def test_criterion_02_lemma_suite_boltzmann(grid, coercivity_constant):
+def test_criterion_02_lemma_suite_boltzmann(grid):
     t0 = time.monotonic()
-    results = run_suite(grid, BGK(1.0), BOLTZMANN, n_states=100,
-                        C=1.0 / coercivity_constant)
+    results = run_suite(grid, BGK(1.0), BOLTZMANN, n_states=100)
     failed = [r for r in results if not r.passed]
     elapsed = time.monotonic() - t0
     ok = not failed and elapsed < 300.0
@@ -100,12 +91,11 @@ def test_criterion_02_lemma_suite_boltzmann(grid, coercivity_constant):
     report("02 (log-entropy dissipation suite)", ok, detail)
 
 
-def test_criterion_03_lemma_suite_power(grid, coercivity_constant):
+def test_criterion_03_lemma_suite_power(grid):
     failed = []
     total = 0
     for p in (PIndex(1.5), PIndex(2.0)):
-        results = run_suite(grid, BGK(1.0), p, n_states=100,
-                            C=1.0 / coercivity_constant)
+        results = run_suite(grid, BGK(1.0), p, n_states=100)
         total += len(results)
         failed += [r for r in results if not r.passed]
     # the correction weight vanishes identically at p = 2
@@ -166,14 +156,12 @@ def test_criterion_05_closed_form_relaxation(grid):
            f"sup err {sup:.1e}, fitted rate {fit.rate:.4f}")
 
 
-def test_criterion_06_relaxation_log_certificate(grid, coercivity_constant):
+def test_criterion_06_relaxation_log_certificate(grid):
     t0 = time.monotonic()
-    cert = optimize_rate(1.0, C=coercivity_constant)
+    cert = certify(grid, BGK(1.0), BOLTZMANN)
     traj, reports = _certificate_run(grid, BGK(1.0), BOLTZMANN)
 
-    vals = np.array([
-        composite_value(rep, cert.A1, cert.A2, cert.A3, cert.A4)
-        for _, rep in reports])
+    vals = np.array([cert.functional(rep) for _, rep in reports])
     times = np.array([t for t, _ in reports])
     rel_steps = np.diff(vals) / vals[:-1]
     monotone = bool((rel_steps <= 1e-8).all())
@@ -201,13 +189,10 @@ def test_criterion_06_relaxation_log_certificate(grid, coercivity_constant):
 
 def test_criterion_07_relaxation_power_certificate(grid):
     p = PIndex(1.5)
-    est = estimate_functional_constant(grid, p)
-    cert = optimize_rate(1.0, C=est.coercivity, p=1.5)
+    cert = certify(grid, BGK(1.0), p)
     traj, reports = _certificate_run(grid, BGK(1.0), p)
 
-    vals = np.array([
-        composite_value(rep, cert.A1, cert.A2, cert.A3, cert.A4)
-        for _, rep in reports])
+    vals = np.array([cert.functional(rep) for _, rep in reports])
     times = np.array([t for t, _ in reports])
     monotone = bool((np.diff(vals) <= 1e-8 * vals[:-1]).all())
 
@@ -233,11 +218,7 @@ def test_criterion_07_relaxation_power_certificate(grid):
 
 def test_criterion_08_diffusion_certificate(grid):
     p = PIndex(1.5)
-    est = estimate_functional_constant(grid, p)
-    # phase-space ratio constant: the Gaussian direction dominates the
-    # product measure at one half
-    C = max(est.value, 0.5)
-    cert = paper_constants_fp(C=C, p=1.5)
+    cert = certify(grid, FokkerPlanck(), p)
     traj, reports = _certificate_run(grid, FokkerPlanck(), p)
 
     rep0 = reports[0][1]

@@ -4,8 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypoflow import (
+    BGK,
     BOLTZMANN,
+    FokkerPlanck,
     PIndex,
+    build_report,
+    certify,
     estimate_functional_constant,
     optimize_rate,
     paper_constants_bgk,
@@ -14,6 +18,7 @@ from hypoflow import (
     torus_fisher,
 )
 from hypoflow.certificate import phase_space_ratio
+from hypoflow.initial import random_band_limited
 
 
 def _trial_density(grid, coefs, modes):
@@ -179,6 +184,53 @@ class TestCertificateSerialization:
         assert data["feasibility"]["constraints"]["velocity_margin"]["satisfied"]
 
 
+class TestCertify:
+    @pytest.mark.parametrize("collision,p", [
+        (BGK(1.0), BOLTZMANN), (BGK(1.0), PIndex(1.5)), (FokkerPlanck(), PIndex(1.5)),
+    ], ids=["bgk-log", "bgk-1.5", "fp-1.5"])
+    def test_default_is_the_recipe_with_the_oriented_constant(self, grid_small,
+                                                              collision, p):
+        # the oracle spells out the orientation certify picks: relaxation
+        # reads the coercivity 1/value, diffusion the phase-space ratio
+        value = estimate_functional_constant(grid_small, p).value
+        if isinstance(collision, BGK):
+            expect = optimize_rate(collision.rate, C=1.0 / value, p=p.p)
+        else:
+            expect = paper_constants_fp(C=max(value, 0.5), p=p.p)
+        assert certify(grid_small, collision, p).to_dict() == expect.to_dict()
+
+    def test_overrides_reach_the_recipe(self, grid_small):
+        cert = certify(grid_small, BGK(2.0), PIndex(1.5), C=50.0, eta=0.1)
+        expect = paper_constants_bgk(2.0, C=50.0, eta=0.1, p=1.5)
+        assert cert.to_dict() == expect.to_dict()
+        cert = certify(grid_small, FokkerPlanck(), PIndex(1.5), C=1.0)
+        assert cert.to_dict() == paper_constants_fp(C=1.0, p=1.5).to_dict()
+
+    def test_eta_with_fokker_planck_raises(self, grid_small):
+        with pytest.raises(ValueError, match="splitter"):
+            certify(grid_small, FokkerPlanck(), PIndex(1.5), eta=0.5)
+
+    def test_fokker_planck_needs_a_power_entropy(self, grid_small):
+        with pytest.raises(ValueError, match="p must lie"):
+            certify(grid_small, FokkerPlanck(), BOLTZMANN)
+
+    @pytest.mark.parametrize("collision,entropy_column", [
+        (BGK(1.0), "entropy_projected"), (FokkerPlanck(), "entropy"),
+    ], ids=["bgk", "fokker-planck"])
+    def test_functional_reads_the_model_entropy(self, grid_small, collision,
+                                                entropy_column):
+        p = PIndex(1.5)
+        cert = certify(grid_small, collision, p)
+        rep = build_report(random_band_limited(grid_small, 3), p, model=collision.name)
+        fisher = (cert.A1 * rep.fisher_x + cert.A2 * rep.fisher_mixed
+                  + cert.A3 * rep.fisher_v)
+        value = {c: fisher + cert.A4 * getattr(rep, c)
+                 for c in ("entropy", "entropy_projected")}
+        # off local equilibrium the two entropies give different functionals
+        assert value["entropy"] > (1.0 + 1e-6) * value["entropy_projected"]
+        assert cert.functional(rep) == pytest.approx(value[entropy_column], rel=1e-14)
+
+
 class TestConstantEstimator:
     def test_perturbative_value(self, grid_small):
         est = estimate_functional_constant(grid_small, PIndex(2.0))
@@ -233,7 +285,6 @@ class TestCertificateChainOnStates:
 
     def test_weighted_combination_equivalent_to_fisher(self, grid_accept=None):
         from hypoflow import GridSpec, build_grid, build_report, random_band_limited
-        from hypoflow.functionals import composite_value
         grid = build_grid(GridSpec(dim=1, nx=64, nv=32))
         cert = optimize_rate(1.0, C=1e9)
         for seed in range(20):

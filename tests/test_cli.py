@@ -147,6 +147,15 @@ class TestCertify:
         assert cert["rate"] == pytest.approx(1.0 / 54.0, abs=1e-15)
         assert cert["A4"] == pytest.approx(27.0 / 4.0)
 
+    def test_manifest_records_no_seed(self, tmp_path):
+        # a certificate draws no random numbers, whatever --seed says
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, BASE.format(out=out) + "\n[certificate]\nC = 1000000.0\n")
+        assert main(["certify", cfg, "--seed", "5"]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["command"] == "certify"
+        assert manifest["seed"] is None
+
     def test_missing_lambda_is_config_error(self, tmp_path):
         text = BASE.format(out=tmp_path / "o").replace("lambda = 1.0\n", "")
         cfg = write_config(tmp_path, text)
@@ -396,6 +405,11 @@ def _one_config_error_line(capsys):
     # two edits: the velocity-diffusion certificate has no splitter
     pytest.param("certify", (BGK_MODEL, "C = 1000000.0"),
                  (FP_MODEL, "C = 1000000.0\neta = 0.5"), id="certify-fp-eta"),
+    # the model kinds are spelt only as the operators name them, and p only
+    # as boltzmann, log or a number
+    pytest.param("certify", BGK_MODEL, FP_MODEL.replace("fokker-planck", "fp"),
+                 id="certify-kind-fp"),
+    pytest.param("certify", "p = boltzmann", "p = none", id="certify-p-none"),
 ])
 def test_bad_config_value_is_config_error(tmp_path, capsys, command, old, new):
     text = (BASE.format(out=tmp_path / "o") + "\n[verify]\nn_states = 2\n"

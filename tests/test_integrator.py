@@ -1,3 +1,4 @@
+import json
 import os
 
 import numpy as np
@@ -240,6 +241,24 @@ def test_trajectory_roundtrip(grid_small, tmp_path):
     for (t0, s0), (t1, s1) in zip(traj.snapshots, back.snapshots):
         assert t0 == pytest.approx(t1, abs=1e-15)
         assert np.array_equal(s0.h, s1.h)
+
+
+def test_save_removes_stale_snapshots(grid_small, tmp_path):
+    # a shorter run saved over a longer one leaves only its own snapshots,
+    # and files that are not snapshots stay
+    s = cosine(grid_small, 0.4, 0.1)
+    run = tmp_path / "run"
+    run.mkdir()
+    (run / "notes.txt").write_text("kept")
+    for t_end in (1.0, 0.3):
+        traj = simulate(s, Schedule(dt=0.1, t_end=t_end, collision=BGK(1.0)))
+        save_trajectory(traj, run)
+    manifest = json.loads((run / "manifest.json").read_text())
+    listed = sorted(e["file"] for e in manifest["snapshots"])
+    assert len(listed) == 4
+    assert sorted(p.name for p in run.glob("snapshot_*.txt")) == listed
+    assert (run / "notes.txt").read_text() == "kept"
+    assert len(load_trajectory(run).snapshots) == 4
 
 
 def _writers(monkeypatch, cpus=3):

@@ -14,6 +14,7 @@ from hypoflow import (
     check_mixed_term,
     check_projection_inequalities,
     check_transport_polynomial,
+    estimate_functional_constant,
     fit_decay,
     random_band_limited,
     report_derivatives,
@@ -164,9 +165,10 @@ class TestLemmaTables:
 class TestProjectionChecks:
     @pytest.mark.parametrize("p", [BOLTZMANN, PIndex(1.5)])
     def test_pass_on_random_states(self, grid_accept, p):
+        C = estimate_functional_constant(grid_accept, p).value
         for seed in range(5):
             s = random_band_limited(grid_accept, seed)
-            for r in projection_rows(s, p, C=0.014):
+            for r in projection_rows(s, p, C=C):
                 assert r.passed, (r.check_id, r.residual_or_slack)
 
 
@@ -242,13 +244,12 @@ class TestDecayFit:
 
 class TestSuite:
     def test_small_sweep_all_pass(self, grid_accept):
-        results = run_suite(grid_accept, BGK(1.0), BOLTZMANN, n_states=3, C=0.014)
+        results = run_suite(grid_accept, BGK(1.0), BOLTZMANN, n_states=3)
         assert results and all(r.passed for r in results)
 
     def test_row_count_contract(self, grid_accept):
         n_states = 2
-        results = run_suite(grid_accept, BGK(1.0), BOLTZMANN,
-                            n_states=n_states, C=0.014)
+        results = run_suite(grid_accept, BGK(1.0), BOLTZMANN, n_states=n_states)
         # per state: 3 transport + (3 + 2 + 2) relaxation + 4 projection
         # + 3 mixed-term etas
         assert len(results) == n_states * 17
@@ -273,7 +274,7 @@ class TestSuite:
         for name in calls:
             monkeypatch.setattr(verifier, name, counting(name))
         n_states = 2
-        run_suite(grid_accept, collision, p, n_states=n_states, C=0.014)
+        run_suite(grid_accept, collision, p, n_states=n_states)
         assert calls == {"build_report": n_states,
                          "composite_report": n_states * probes}
 
