@@ -53,7 +53,6 @@ from .phase_space import (
     Grid,
     GridSpec,
     PositivityError,
-    SpectralResolutionWarning,
     State,
     build_grid,
     integrate_mu,

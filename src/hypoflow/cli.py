@@ -193,16 +193,19 @@ def _output_dir(cfg, override) -> str:
     return "out"
 
 
-def _write_manifest(outdir, config_path, grid_spec, seed, extra=None):
+def _write_manifest(outdir, command, config_path, grid_spec, seed, extra=None):
+    """The record of one command's run, `<command>-manifest.json`, so that
+    commands sharing an output directory keep one record each."""
     manifest = {
         "artifact_version": __version__,
+        "command": command,
         "config_hash": _config_hash(config_path),
         "grid": {"dim": grid_spec.dim, "nx": grid_spec.nx, "nv": grid_spec.nv},
         "seed": seed,
     }
     if extra:
         manifest.update(extra)
-    write_json(os.path.join(outdir, "manifest.json"), manifest)
+    write_json(os.path.join(outdir, f"{command}-manifest.json"), manifest)
 
 
 def _certificate_from_config(cfg, grid, collision, p):
@@ -231,8 +234,8 @@ def cmd_simulate(args) -> int:
     reports = [build_report(state, p, model=model) for _, state in traj.snapshots]
     write_report_csv(reports, os.path.join(outdir, "functionals.csv"))
     write_report_json(reports, os.path.join(outdir, "functionals.json"))
-    _write_manifest(outdir, args.config, spec, seed, extra={
-        "command": "simulate", "model": model, "p": p.label(),
+    _write_manifest(outdir, "simulate", args.config, spec, seed, extra={
+        "model": model, "p": p.label(),
         "schedule": {"dt": schedule.dt, "t_end": schedule.t_end,
                      "snapshot_every": schedule.snapshot_every},
     })
@@ -252,9 +255,8 @@ def cmd_certify(args) -> int:
     path = os.path.join(outdir, "certificate.json")
     cert.save_json(path)
     # a certificate draws no random numbers, so it records no seed
-    _write_manifest(outdir, args.config, spec, None, extra={
-        "command": "certify", "model": cert.model,
-    })
+    _write_manifest(outdir, "certify", args.config, spec, None,
+                    extra={"model": cert.model})
     print(f"model {cert.model}: rate {cert.rate:.6e} "
           f"(feasible: {cert.feasible}, binding: {cert.feasibility.binding})")
     print(f"wrote {path}")
@@ -287,8 +289,8 @@ def cmd_verify(args) -> int:
     with open(os.path.join(outdir, "verification.txt"), "w") as f:
         f.write(table + "\n")
     print(table)
-    _write_manifest(outdir, args.config, spec, seed0, extra={
-        "command": "verify", "model": collision.name, "p": p.label(),
+    _write_manifest(outdir, "verify", args.config, spec, seed0, extra={
+        "model": collision.name, "p": p.label(),
         "n_states": n_states, "checks": len(results),
     })
     failed = sum(0 if r.passed else 1 for r in results)
@@ -349,8 +351,8 @@ def cmd_fit_decay(args) -> int:
     os.makedirs(outdir, exist_ok=True)
     write_json(os.path.join(outdir, "decay_fit.json"), fit.to_dict())
     # a fit draws no random numbers, so it records no seed
-    _write_manifest(outdir, args.config, grid.spec, None, extra={
-        "command": "fit-decay", "model": model, "p": p.label(),
+    _write_manifest(outdir, "fit-decay", args.config, grid.spec, None, extra={
+        "model": model, "p": p.label(),
         "trajectory": traj_dir, "functional": name, "window": [t_lo, t_hi],
     })
     print(f"{name}: rate {fit.rate:.6e}, r^2 {fit.r_squared:.6f} "
@@ -370,6 +372,8 @@ def cmd_estimate_constant(args) -> int:
         "p": est.p, "ratio": est.value, "raw_ratio": est.raw_ratio,
         "coercivity": est.coercivity,
     })
+    # the constant draws no random numbers, so it records no seed
+    _write_manifest(outdir, "estimate-constant", args.config, spec, None)
     print(f"entropy/Fisher ratio constant: {est.value:.8e}")
     print(f"coercivity orientation: {est.coercivity:.6e}")
     return EXIT_OK

@@ -14,7 +14,6 @@ identities between the reported quantities exact at quadrature level.
 from __future__ import annotations
 
 import csv
-import warnings
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -22,9 +21,7 @@ import numpy as np
 from . import kernels
 from .operators import BGK, FokkerPlanck
 from .phase_space import (
-    TAIL_WARN_FRACTION,
     Grid,
-    SpectralResolutionWarning,
     State,
     grad_v_field,
     grad_x_field,
@@ -102,6 +99,7 @@ class FunctionalReport:
     hess_vv: float | None = None
     quartic_xv: float | None = None
     quartic_v: float | None = None
+    hermite_tail: float | None = None
 
     @staticmethod
     def columns() -> list[str]:
@@ -182,28 +180,19 @@ def build_report(state: State, p: PIndex, model: str = BGK.name) -> FunctionalRe
 
     model is the name of BGK or FokkerPlanck; with p it decides which columns exist
     (every other column is None):
-    - both models: the COMPOSITE_COLUMNS, as composite_report computes them;
+    - both models: the COMPOSITE_COLUMNS, as composite_report computes them,
+      and hermite_tail, the share of the Hermite coefficient norm of h in
+      the top two modes per velocity axis;
     - bgk: fisher_x_projected and projected_entropy_rate, plus fisher_x_ratio
       and fisher_v_ratio for the log entropy, or cross_dissipation,
       correction_x, correction_v and fisher_v_scaled for p in (1, 2];
     - fokker-planck with p in (1, 2]: hess_xv, hess_vv, quartic_xv, quartic_v.
-
-    Emits one SpectralResolutionWarning when the Hermite coefficient tail of
-    h carries more than TAIL_WARN_FRACTION of its norm.
     """
     if model not in (BGK.name, FokkerPlanck.name):
         raise ValueError(f"unknown model {model!r}")
     rep, pih, gx, gv = _composite(state, p)
     grid, h, wv = state.grid, state.h, state.grid.v_weights
-    tail = hermite_tail_fraction(h, grid)
-    if tail > TAIL_WARN_FRACTION:
-        # order-of-magnitude message so repeated warnings deduplicate
-        warnings.warn(
-            f"Hermite coefficient tail fraction ~1e{int(np.ceil(np.log10(tail)))} "
-            f"exceeds {TAIL_WARN_FRACTION:.0e}; increase nv",
-            SpectralResolutionWarning,
-            stacklevel=2,
-        )
+    rep.hermite_tail = hermite_tail_fraction(h, grid)
     if model == BGK.name:
         # one x-gradient of [pi h | u]: the gradient of pi h, and the
         # divergence of the mean velocity u from the diagonal

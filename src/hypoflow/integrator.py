@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import BGK, CollisionKind, FokkerPlanck, transport_phases
+from .operators import BGK, CollisionKind, FokkerPlanck, time_scale, transport_phases
 from .phase_space import (
     Grid,
     GridSpec,
@@ -97,8 +97,7 @@ def _in_window(t: float, t0: float, t1: float) -> bool:
 
 def default_dt(collision: CollisionKind) -> float:
     """Step keeping splitting error below the functional tolerances."""
-    rate = collision.rate if isinstance(collision, BGK) else 1.0
-    return 0.01 * min(1.0, 1.0 / rate)
+    return 0.01 * time_scale(collision)
 
 
 def _strang_modes(modes: np.ndarray, grid: Grid, phases: np.ndarray, dt: float,
@@ -242,7 +241,8 @@ def snapshot_times(directory) -> list[float]:
 def load_trajectory(directory, window: tuple[float, float] | None = None) -> Trajectory:
     """The trajectory saved in `directory`. With a window (t0, t1), only the
     snapshots that `Trajectory.window(t0, t1)` keeps are read, by their
-    manifest time; the others are not opened."""
+    manifest time; the others are not opened. A snapshot whose header time
+    differs from its manifest time is a ValueError."""
     manifest = _read_manifest(directory)
     g = manifest["grid"]
     grid = build_grid(GridSpec(dim=g["dim"], nx=g["nx"], nv=g["nv"],
@@ -258,5 +258,9 @@ def load_trajectory(directory, window: tuple[float, float] | None = None) -> Tra
         t = _snapshot_time(directory, i, entry)
         path = os.path.join(directory, entry["file"])
         if window is None or _in_window(t, *window):
-            snaps.append((t, load_state(path, grid)))
+            state = load_state(path, grid)
+            if state.time != t:
+                raise ValueError(f"{path}: snapshot header time={state.time!r} "
+                                 f"disagrees with the manifest time {t!r}")
+            snaps.append((t, state))
     return Trajectory(snaps, schedule)

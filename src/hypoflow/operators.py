@@ -74,6 +74,13 @@ class Transport:
 CollisionKind = BGK | FokkerPlanck
 
 
+def time_scale(generator: Transport | CollisionKind) -> float:
+    """min(1, 1/rate) for a BGK generator and 1 for any other: the time
+    unit that default steps are fractions of."""
+    rate = generator.rate if isinstance(generator, BGK) else 1.0
+    return min(1.0, 1.0 / rate)
+
+
 def transport_phases(grid: Grid, t: float) -> np.ndarray:
     """exp(-i k.v t) over the half-spectrum x-modes of to_modes and the
     velocity nodes: the transport flow of time t, diagonal in (k, v)."""

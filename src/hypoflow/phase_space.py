@@ -23,17 +23,9 @@ H_MIN = 1e-12
 # A valid state's mass against the equilibrium measure is 1 to within this.
 MASS_TOL = 1e-10
 
-# Relative Hermite-coefficient mass in the top two modes beyond which a
-# velocity derivative is considered under-resolved.
-TAIL_WARN_FRACTION = 1e-6
-
 
 class PositivityError(ValueError):
     """Field left the positive, bounded-below regime."""
-
-
-class SpectralResolutionWarning(UserWarning):
-    """Hermite coefficient tail too large for reliable differentiation."""
 
 
 @dataclass(frozen=True)

@@ -18,15 +18,3 @@ def grid_accept():
 @pytest.fixture(scope="session")
 def grid_2d():
     return build_grid(GridSpec(dim=2, nx=16, nv=8))
-
-
-@pytest.fixture(autouse=True)
-def _quiet_spectral_warnings():
-    """Resolution warnings are expected in stress tests; keep output clean."""
-    import warnings
-
-    from hypoflow import SpectralResolutionWarning
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", SpectralResolutionWarning)
-        yield

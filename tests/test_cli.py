@@ -63,7 +63,7 @@ class TestSimulate:
         assert len(body) >= 2
         assert (out / "functionals.json").exists()
         assert (out / "trajectory" / "manifest.json").exists()
-        manifest = json.loads((out / "manifest.json").read_text())
+        manifest = json.loads((out / "simulate-manifest.json").read_text())
         assert manifest["command"] == "simulate"
         assert "config_hash" in manifest
 
@@ -112,7 +112,7 @@ class TestSimulate:
         cfg = write_config(tmp_path, text)
         assert main(["simulate", cfg]) == 1
 
-    def test_fokker_planck_run(self, tmp_path):
+    def test_fokker_planck_run(self, tmp_path, capsys):
         out = tmp_path / "fp"
         text = BASE.format(out=out)
         text = text.replace("kind = bgk", "kind = fokker-planck")
@@ -121,9 +121,13 @@ class TestSimulate:
         text = text.replace("t_end = 5.0", "t_end = 1.0")
         cfg = write_config(tmp_path, text)
         assert main(["simulate", cfg]) == 0
+        assert capsys.readouterr().err == ""
         header, body = read_csv(out / "functionals.csv")
         assert body
         assert header.index("hess_xv")
+        # the last snapshot reaches the Hermite band edge, and its row says so
+        assert header[-1] == "hermite_tail"
+        assert float(body[0][-1]) < 1e-13 and float(body[-1][-1]) > 1e-6
 
 
 class TestCertify:
@@ -152,7 +156,7 @@ class TestCertify:
         out = tmp_path / "out"
         cfg = write_config(tmp_path, BASE.format(out=out) + "\n[certificate]\nC = 1000000.0\n")
         assert main(["certify", cfg, "--seed", "5"]) == 0
-        manifest = json.loads((out / "manifest.json").read_text())
+        manifest = json.loads((out / "certify-manifest.json").read_text())
         assert manifest["command"] == "certify"
         assert manifest["seed"] is None
 
@@ -254,7 +258,7 @@ class TestFitDecay:
         fit_cfg = write_config(tmp_path, fit_text, name="fit.ini")
         fit_out = tmp_path / "fit"
         assert main(["fit-decay", fit_cfg, "--output-dir", str(fit_out)]) == 0
-        manifest = json.loads((fit_out / "manifest.json").read_text())
+        manifest = json.loads((fit_out / "fit-decay-manifest.json").read_text())
         assert manifest["config_hash"] == cli._config_hash(fit_cfg)
         assert manifest["grid"] == {"dim": 1, "nx": 32, "nv": 16}
         assert manifest["seed"] is None
@@ -501,8 +505,8 @@ def _edit_header(old, new):
 @pytest.mark.parametrize("damage,named", [
     (_truncate, None), (_move_period, None),
     (_edit_header(" nv=16 ", " "), "'nv'"), (_edit_header(" nx=32 ", " nx=abc "), "nx='abc'"),
-    (_bad_number, "'abc'"),
-], ids=["truncated", "mismatched-header", "missing-key", "bad-value", "bad-number"])
+    (_bad_number, "'abc'"), (_edit_header(" time=", " time=9"), "time=9"),
+], ids=["truncated", "mismatched-header", "missing-key", "bad-value", "bad-number", "time"])
 def test_damaged_snapshot_is_config_error(tmp_path, capsys, damage, named):
     out = tmp_path / "sim"
     text = BASE.format(out=out).replace("t_end = 5.0", "t_end = 1.0")
@@ -551,13 +555,13 @@ def _signature_defaults(fn, names=None) -> dict:
 
 
 def _outputs(out) -> dict:
-    """Every file under `out` by relative path; the run manifest without its
-    config hash, which differs between two config texts."""
+    """Every file under `out` by relative path; the command record without
+    its config hash, which differs between two config texts."""
     files = {}
     for path in sorted(out.rglob("*")):
         if path.is_file():
             data = path.read_bytes()
-            if path == out / "manifest.json":
+            if path.parent == out and path.name.endswith("-manifest.json"):
                 data = json.loads(data)
                 del data["config_hash"]
             files[str(path.relative_to(out))] = data
@@ -601,6 +605,17 @@ class TestEstimateConstant:
         data = json.loads((out / "constant.json").read_text())
         assert data["ratio"] == pytest.approx(1.1 / (8 * np.pi**2), rel=1e-3)
         assert data["coercivity"] == pytest.approx(1.0 / data["ratio"], rel=1e-12)
+
+
+def test_commands_sharing_an_output_directory_keep_their_records(tmp_path):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, BASE.format(out=out) + "\n[verify]\nn_states = 1\n")
+    commands = ("certify", "verify", "estimate-constant")
+    for command in commands:
+        assert main([command, cfg]) == 0
+    for command in commands:
+        record = json.loads((out / f"{command}-manifest.json").read_text())
+        assert record["command"] == command
 
 
 def test_seed_env_fallback(tmp_path, monkeypatch):

@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +11,6 @@ from hypoflow import (
     GridSpec,
     PIndex,
     PositivityError,
-    SpectralResolutionWarning,
     State,
     build_grid,
     build_report,
@@ -183,22 +181,20 @@ class TestGradients:
         werr = np.sqrt((((gv - fd_v) ** 2) @ grid_small.v_weights).max())
         assert werr < 1e-7
 
-    def test_tail_warning_fires(self, grid_small):
-        # the report warns once per under-resolved state and never for a
-        # resolved one; the gradient itself stays silent
+    def test_tail_column(self, grid_small):
+        # every report records the tail fraction of its state, bit for bit:
+        # large for a velocity step, round-off for a linear profile
         v = grid_small.v_nodes[:, 0]
         ones = np.ones(grid_small.nx_total)[:, None]
         rough = State(grid_small, ones * (1.0 + 0.5 * np.sign(v))[None, :])
         smooth = State(grid_small, ones * (1.0 + 0.1 * v)[None, :])
         for p, model in ((BOLTZMANN, "bgk"), (PIndex(1.5), "bgk"),
                          (PIndex(1.5), "fokker-planck")):
-            for state, expect in ((rough, 1), (smooth, 0)):
-                with warnings.catch_warnings(record=True) as caught:
-                    warnings.simplefilter("always")
-                    grad_v_field(state.h, grid_small)
-                    build_report(state, p, model=model)
-                kinds = [w.category for w in caught]
-                assert kinds == [SpectralResolutionWarning] * expect, (p, model)
+            tails = {}
+            for name, state in (("rough", rough), ("smooth", smooth)):
+                tails[name] = build_report(state, p, model=model).hermite_tail
+                assert tails[name] == hermite_tail_fraction(state.h, grid_small), (p, model)
+            assert tails["rough"] > 1e-6 and tails["smooth"] < 1e-13, (p, model, tails)
 
     def test_tail_fraction_zero_for_resolved(self, grid_small):
         v = grid_small.v_nodes[:, 0]

@@ -25,6 +25,7 @@ from hypoflow import (
 from hypoflow import functionals, verifier
 from hypoflow.functionals import build_report, entropy
 from hypoflow.initial import cosine, equilibrium, velocity_perturbation
+from hypoflow.phase_space import hermite_tail_fraction
 from hypoflow.verifier import CorruptedBGK, check_correction_weight, save_results, summarize
 
 
@@ -213,7 +214,10 @@ class TestTransportPolynomial:
     def test_aliasing_flagged_for_wide_band(self, grid_accept):
         s = random_band_limited(grid_accept, 9, x_modes=2)
         rows = check_transport_polynomial(s, np.linspace(0.0, 0.5, 6))
-        assert rows[0].params["aliasing_warning"]
+        tail = rows[0].params["final_hermite_tail"]
+        assert tail > 1e-6
+        # read from the report at t_max: the tail of the state flowed there
+        assert tail == hermite_tail_fraction(Transport().flow(s, 0.5).h, grid_accept)
 
 
 class TestDecayFit:
