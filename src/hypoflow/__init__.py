@@ -66,7 +66,6 @@ from .verifier import (
     check_lemma_table,
     check_mixed_term,
     check_projection_inequalities,
-    check_transport_polynomial,
     fit_decay,
     report_derivatives,
     run_suite,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import hashlib
 import math
 import os
@@ -150,8 +151,10 @@ def _model_from_config(cfg):
 
 
 def _initial_from_config(cfg, grid, seed_override):
+    """The initial state and its seed; the seed is None for a family that
+    draws no random numbers."""
     family = cfg.get("initial", "family", fallback="cosine").strip().lower()
-    seed = _seed(cfg, "initial", seed_override)
+    seed = None
     if family == "equilibrium":
         state = equilibrium(grid)
     elif family == "cosine":
@@ -163,6 +166,7 @@ def _initial_from_config(cfg, grid, seed_override):
             "initial data", velocity_perturbation, grid=grid,
             **_given(cfg, "initial", amplitude=_finite_float))
     elif family == "random":
+        seed = _seed(cfg, "initial", seed_override)
         state = _validated(
             "initial data", random_band_limited, grid=grid, seed=seed,
             **_given(cfg, "initial", amplitude=_finite_float, x_modes=int, v_degree=int))
@@ -200,7 +204,7 @@ def _write_manifest(outdir, command, config_path, grid_spec, seed, extra=None):
         "artifact_version": __version__,
         "command": command,
         "config_hash": _config_hash(config_path),
-        "grid": {"dim": grid_spec.dim, "nx": grid_spec.nx, "nv": grid_spec.nv},
+        "grid": dataclasses.asdict(grid_spec),
         "seed": seed,
     }
     if extra:

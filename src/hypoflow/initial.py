@@ -27,9 +27,9 @@ def cosine(grid: Grid, amplitude: float = 0.5, v_amplitude: float = 0.0) -> Stat
     """1 + a cos(2 pi x1) (1 + b s(v1)) with a bounded odd modulation.
 
     The cosine has zero spatial mean, so mass is exactly one for any
-    modulation; positivity needs a (1 + |b|) < 1.
+    modulation; positivity needs |a| (1 + |b|) < 1.
     """
-    if amplitude * (1.0 + abs(v_amplitude)) >= 1.0:
+    if abs(amplitude) * (1.0 + abs(v_amplitude)) >= 1.0:
         raise ValueError("amplitude too large for a positive profile")
     x1 = grid.x_nodes[:, 0]
     v1 = grid.v_nodes[:, 0]
@@ -77,7 +77,7 @@ def random_band_limited(grid: Grid, seed: int, amplitude: float = 0.25,
         for m in range(1, x_modes + 1):
             for trig in (np.cos(two_pi * m * x), np.sin(two_pi * m * x)):
                 for n in range(0, v_degree + 1):
-                    vpart = vp[ax % grid.dim][n]
+                    vpart = vp[ax][n]
                     coef = rng.normal() / (1.0 + m + n)
                     g += coef * np.outer(trig, vpart)
     # a purely kinetic component so velocity gradients never vanish

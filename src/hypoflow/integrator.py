@@ -17,7 +17,7 @@ import json
 import math
 import os
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -194,8 +194,7 @@ def save_trajectory(traj: Trajectory, directory) -> None:
     grid = traj.snapshots[0][1].grid
     manifest = {
         "format_version": TRAJECTORY_FORMAT_VERSION,
-        "grid": {"dim": grid.spec.dim, "nx": grid.spec.nx,
-                 "nv": grid.spec.nv, "period": grid.spec.period},
+        "grid": asdict(grid.spec),
         "schedule": {"dt": traj.schedule.dt, "t_end": traj.schedule.t_end,
                      "snapshot_every": traj.schedule.snapshot_every},
         "collision": _collision_to_dict(traj.schedule.collision),

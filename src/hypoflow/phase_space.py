@@ -69,8 +69,7 @@ def _hermite_matrices(v: np.ndarray, w: np.ndarray):
     nv = v.size
     phi = np.zeros((nv, nv))
     phi[0] = 1.0
-    if nv > 1:
-        phi[1] = v
+    phi[1] = v
     for n in range(1, nv - 1):
         phi[n + 1] = (v * phi[n] - np.sqrt(n) * phi[n - 1]) / np.sqrt(n + 1)
     sqw = np.sqrt(w)

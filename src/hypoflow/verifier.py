@@ -19,7 +19,7 @@ import numpy as np
 
 from . import functionals as fns
 from .certificate import estimate_functional_constant
-from .functionals import BOLTZMANN, FunctionalReport, PIndex, build_report, composite_report
+from .functionals import FunctionalReport, PIndex, build_report, composite_report
 from .initial import random_band_limited
 from .integrator import Trajectory
 from .operators import BGK, CollisionKind, Transport, bgk_flow, time_scale
@@ -327,59 +327,6 @@ def check_correction_weight() -> list[LemmaCheckResult]:
         "correction_weight.vanishes_at_two", float(np.abs(v2).max()), 0.0,
         CORRECTION_ABS_TOL, 0.0, "the correction weight vanishes identically at p = 2",
         {"p": 2.0}))
-    return out
-
-
-def check_transport_polynomial(state: State, times: np.ndarray | list,
-                               p: PIndex = BOLTZMANN) -> list[LemmaCheckResult]:
-    """Closed-form drift of the Fisher components under pure transport.
-
-    The derivative table integrates exactly: the spatial component is
-    constant, the mixed one linear, the velocity one quadratic with
-    coefficients set by the initial values. A three-point parabola fit
-    cross-checks the quadratic coefficient.
-    """
-    times = np.asarray(list(times), dtype=float)
-    rep0 = build_report(state, p)
-    ix0, im0, iv0 = rep0.fisher_x, rep0.fisher_mixed, rep0.fisher_v
-    t_max = float(times.max())
-    tr = Transport()
-
-    max_err = {"x": 0.0, "m": 0.0, "v": 0.0}
-    samples = []
-    for t in times:
-        rep = build_report(tr.flow(state, float(t)), p)
-        max_err["x"] = max(max_err["x"], abs(rep.fisher_x - ix0))
-        max_err["m"] = max(max_err["m"], abs(rep.fisher_mixed - (im0 - t * ix0)))
-        max_err["v"] = max(max_err["v"],
-                           abs(rep.fisher_v - (iv0 - 2.0 * t * im0 + t * t * ix0)))
-        samples.append((t, rep.fisher_v))
-        if t == t_max:
-            # dephasing turns spatial harmonics into velocity oscillations;
-            # record how far the final state reaches the Hermite band edge
-            final_tail = rep.hermite_tail
-
-    meta = {"p": p.label(), "t_max": t_max, "final_hermite_tail": final_tail}
-    out = [
-        _equality("transport_polynomial.fisher_x_constant",
-                  max_err["x"], 0.0, DEFAULT_ABS_TOL, 0.0,
-                  "spatial Fisher stays at its initial value", meta),
-        _equality("transport_polynomial.fisher_mixed_linear",
-                  max_err["m"], 0.0, DEFAULT_ABS_TOL, 0.0,
-                  "mixed term follows its linear law", meta),
-        _equality("transport_polynomial.fisher_v_quadratic",
-                  max_err["v"], 0.0, DEFAULT_ABS_TOL, 0.0,
-                  "velocity Fisher follows its quadratic law", meta),
-    ]
-    if len(samples) >= 3:
-        (t1, f1), (t2, f2), (t3, f3) = samples[0], samples[len(samples) // 2], samples[-1]
-        if len({t1, t2, t3}) == 3:
-            coef = np.polyfit([t1, t2, t3], [f1, f2, f3], 2)[0]
-            out.append(_equality(
-                "transport_polynomial.parabola_coefficient",
-                float(coef), ix0, 10.0 * DEFAULT_ABS_TOL, 1e-5,
-                "the fitted quadratic coefficient is the spatial Fisher value",
-                meta))
     return out
 
 

@@ -106,6 +106,19 @@ class TestSimulate:
             "amplitude = 0.5", "amplitude = 0.95"))
         assert main(["simulate", cfg]) == 1
 
+    @pytest.mark.parametrize("family,seed", [("cosine", None), ("random", 3)])
+    def test_record_seed_only_for_random_data(self, tmp_path, family, seed):
+        # a cosine run draws no random numbers, so it records no seed
+        out = tmp_path / "out"
+        text = BASE.format(out=out).replace("family = cosine", f"family = {family}")
+        text = text.replace("amplitude = 0.5", "amplitude = 0.25")
+        assert main(["simulate", write_config(tmp_path, text), "--seed", "3"]) == 0
+        record = json.loads((out / "simulate-manifest.json").read_text())
+        trajectory = json.loads((out / "trajectory" / "manifest.json").read_text())
+        assert record["seed"] == seed
+        assert record["grid"] == trajectory["grid"] == {
+            "dim": 1, "nx": 32, "nv": 16, "period": 1.0}
+
     def test_fokker_planck_needs_power_entropy(self, tmp_path):
         text = BASE.format(out=tmp_path / "o").replace(
             "kind = bgk", "kind = fokker-planck")
@@ -260,7 +273,7 @@ class TestFitDecay:
         assert main(["fit-decay", fit_cfg, "--output-dir", str(fit_out)]) == 0
         manifest = json.loads((fit_out / "fit-decay-manifest.json").read_text())
         assert manifest["config_hash"] == cli._config_hash(fit_cfg)
-        assert manifest["grid"] == {"dim": 1, "nx": 32, "nv": 16}
+        assert manifest["grid"] == {"dim": 1, "nx": 32, "nv": 16, "period": 1.0}
         assert manifest["seed"] is None
         assert {k: manifest[k] for k in ("command", "model", "p", "trajectory",
                                          "functional", "window")} == {
@@ -398,6 +411,8 @@ def _one_config_error_line(capsys):
     ("verify", "n_states = 2", "n_states = 2\ncorruption = -1"),
     ("simulate", "nx = 32", "nx = many"),
     ("simulate", "amplitude = 0.5", "amplitude = half"),
+    # |a| = 2 would leave min h = -1
+    ("simulate", "amplitude = 0.5", "amplitude = -2.0"),
     ("simulate", "dt = 0.01", "dt = soon"),
     ("simulate", "t_end = 5.0", "t_end = inf"),
     ("certify", "C = 1000000.0", "C = large"),

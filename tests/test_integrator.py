@@ -53,6 +53,14 @@ def test_schedule_validation():
         Schedule(dt=0.1, t_end=1.0, collision=BGK(1.0), snapshot_every=0)
 
 
+def test_cosine_rejects_any_sign_of_too_large_amplitude(grid_small):
+    # positivity needs |a| (1 + |b|) < 1; a = -2 would leave min h = -1
+    for amplitude in (2.0, -2.0, -0.8):
+        with pytest.raises(ValueError):
+            cosine(grid_small, amplitude=amplitude, v_amplitude=0.3)
+    assert cosine(grid_small, amplitude=-0.5, v_amplitude=0.3).h.min() > 0.0
+
+
 def test_strang_requires_positive_dt(grid_small):
     with pytest.raises(ValueError):
         strang_step(equilibrium(grid_small), 0.0, BGK(1.0))

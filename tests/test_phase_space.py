@@ -12,11 +12,13 @@ from hypoflow import (
     PIndex,
     PositivityError,
     State,
+    Transport,
     build_grid,
     build_report,
     integrate_mu,
     load_state,
     project_pi,
+    random_band_limited,
     save_state,
 )
 from hypoflow import phase_space
@@ -183,18 +185,24 @@ class TestGradients:
 
     def test_tail_column(self, grid_small):
         # every report records the tail fraction of its state, bit for bit:
-        # large for a velocity step, round-off for a linear profile
+        # large for a velocity step and for a wide spatial band that
+        # transport has dephased into velocity oscillations, round-off for
+        # a linear profile
         v = grid_small.v_nodes[:, 0]
         ones = np.ones(grid_small.nx_total)[:, None]
-        rough = State(grid_small, ones * (1.0 + 0.5 * np.sign(v))[None, :])
-        smooth = State(grid_small, ones * (1.0 + 0.1 * v)[None, :])
+        states = {
+            "rough": State(grid_small, ones * (1.0 + 0.5 * np.sign(v))[None, :]),
+            "dephased": Transport().flow(random_band_limited(grid_small, 9, x_modes=2), 0.5),
+            "smooth": State(grid_small, ones * (1.0 + 0.1 * v)[None, :]),
+        }
         for p, model in ((BOLTZMANN, "bgk"), (PIndex(1.5), "bgk"),
                          (PIndex(1.5), "fokker-planck")):
             tails = {}
-            for name, state in (("rough", rough), ("smooth", smooth)):
+            for name, state in states.items():
                 tails[name] = build_report(state, p, model=model).hermite_tail
                 assert tails[name] == hermite_tail_fraction(state.h, grid_small), (p, model)
-            assert tails["rough"] > 1e-6 and tails["smooth"] < 1e-13, (p, model, tails)
+            assert tails["rough"] > 1e-6 and tails["dephased"] > 1e-6, (p, model, tails)
+            assert tails["smooth"] < 1e-13, (p, model, tails)
 
     def test_tail_fraction_zero_for_resolved(self, grid_small):
         v = grid_small.v_nodes[:, 0]

@@ -13,7 +13,6 @@ from hypoflow import (
     check_lemma_table,
     check_mixed_term,
     check_projection_inequalities,
-    check_transport_polynomial,
     estimate_functional_constant,
     fit_decay,
     random_band_limited,
@@ -25,7 +24,6 @@ from hypoflow import (
 from hypoflow import functionals, verifier
 from hypoflow.functionals import build_report, entropy
 from hypoflow.initial import cosine, equilibrium, velocity_perturbation
-from hypoflow.phase_space import hermite_tail_fraction
 from hypoflow.verifier import CorruptedBGK, check_correction_weight, save_results, summarize
 
 
@@ -196,28 +194,6 @@ class TestMixedTerm:
     def test_rejects_bad_eta(self, grid_accept):
         with pytest.raises(ValueError):
             check_mixed_term(build_report(equilibrium(grid_accept), BOLTZMANN), eta=0.0)
-
-
-class TestTransportPolynomial:
-    def test_exact_at_time_zero(self, grid_accept):
-        s = random_band_limited(grid_accept, 8, x_modes=1)
-        rows = check_transport_polynomial(s, [0.0])
-        for r in rows[:3]:
-            assert abs(r.residual_or_slack) < 1e-12
-
-    def test_laws_hold(self, grid_accept):
-        s = random_band_limited(grid_accept, 9, x_modes=1)
-        rows = check_transport_polynomial(s, np.linspace(0.0, 0.5, 11))
-        for r in rows:
-            assert r.passed, (r.check_id, r.residual_or_slack)
-
-    def test_aliasing_flagged_for_wide_band(self, grid_accept):
-        s = random_band_limited(grid_accept, 9, x_modes=2)
-        rows = check_transport_polynomial(s, np.linspace(0.0, 0.5, 6))
-        tail = rows[0].params["final_hermite_tail"]
-        assert tail > 1e-6
-        # read from the report at t_max: the tail of the state flowed there
-        assert tail == hermite_tail_fraction(Transport().flow(s, 0.5).h, grid_accept)
 
 
 class TestDecayFit:
