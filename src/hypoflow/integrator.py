@@ -6,9 +6,9 @@ discretization error and the scheme is second order.
 
 Both collision operators act on v alone, so they commute with the Fourier
 transform in x. `simulate` therefore carries the state as its half-spectrum
-x-modes, where transport is a diagonal phase table built once per step
-length, and returns to physical space once per step. The positivity and
-mass checks still read the physical h after every step.
+x-modes, where transport is a diagonal phase table and the collision a
+mode flow, both built once per step length. The positivity and mass checks
+still read the physical h after every step.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .operators import BGK, CollisionKind, FokkerPlanck, time_scale, transport_phases
+from .operators import BGK, CollisionKind, FokkerPlanck, ModesFlow, time_scale, transport_phases
 from .phase_space import (
     Grid,
     GridSpec,
@@ -100,17 +100,18 @@ def default_dt(collision: CollisionKind) -> float:
     return 0.01 * time_scale(collision)
 
 
-def _strang_modes(modes: np.ndarray, grid: Grid, phases: np.ndarray, dt: float,
+def _strang_modes(modes: np.ndarray, grid: Grid, phases: np.ndarray, collide: ModesFlow,
                   collision: CollisionKind) -> tuple[np.ndarray, np.ndarray]:
     """One symmetric splitting step on x-modes, with `phases` the transport
-    table of dt/2; returns the new modes and the nodal h.
+    table and `collide` the collision's mode flow of the step; returns the
+    new modes and the nodal h.
 
     The diffusion path floors measure-immaterial negative excursions after
     the closing transport half-step: shifting a repaired far-tail column
     can undershoot again by an equally immaterial amount. The modes are
     transformed again only when the floor repaired a value.
     """
-    modes = collision.flow_modes(modes * phases, grid, dt)
+    modes = collide(modes * phases)
     modes *= phases
     h = to_nodes(modes, grid)
     if isinstance(collision, FokkerPlanck):
@@ -125,8 +126,8 @@ def strang_step(state: State, dt: float, collision: CollisionKind) -> State:
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
     grid = state.grid
-    _, h = _strang_modes(to_modes(state.h, grid), grid,
-                         transport_phases(grid, 0.5 * dt), dt, collision)
+    _, h = _strang_modes(to_modes(state.h, grid), grid, transport_phases(grid, 0.5 * dt),
+                         collision.modes_flow(grid, dt), collision)
     return state.replace(h, time=state.time + dt)
 
 
@@ -147,15 +148,16 @@ def simulate(initial: State, schedule: Schedule) -> Trajectory:
     state = initial
     t0 = initial.time
     modes = to_modes(initial.h, grid)
-    table_dt = phases = None
+    table_dt = phases = collide = None
     for step in range(1, n_steps + 1):
         target = min(t0 + step * schedule.dt, t0 + schedule.t_end)
-        # every step but the last has the nominal length, so its table is
-        # built once; the last step ends exactly on t_end with its own table
+        # every step but the last has the nominal length, so its flows are
+        # built once; the last step ends exactly on t_end with its own
         dt = schedule.dt if step < n_steps else target - state.time
         if dt != table_dt:
             table_dt, phases = dt, transport_phases(grid, 0.5 * dt)
-        modes, h = _strang_modes(modes, grid, phases, dt, schedule.collision)
+            collide = schedule.collision.modes_flow(grid, dt)
+        modes, h = _strang_modes(modes, grid, phases, collide, schedule.collision)
         state = State(grid, h, time=target)
         hmin = float(h.min())
         if hmin < STEP_POSITIVITY_FLOOR:
@@ -187,10 +189,16 @@ def _collision_from_dict(d: dict) -> CollisionKind:
 
 
 def save_trajectory(traj: Trajectory, directory) -> None:
-    """Manifest plus one snapshot file per stored step; a snapshot file that
-    an earlier run left in `directory` and the manifest does not list is
-    removed."""
+    """Manifest plus one snapshot file per stored step. The snapshot files
+    an earlier run left in `directory` are removed first, so that no
+    snapshot's rename lands on an existing file, which some file systems
+    flush to disk; other files stay."""
     os.makedirs(directory, exist_ok=True)
+    with os.scandir(directory) as entries:
+        stale = [e.path for e in entries if re.fullmatch(r"snapshot_\d+\.txt", e.name)
+                 and e.is_file(follow_symlinks=False)]
+    for path in stale:
+        os.remove(path)
     grid = traj.snapshots[0][1].grid
     manifest = {
         "format_version": TRAJECTORY_FORMAT_VERSION,
@@ -206,10 +214,6 @@ def save_trajectory(traj: Trajectory, directory) -> None:
     write_json(os.path.join(directory, "manifest.json"), manifest)
     for (_, state), entry in zip(traj.snapshots, manifest["snapshots"]):
         save_state(state, os.path.join(directory, entry["file"]))
-    listed = {entry["file"] for entry in manifest["snapshots"]}
-    for name in os.listdir(directory):
-        if re.fullmatch(r"snapshot_\d+\.txt", name) and name not in listed:
-            os.remove(os.path.join(directory, name))
 
 
 def _read_manifest(directory) -> dict:

@@ -7,13 +7,16 @@ None of the flows carries time-stepping error, so operator splitting is
 the only discretization of the composed dynamics.
 
 The collision flows act on v alone and so commute with the Fourier
-transform in x: each collision kind also flows the half-spectrum x-modes
-of `phase_space.to_modes` (`flow_modes`), on which transport is the
-diagonal table of `transport_phases`.
+transform in x: each collision kind also builds its flow of one step
+length on the half-spectrum x-modes of `phase_space.to_modes`
+(`modes_flow`), on which transport is the diagonal table of
+`transport_phases`.
 """
 
 from __future__ import annotations
 
+import functools
+from collections.abc import Callable
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -23,12 +26,12 @@ from .phase_space import (
     Grid,
     State,
     floor_immaterial,
-    hermite_coefficients,
-    hermite_values,
-    project_pi,
     to_modes,
     to_nodes,
 )
+
+# a collision flow of one step length on the x-modes of to_modes
+ModesFlow = Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -46,8 +49,8 @@ class BGK:
     def flow(self, state: State, t: float) -> State:
         return bgk_flow(state, self.rate, t)
 
-    def flow_modes(self, modes: np.ndarray, grid: Grid, t: float) -> np.ndarray:
-        return bgk_relax(modes, grid, self.rate, t)
+    def modes_flow(self, grid: Grid, t: float) -> ModesFlow:
+        return functools.partial(bgk_relax, grid=grid, rate=self.rate, t=t)
 
 
 @dataclass(frozen=True)
@@ -59,8 +62,11 @@ class FokkerPlanck:
     def flow(self, state: State, t: float) -> State:
         return fokker_planck_flow(state, t)
 
-    def flow_modes(self, modes: np.ndarray, grid: Grid, t: float) -> np.ndarray:
-        return fokker_planck_modes_flow(modes, grid, t)
+    def modes_flow(self, grid: Grid, t: float) -> ModesFlow:
+        # the modes are complex: a complex propagator spares matmul a cast
+        # of the matrix on every step
+        propagator = fokker_planck_propagator(grid, t).astype(complex)
+        return functools.partial(fokker_planck_modes_flow, grid=grid, propagator=propagator)
 
 
 @dataclass(frozen=True)
@@ -121,18 +127,60 @@ def bgk_flow(state: State, rate: float, t: float) -> State:
     return state.replace(h, time=state.time + t)
 
 
-def fokker_planck_modes_flow(modes: np.ndarray, grid: Grid, t: float) -> np.ndarray:
-    """fokker_planck_flow on spatial Fourier modes.
+def fokker_planck_propagator(grid: Grid, t: float) -> np.ndarray:
+    """(nv, nv) nodal matrix of the Ornstein-Uhlenbeck flow of time t along
+    one velocity axis.
 
-    The flow goes through nodal values, so its positivity floor and its
-    PositivityError act exactly as on a nodal state.
+    The flow decays orthonormal Hermite coefficient n by exp(-n t). In the
+    sqrt-weight frame, where the Hermite transform O is orthogonal, that is
+    O^T diag(exp(-n t)) O; this is the same matrix in nodal values.
     """
-    out = fokker_planck_flow(State(grid, to_nodes(modes, grid)), t)
-    return to_modes(out.h, grid)
+    if t < 0:
+        raise ValueError(f"diffusion flow needs t >= 0, got {t}")
+    ortho = grid.hermite_ortho
+    sqw = ortho[0]  # phi_0 = 1, so the first row of the transform is sqrt(w)
+    decay = np.exp(-np.arange(grid.spec.nv) * t)
+    return (ortho.T * decay) @ ortho / sqw[:, None] * sqw[None, :]
+
+
+def _diffuse(fld: np.ndarray, grid: Grid, propagator: np.ndarray) -> np.ndarray:
+    """`propagator` along every velocity axis of a field whose last axis
+    holds the velocity nodes: nodal values or x-modes.
+
+    Along each axis it acts on the fluctuation about the velocity average,
+    which the flow fixes, and adds the average back. So a v-constant column
+    stays fixed up to the round-off of its average, and round-off scales
+    with the fluctuation, not with h: the matrix's entries reach 1/sqrt(w)
+    at the far-tail abscissae.
+    """
+    w = grid.hermite_ortho[0] ** 2
+    for axis in range(grid.dim):
+        tens = fld.reshape(-1, *grid.v_shape()).swapaxes(axis + 1, -1)
+        mean = (tens @ w)[..., None]
+        tens = (tens - mean) @ propagator.T
+        tens += mean
+        fld = tens.swapaxes(axis + 1, -1).reshape(fld.shape)
+    return fld
+
+
+def fokker_planck_modes_flow(modes: np.ndarray, grid: Grid,
+                             propagator: np.ndarray) -> np.ndarray:
+    """fokker_planck_flow on spatial Fourier modes, given the step's
+    `fokker_planck_propagator`.
+
+    The flowed modes are floored in nodal values, so the positivity floor
+    and its PositivityError act exactly as on a nodal state; the modes are
+    transformed again only when the floor repaired a value.
+    """
+    modes = _diffuse(modes, grid, propagator)
+    h = to_nodes(modes, grid)
+    floored = floor_immaterial(h, grid)
+    return modes if floored is h else to_modes(floored, grid)
 
 
 def fokker_planck_flow(state: State, t: float) -> State:
-    """Hermite-coefficient decay exp(-|n| t) per spatial node.
+    """Hermite-coefficient decay exp(-|n| t) per spatial node: the nodal
+    matrix `fokker_planck_propagator` along every velocity axis.
 
     Streaming chirps spatial harmonics toward ever-higher velocity
     frequencies; while a filament transits the top of the Hermite band its
@@ -141,17 +189,8 @@ def fokker_planck_flow(state: State, t: float) -> State:
     measure. The flow floors such excursions through floor_immaterial and
     errors when positivity is lost by a measurable amount.
     """
-    if t < 0:
-        raise ValueError(f"diffusion flow needs t >= 0, got {t}")
     if t == 0.0:
         return state
     grid = state.grid
-    factor = np.exp(-grid.hermite_degree * t)
-    # flow the fluctuation around the velocity average and reconstruct only
-    # the change: the v-constant part is exactly invariant, so states at or
-    # near local equilibrium never accumulate transform round-trip noise
-    fluct = state.h - project_pi(state.h, grid)[:, None]
-    c = hermite_coefficients(fluct, grid)
-    delta = hermite_values(c * (factor - 1.0)[None, :], grid)
-    h = floor_immaterial(state.h + delta, grid)
-    return state.replace(h, time=state.time + t)
+    h = _diffuse(state.h, grid, fokker_planck_propagator(grid, t))
+    return state.replace(floor_immaterial(h, grid), time=state.time + t)

@@ -102,9 +102,7 @@ class Grid:
     hermite_ortho: np.ndarray = field(repr=False, default=None)  # (nv, nv)
     sqrt_w: np.ndarray = field(repr=False, default=None)         # (nv_total,)
     hermite_deriv: np.ndarray = field(repr=False, default=None)  # (nv, nv)
-    # total Hermite degree of each velocity node's coefficient, and the
-    # coefficients of degree >= nv - 2 along any axis
-    hermite_degree: np.ndarray = field(repr=False, default=None)  # (nv_total,)
+    # the coefficients of Hermite degree >= nv - 2 along any axis
     hermite_tail: np.ndarray = field(repr=False, default=None)    # (nv_total,)
 
     @property
@@ -159,7 +157,7 @@ def build_grid(spec: GridSpec) -> Grid:
         x_nodes=_tensor_nodes(x, d), v_nodes=_tensor_nodes(v, d),
         v_weights=_tensor_product(w, d),
         hermite_ortho=ortho, sqrt_w=_tensor_product(sqw, d), hermite_deriv=deriv,
-        hermite_degree=degrees.sum(axis=0), hermite_tail=(degrees >= nv - 2).any(axis=0),
+        hermite_tail=(degrees >= nv - 2).any(axis=0),
     )
 
 
@@ -275,14 +273,6 @@ def hermite_coefficients(fld: np.ndarray, grid: Grid) -> np.ndarray:
     for axis in range(grid.dim):
         c = _along_v(c, grid, grid.hermite_ortho, axis)
     return c
-
-
-def hermite_values(coef: np.ndarray, grid: Grid) -> np.ndarray:
-    """Inverse of hermite_coefficients."""
-    h = coef
-    for axis in range(grid.dim):
-        h = _along_v(h, grid, grid.hermite_ortho.T, axis)
-    return h / grid.sqrt_w[None, :]
 
 
 def hermite_tail_fraction(fld: np.ndarray, grid: Grid) -> float:
@@ -473,7 +463,10 @@ def _format_values(x: np.ndarray) -> bytes:
 
 def save_state(state: State, path) -> None:
     """Write a snapshot atomically: a temporary file beside `path`, then a
-    rename, so an interrupted write leaves any previous file intact."""
+    rename, so an interrupted write leaves any previous file intact. Nothing
+    is synced to disk; `save_trajectory` removes the old snapshots first, so
+    a trajectory saved into a used directory is only as durable as one
+    saved into a fresh directory."""
     tmp = f"{path}.tmp"
     s = state.grid.spec
     header = (f"{SNAPSHOT_MAGIC}\n"

@@ -30,6 +30,25 @@ def gauss_hermite_golub_welsch(n: int):
     return vals, weights / weights.sum()
 
 
+def hermite_series(coef: np.ndarray, grid) -> np.ndarray:
+    """Nodal values of a field given by its orthonormal Hermite coefficients
+    per x-node (the layout of `phase_space.hermite_coefficients`).
+
+    Sums the series at each velocity node from the normalized three-term
+    recurrence, without the package's transform matrices.
+    """
+    nv, v = grid.spec.nv, grid.v_nodes
+    basis = np.ones((1, v.shape[0]))
+    for axis in range(grid.dim):
+        phi = np.ones((nv, v.shape[0]))
+        phi[1] = v[:, axis]
+        for n in range(1, nv - 1):
+            phi[n + 1] = (v[:, axis] * phi[n] - math.sqrt(n) * phi[n - 1]) / math.sqrt(n + 1)
+        # coefficients are row-major over the axes' degrees
+        basis = (basis[:, None, :] * phi[None, :, :]).reshape(-1, v.shape[0])
+    return coef @ basis
+
+
 # --- analytic test fields ----------------------------------------------------
 #
 # A field is 1 + sum of separable terms, or exp(sum of separable terms),

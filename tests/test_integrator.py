@@ -170,8 +170,9 @@ def test_simulate_checks_positivity_between_snapshots():
 class LeakyBGK(BGK):
     """Relaxation that gains a relative 1e-6 of mass on every flow."""
 
-    def flow_modes(self, modes, grid, t):
-        return super().flow_modes(modes, grid, t) * (1.0 + 1e-6)
+    def modes_flow(self, grid, t):
+        relax = super().modes_flow(grid, t)
+        return lambda modes: relax(modes) * (1.0 + 1e-6)
 
 
 def test_simulate_checks_mass_every_step(grid_small):
@@ -205,19 +206,25 @@ def test_simulate_matches_physical_strang_through_floor_repairs(grid_accept, mon
     # floored h. Far-tail nodal values carry transform round-off times
     # 1/sqrt(w) (about 1e-7 at nv=32), so h is compared in the sqrt-weight
     # frame where the Hermite transform is orthogonal.
+    # Both floors repair: the mid-step one of the diffusion flow and the
+    # closing one after the second transport half-step.
     import hypoflow.integrator as integrator
-    repairs = []
+    import hypoflow.operators as operators
+    repairs = {operators: 0, integrator: 0}
 
-    def counting_floor(h, grid):
-        out = floor_immaterial(h, grid)
-        repairs.append(out is not h)
-        return out
+    def counting_floor(module):
+        def floor(h, grid):
+            out = floor_immaterial(h, grid)
+            repairs[module] += out is not h
+            return out
+        return floor
 
-    monkeypatch.setattr(integrator, "floor_immaterial", counting_floor)
+    for module in repairs:
+        monkeypatch.setattr(module, "floor_immaterial", counting_floor(module))
     s = cosine(grid_accept, 0.4, 0.2)
     sched = Schedule(dt=0.03, t_end=1.0, collision=FokkerPlanck(), snapshot_every=4)
     got = simulate(s, sched).snapshots
-    assert sum(repairs) > 0
+    assert repairs[operators] > 0 and repairs[integrator] > 0, repairs
     want = physical_strang(s, sched)
     assert [t for t, _ in got] == [t for t, _ in want]
     sqrt_w = np.sqrt(grid_accept.v_weights)
@@ -267,6 +274,29 @@ def test_save_removes_stale_snapshots(grid_small, tmp_path):
     assert sorted(p.name for p in run.glob("snapshot_*.txt")) == listed
     assert (run / "notes.txt").read_text() == "kept"
     assert len(load_trajectory(run).snapshots) == 4
+
+
+def test_resave_renames_onto_no_existing_file(grid_small, tmp_path, monkeypatch):
+    # a rename onto an existing file makes some file systems flush it to
+    # disk, which made a simulate into a used directory up to 50x slower;
+    # a shorter run saved over a longer one renames onto no file at all
+    s = cosine(grid_small, 0.4, 0.1)
+    run = tmp_path / "run"
+    save_trajectory(simulate(s, Schedule(dt=0.1, t_end=1.0, collision=BGK(1.0))), run)
+    replace = os.replace
+
+    def checked_replace(src, dst):
+        assert not os.path.lexists(dst), dst
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", checked_replace)
+    traj = simulate(s, Schedule(dt=0.1, t_end=0.3, collision=BGK(1.0)))
+    save_trajectory(traj, run)
+    assert sorted(p.name for p in run.glob("snapshot_*.txt")) == [
+        f"snapshot_{i:06d}.txt" for i in range(4)]
+    back = load_trajectory(run)
+    for s0, s1 in zip(traj.states, back.states, strict=True):
+        assert np.array_equal(s0.h, s1.h)
 
 
 def _writers(monkeypatch, cpus=3):

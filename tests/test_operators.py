@@ -4,17 +4,23 @@ import pytest
 from hypoflow import (
     BGK,
     FokkerPlanck,
+    GridSpec,
     State,
     Transport,
     bgk_flow,
+    build_grid,
     fokker_planck_flow,
     integrate_mu,
     project_pi,
+    random_band_limited,
     transport_flow,
 )
 from hypoflow.functionals import BOLTZMANN, entropy
 from hypoflow.initial import equilibrium, velocity_perturbation
-from hypoflow.phase_space import PositivityError
+from hypoflow.operators import fokker_planck_propagator
+from hypoflow.phase_space import PositivityError, hermite_coefficients
+
+import oracles
 
 
 def band_limited_state(grid, a=0.3, b=0.2):
@@ -103,10 +109,21 @@ class TestBGK:
 
 
 class TestFokkerPlanck:
-    def test_equilibrium_fixed(self, grid_small):
+    def test_equilibrium_fixed(self, grid_small, grid_accept):
         s = equilibrium(grid_small)
         out = fokker_planck_flow(s, 1.3)
         assert np.abs(out.h - 1.0).max() < 1e-12
+        # an x-profile constant in v stays fixed in nodal values over many
+        # short steps, even at the acceptance grid's far-tail nodes (weight
+        # 4e-23), where the propagator applied to the whole column would
+        # move it by 1e-6 per step
+        x = grid_accept.x_nodes[:, 0]
+        c = 1.0 + 0.5 * np.cos(2 * np.pi * x) + 0.1 * np.sin(6 * np.pi * x)
+        s = State(grid_accept, np.repeat(c[:, None], grid_accept.nv_total, axis=1))
+        out = s
+        for _ in range(50):
+            out = fokker_planck_flow(out, 0.01)
+        assert np.abs(out.h - s.h).max() < 1e-13
 
     def test_first_mode_decay(self, grid_small):
         v = grid_small.v_nodes[:, 0]
@@ -146,6 +163,33 @@ class TestFokkerPlanck:
         s = State(grid_small, h / integrate_mu(h, grid_small), time=0.0)
         with pytest.raises(PositivityError):
             fokker_planck_flow(s, 0.1)
+
+
+def coefficient_decay(h, grid, t):
+    """The Ornstein-Uhlenbeck flow in coefficient space: each orthonormal
+    Hermite coefficient decays by exp(-|n| t), |n| its total degree."""
+    degree = np.indices(grid.v_shape()).reshape(grid.dim, -1).sum(axis=0)
+    return oracles.hermite_series(hermite_coefficients(h, grid) * np.exp(-degree * t), grid)
+
+
+@pytest.mark.parametrize("dim,nv", [(1, 32), (2, 16)])
+def test_propagator_matches_coefficient_decay(dim, nv):
+    # compared in the sqrt-weight frame: far-tail nodal values carry
+    # round-off times 1/sqrt(w)
+    grid = build_grid(GridSpec(dim=dim, nx=8, nv=nv))
+    sqrt_w = np.sqrt(grid.v_weights)
+    for seed in range(3):
+        h = random_band_limited(grid, seed=seed, amplitude=0.5).h
+        for t in (0.01, 0.7):
+            want = coefficient_decay(h, grid, t)
+            # the bare matrix, contracted with each velocity axis in turn
+            prop = fokker_planck_propagator(grid, t)
+            tens = h.reshape(-1, *grid.v_shape())
+            for axis in range(dim):
+                tens = np.moveaxis(np.tensordot(tens, prop, axes=([axis + 1], [1])), -1, axis + 1)
+            flowed = fokker_planck_flow(State(grid, h), t).h
+            for got in (tens.reshape(h.shape), flowed):
+                assert (np.abs(got - want) * sqrt_w).max() < 1e-13
 
 
 class TestGeneratorObjects:

@@ -28,7 +28,6 @@ from hypoflow.phase_space import (
     grad_x_spatial,
     hermite_coefficients,
     hermite_tail_fraction,
-    hermite_values,
 )
 
 import oracles
@@ -401,10 +400,10 @@ class TestTwoDimensionalOracles:
         expect[:, 1 * nv + 2] = amp
         c = hermite_coefficients(fld, grid_2d)
         assert np.abs(c - expect).max() < 1e-12
-        assert np.abs(hermite_values(expect, grid_2d) - fld).max() < 1e-12
+        assert np.abs(oracles.hermite_series(expect, grid_2d) - fld).max() < 1e-12
         rng = np.random.default_rng(0)
         rough = rng.standard_normal((grid_2d.nx_total, grid_2d.nv_total))
-        back = hermite_values(hermite_coefficients(rough, grid_2d), grid_2d)
+        back = oracles.hermite_series(hermite_coefficients(rough, grid_2d), grid_2d)
         assert np.abs(back - rough).max() < 1e-10
 
     def test_separable_coefficients_are_outer_products(self, grid_2d):
