@@ -27,7 +27,13 @@ from .functionals import (
     write_report_csv,
     write_report_json,
 )
-from .initial import cosine, equilibrium, random_band_limited, velocity_perturbation
+from .initial import (
+    MAX_RANDOM_AMPLITUDE,
+    cosine,
+    equilibrium,
+    random_band_limited,
+    velocity_perturbation,
+)
 from .integrator import (
     Schedule,
     SimulationError,
@@ -38,7 +44,7 @@ from .integrator import (
     snapshot_times,
 )
 from .operators import BGK, FokkerPlanck
-from .phase_space import GridSpec, PositivityError, build_grid, write_json
+from .phase_space import GridSpec, PositivityError, build_grid, open_fresh, write_json
 from .verifier import CorruptedBGK, fit_decay, run_suite, save_results, summarize
 
 EXIT_OK = 0
@@ -122,10 +128,22 @@ def _validated(what, build, **kwargs):
 
 
 def _seed(cfg, section, override) -> int:
-    """--seed, else the section's seed, else HYPOFLOW_SEED, else 0."""
-    if override is not None:
-        return override
-    return _value(cfg, section, "seed", int, os.environ.get("HYPOFLOW_SEED", "0"))
+    """--seed, else the section's seed, else HYPOFLOW_SEED, else 0; a
+    non-negative integer."""
+    seed = override
+    if seed is None:
+        seed = _value(cfg, section, "seed", int, os.environ.get("HYPOFLOW_SEED", "0"))
+    if seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed}")
+    return seed
+
+
+def _random_amplitude(text) -> float:
+    """An amplitude that random_band_limited accepts."""
+    value = _finite_float(text)
+    if not abs(value) <= MAX_RANDOM_AMPLITUDE:
+        raise ValueError(f"expected |amplitude| <= {MAX_RANDOM_AMPLITUDE:.4g}")
+    return value
 
 
 def _grid_from_config(cfg) -> GridSpec:
@@ -287,10 +305,10 @@ def cmd_verify(args) -> int:
     os.makedirs(outdir, exist_ok=True)
 
     results = run_suite(grid, collision, p, n_states=n_states, seed0=seed0,
-                        **_given(cfg, "verify", amplitude=_finite_float))
+                        **_given(cfg, "verify", amplitude=_random_amplitude))
     save_results(results, os.path.join(outdir, "verification.json"))
     table = summarize(results)
-    with open(os.path.join(outdir, "verification.txt"), "w") as f:
+    with open_fresh(os.path.join(outdir, "verification.txt")) as f:
         f.write(table + "\n")
     print(table)
     _write_manifest(outdir, "verify", args.config, spec, seed0, extra={

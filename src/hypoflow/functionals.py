@@ -9,6 +9,10 @@ All weighted gradients use the h^(p-2) convention throughout, and the
 nonlinear entropy variables are differentiated by the pointwise chain
 rule against the spectral gradient of h itself. That keeps the algebraic
 identities between the reported quantities exact at quadrature level.
+
+A state that stacks members on leading axes of h gets one report whose
+numeric columns hold one value per member, each bit for bit the value
+that member's own report holds; `FunctionalReport.member` takes one out.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from .phase_space import (
     grad_x_spatial,
     hermite_tail_fraction,
     integrate_x,
+    open_fresh,
     project_pi,
     require_bounded_below,
     write_json,
@@ -110,6 +115,13 @@ class FunctionalReport:
         """The numeric columns that measure the state: all but time and p."""
         return [c for c in FunctionalReport.columns() if c not in ("time", "p")]
 
+    def member(self, index) -> "FunctionalReport":
+        """The report of one member of a stacked state's report, every
+        numeric column a Python float."""
+        return FunctionalReport(time=self.time, p=self.p, **{
+            c: None if getattr(self, c) is None else float(getattr(self, c)[index])
+            for c in FunctionalReport.diagnostics()})
+
 
 # The columns of the composite functional A1 Ix + A2 Im + A3 Iv + A4 H.
 COMPOSITE_COLUMNS = ("entropy", "entropy_projected", "fisher_x", "fisher_v",
@@ -123,14 +135,14 @@ def entropy(state: State, p: PIndex = BOLTZMANN) -> float:
 
 
 def local_mean_velocity(state: State) -> np.ndarray:
-    """First velocity moment per spatial node; shape (dim, nx_total)."""
+    """First velocity moment per spatial node; shape (dim, ..., nx_total)."""
     grid = state.grid
     wv = grid.v_weights[:, None] * grid.v_nodes
-    return (state.h @ wv).T
+    return np.moveaxis(state.h @ wv, -1, 0)
 
 
-def torus_entropy(rho: np.ndarray, grid: Grid, p: PIndex = BOLTZMANN) -> float:
-    """Entropy of a positive density rho on the torus, shape (nx_total,).
+def torus_entropy(rho: np.ndarray, grid: Grid, p: PIndex = BOLTZMANN):
+    """Entropy of a positive density rho on the torus, shape (..., nx_total).
 
     Evaluated in the pointwise-nonnegative convex arrangement, which has
     the same integral for unit-mass densities and is roundoff-safe near
@@ -140,7 +152,7 @@ def torus_entropy(rho: np.ndarray, grid: Grid, p: PIndex = BOLTZMANN) -> float:
 
 
 def torus_fisher(rho: np.ndarray, grid: Grid, p: PIndex = BOLTZMANN,
-                 grad: np.ndarray | None = None) -> float:
+                 grad: np.ndarray | None = None):
     """Spatial Fisher information of a positive density rho on the torus,
     weighted rho^(p-2) (1/rho for the log entropy); `grad` is the spatial
     gradient of rho when the caller has it already."""
@@ -176,7 +188,8 @@ def composite_report(state: State, p: PIndex) -> FunctionalReport:
 
 
 def build_report(state: State, p: PIndex, model: str = BGK.name) -> FunctionalReport:
-    """Every diagnostic of one snapshot, in one pass over one set of gradients.
+    """Every diagnostic of one snapshot, or of each member of a stacked
+    state, in one pass over one set of gradients.
 
     model is the name of BGK or FokkerPlanck; with p it decides which columns exist
     (every other column is None):
@@ -196,9 +209,10 @@ def build_report(state: State, p: PIndex, model: str = BGK.name) -> FunctionalRe
     if model == BGK.name:
         # one x-gradient of [pi h | u]: the gradient of pi h, and the
         # divergence of the mean velocity u from the diagonal
-        g = grad_x_field(np.column_stack([pih, local_mean_velocity(state).T]), grid)
-        gpi = g[:, :, 0]
-        div_u = sum(g[i, :, 1 + i] for i in range(grid.dim))
+        u = np.moveaxis(local_mean_velocity(state), 0, -1)
+        g = grad_x_field(np.concatenate([pih[..., None], u], axis=-1), grid)
+        gpi = g[..., 0]
+        div_u = sum(g[i, ..., 1 + i] for i in range(grid.dim))
         # exact d/dt of entropy_projected, no differencing: the entropy
         # variable of pi h paired with minus the divergence of u
         entropy_var = np.log(pih) if p.is_log else pih**(p.p - 1.0) / (p.p - 1.0)
@@ -206,10 +220,10 @@ def build_report(state: State, p: PIndex, model: str = BGK.name) -> FunctionalRe
         rep.fisher_x_projected = torus_fisher(pih, grid, p, grad=gpi)
         if p.is_log:
             rep.fisher_x_ratio = kernels.pi_ratio_x(h, gx, gpi, pih, wv)
-            rep.fisher_v_ratio = kernels.weighted_fisher(h, gv, wv, -1.0, pih[:, None] / h)
+            rep.fisher_v_ratio = kernels.weighted_fisher(h, gv, wv, -1.0, pih[..., None] / h)
         else:
             rep.cross_dissipation = kernels.cross_dissipation(h, gx, gpi, pih, wv, p.p)
-            ratio = pih[:, None] / h
+            ratio = pih[..., None] / h
             fac = correction_weight(ratio, p.p)
             rep.correction_x = kernels.weighted_fisher(h, gx, wv, p.p - 2.0, fac)
             rep.correction_v = kernels.weighted_fisher(h, gv, wv, p.p - 2.0, fac)
@@ -229,7 +243,7 @@ def build_report(state: State, p: PIndex, model: str = BGK.name) -> FunctionalRe
 def write_report_csv(reports: list[FunctionalReport], path) -> None:
     """One row per snapshot; absent quantities are empty cells."""
     cols = FunctionalReport.columns()
-    with open(path, "w", newline="") as f:
+    with open_fresh(path, newline="") as f:
         writer = csv.writer(f)
         writer.writerow(cols)
         for rep in reports:

@@ -5,7 +5,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .phase_space import Grid, State, integrate_mu
+from .phase_space import H_MIN, Grid, State, integrate_mu
+
+# random_band_limited's exponent g has sup norm |amplitude| and h = exp(g)/Z
+# with exp(-|a|) <= Z <= exp(|a|), so h >= exp(-2|a|); up to this amplitude
+# that bound stays above H_MIN and exp cannot overflow.
+MAX_RANDOM_AMPLITUDE = -0.5 * np.log(H_MIN)
 
 
 def equilibrium(grid: Grid) -> State:
@@ -57,6 +62,9 @@ def random_band_limited(grid: Grid, seed: int, amplitude: float = 0.25,
     close to `amplitude`; gentle enough that all spectral tails stay far
     below the functional tolerances.
     """
+    if not abs(amplitude) <= MAX_RANDOM_AMPLITUDE:
+        raise ValueError(f"amplitude must satisfy |amplitude| <= {MAX_RANDOM_AMPLITUDE:.4g}, "
+                         f"got {amplitude}")
     if x_modes < 0:
         raise ValueError(f"x_modes must be >= 0, got {x_modes}")
     if not 0 <= v_degree <= 2:

@@ -2,7 +2,10 @@
 
 Every reduction here is a weighted sum over the (x, v) lattice of a
 pointwise expression in the density and its gradients, vectorized in
-numpy.
+numpy. A density h of shape (..., nx_total, nv_total) stacks states on its
+leading axes, with gradients of shape (dim, ...) of h's shape and velocity
+averages of shape h.shape[:-1]; each reduction returns a float for one
+state and one value per member for a stack.
 """
 
 from __future__ import annotations
@@ -11,6 +14,14 @@ import numpy as np
 
 # Name of the array library behind the kernels; run environments record it.
 BACKEND = "numpy"
+
+
+def _quadrature(nodal, wv):
+    """Integral of a pointwise field (..., nx_total, nv_total): the x-mean
+    of its weighted velocity sums, per stack member."""
+    per_x = nodal @ wv
+    total = per_x.sum(axis=-1) / per_x.shape[-1]
+    return float(total) if total.ndim == 0 else total
 
 
 def convex_entropy_density(u, p: float | None):
@@ -25,9 +36,9 @@ def convex_entropy_density(u, p: float | None):
     return (u**p - 1.0 - p * (u - 1.0)) / (p * (p - 1.0))
 
 
-def entropy(h, wv, p: float | None) -> float:
+def entropy(h, wv, p: float | None):
     """Quadrature of the convex entropy integrand of h."""
-    return float((convex_entropy_density(h, p) @ wv).sum()) / h.shape[0]
+    return _quadrature(convex_entropy_density(h, p), wv)
 
 
 def fisher(h, gx, gv, wv, e: float):
@@ -36,49 +47,45 @@ def fisher(h, gx, gv, wv, e: float):
     gx2 = (gx * gx).sum(axis=0)
     gv2 = (gv * gv).sum(axis=0)
     mix = (gx * gv).sum(axis=0)
-    nx = h.shape[0]
-    ix = float(((w * gx2) @ wv).sum()) / nx
-    iv = float(((w * gv2) @ wv).sum()) / nx
-    im = float(((w * mix) @ wv).sum()) / nx
-    return ix, iv, im
+    return _quadrature(w * gx2, wv), _quadrature(w * gv2, wv), _quadrature(w * mix, wv)
 
 
-def weighted_fisher(h, g, wv, e: float, fac) -> float:
+def weighted_fisher(h, g, wv, e: float, fac):
     """Quadrature of h**e |g|^2 fac for a pointwise factor field fac."""
     w = h**e * fac
     g2 = (g * g).sum(axis=0)
-    return float(((w * g2) @ wv).sum()) / h.shape[0]
+    return _quadrature(w * g2, wv)
 
 
-def pi_ratio_x(h, gx, gpi, pih, wv) -> float:
+def pi_ratio_x(h, gx, gpi, pih, wv):
     """|grad_x(pi h) - (pi h / h) grad_x h|^2 / pi h, the relative spatial
     Fisher information of h against its velocity average."""
     acc = np.zeros_like(h)
     for i in range(gx.shape[0]):
-        diff = gpi[i][:, None] - (pih[:, None] / h) * gx[i]
+        diff = gpi[i][..., None] - (pih[..., None] / h) * gx[i]
         acc += diff * diff
-    return float(((acc / pih[:, None]) @ wv).sum()) / h.shape[0]
+    return _quadrature(acc / pih[..., None], wv)
 
 
-def cross_dissipation(h, gx, gpi, pih, wv, p: float) -> float:
+def cross_dissipation(h, gx, gpi, pih, wv, p: float):
     """| (pi h)^(p-2) grad(pi h) - h^(p-2) grad h |^2 (pi h)^(2-p)."""
     acc = np.zeros_like(h)
     wpi = pih**(p - 2.0)
     wh = h**(p - 2.0)
     for i in range(gx.shape[0]):
-        diff = wpi[:, None] * gpi[i][:, None] - wh * gx[i]
+        diff = wpi[..., None] * gpi[i][..., None] - wh * gx[i]
         acc += diff * diff
-    return float(((acc * pih[:, None]**(2.0 - p)) @ wv).sum()) / h.shape[0]
+    return _quadrature(acc * pih[..., None]**(2.0 - p), wv)
 
 
-def quartic(h, ga, gb, wv, p: float) -> float:
+def quartic(h, ga, gb, wv, p: float):
     """Quadrature of h^(p-4) |ga|^2 |gb|^2."""
     ga2 = (ga * ga).sum(axis=0)
     gb2 = (gb * gb).sum(axis=0)
-    return float(((h**(p - 4.0) * ga2 * gb2) @ wv).sum()) / h.shape[0]
+    return _quadrature(h**(p - 4.0) * ga2 * gb2, wv)
 
 
-def hessian_norm(h, hess, ga, gb, wv, p: float) -> float:
+def hessian_norm(h, hess, ga, gb, wv, p: float):
     """Frobenius norm^2 of h^(p-2) hess + (p-2) h^(p-3) ga (x) gb,
     weighted by h^(2-p): the squared second derivative of the entropy
     variable h^(p-1)/(p-1), expanded by the chain rule."""
@@ -90,4 +97,4 @@ def hessian_norm(h, hess, ga, gb, wv, p: float) -> float:
         for j in range(d):
             t = w1 * hess[i, j] + w2 * ga[i] * gb[j]
             acc += t * t
-    return float(((acc * h**(2.0 - p)) @ wv).sum()) / h.shape[0]
+    return _quadrature(acc * h**(2.0 - p), wv)

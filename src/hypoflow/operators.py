@@ -11,6 +11,9 @@ transform in x: each collision kind also builds its flow of one step
 length on the half-spectrum x-modes of `phase_space.to_modes`
 (`modes_flow`), on which transport is the diagonal table of
 `transport_phases`.
+
+Each flow acts on a state that stacks members on leading axes of h in one
+numpy call, every member as it would flow alone.
 """
 
 from __future__ import annotations

@@ -89,6 +89,12 @@ class Grid:
     Nodal fields are stored as (nx_total, nv_total) arrays, row-major over
     the spatial then velocity tensor axes. Every table is built for any
     dim, so each operator below is written once.
+
+    A field may also carry leading stack axes, (..., nx_total, nv_total),
+    one member per index: the transforms, gradients and reductions below
+    act on every member in one numpy call, and a reduction returns a
+    Python float for a single field and an array of one value per member
+    for a stack.
     """
 
     spec: GridSpec
@@ -166,17 +172,19 @@ class State:
     """Density ratio h sampled on the grid at one instant.
 
     Valid states are strictly positive with unit mass against the
-    equilibrium measure; `validate` enforces both.
+    equilibrium measure; `validate` enforces both for a single state. h may
+    carry leading stack axes, every member at the same time.
     """
 
     grid: Grid
-    h: np.ndarray   # (nx_total, nv_total)
+    h: np.ndarray   # (..., nx_total, nv_total)
     time: float = 0.0
 
     def __post_init__(self):
         expect = (self.grid.nx_total, self.grid.nv_total)
-        if self.h.shape != expect:
-            raise ValueError(f"h has shape {self.h.shape}, expected {expect}")
+        if self.h.shape[-2:] != expect:
+            raise ValueError(f"h has shape {self.h.shape}, "
+                             f"expected (..., {expect[0]}, {expect[1]})")
 
     def validate(self) -> None:
         if not np.all(np.isfinite(self.h)):
@@ -202,11 +210,23 @@ def integrate_mu(fld: np.ndarray, grid: Grid) -> float:
     return float((fld @ grid.v_weights).sum()) / grid.nx_total
 
 
-def integrate_x(spatial: np.ndarray, grid: Grid) -> float:
-    """Integral of a spatial field against the uniform torus measure."""
+def _member_sum(values: np.ndarray, axes: int = 1):
+    """Sum of each stack member over the trailing `axes` axes: a Python
+    float for a single member, else an array over the stack axes.
+
+    A member's values are summed as one flat run, exactly as numpy sums a
+    single member, so each member's sum is bit for bit its own.
+    """
+    total = values.reshape(*values.shape[:values.ndim - axes], -1).sum(axis=-1)
+    return float(total) if total.ndim == 0 else total
+
+
+def integrate_x(spatial: np.ndarray, grid: Grid):
+    """Integral of a spatial field (..., nx_total) against the uniform torus
+    measure, per stack member."""
     if not np.all(np.isfinite(spatial)):
         raise ValueError("field contains non-finite entries")
-    return float(spatial.sum()) / grid.nx_total
+    return _member_sum(spatial) / grid.nx_total
 
 
 def project_pi(h: np.ndarray, grid: Grid) -> np.ndarray:
@@ -217,38 +237,40 @@ def project_pi(h: np.ndarray, grid: Grid) -> np.ndarray:
 def to_modes(fld: np.ndarray, grid: Grid) -> np.ndarray:
     """Half-spectrum real FFT over the spatial axes of a nodal field.
 
-    Returns (nx, ..., nx // 2 + 1, columns): the last spatial axis keeps
-    its nonnegative modes only; grid.k_modes holds each axis's
-    wavenumbers. This is rfftn written out (rfft over the last spatial
-    axis, then fft over the others) without its per-call overhead.
+    A (..., nx_total, columns) field gives (..., nx, ..., nx // 2 + 1,
+    columns): the last spatial axis keeps its nonnegative modes only;
+    grid.k_modes holds each axis's wavenumbers. This is rfftn written out
+    (rfft over the last spatial axis, then fft over the others) without its
+    per-call overhead.
     """
-    modes = np.fft.rfft(fld.reshape(*grid.x_shape(), -1), axis=grid.dim - 1)
-    for axis in range(grid.dim - 1):
+    modes = np.fft.rfft(fld.reshape(*fld.shape[:-2], *grid.x_shape(), -1), axis=-2)
+    for axis in range(-grid.dim - 1, -2):
         modes = np.fft.fft(modes, axis=axis)
     return modes
 
 
 def to_nodes(modes: np.ndarray, grid: Grid) -> np.ndarray:
-    """Inverse of to_modes: a (nx_total, columns) nodal field."""
-    for axis in range(grid.dim - 1):
+    """Inverse of to_modes: a (..., nx_total, columns) nodal field."""
+    for axis in range(-grid.dim - 1, -2):
         modes = np.fft.ifft(modes, axis=axis)
-    fld = np.fft.irfft(modes, n=grid.spec.nx, axis=grid.dim - 1)
-    return fld.reshape(grid.nx_total, -1)
+    fld = np.fft.irfft(modes, n=grid.spec.nx, axis=-2)
+    return fld.reshape(*fld.shape[:-grid.dim - 1], grid.nx_total, -1)
 
 
 def grad_x_field(fld: np.ndarray, grid: Grid) -> np.ndarray:
-    """Fourier gradient along every spatial axis; returns (dim, nx_total, columns)."""
+    """Fourier gradient along every spatial axis; returns (dim, ..., nx_total, columns)."""
     modes = to_modes(fld, grid)
     return np.array([to_nodes(1j * k * modes, grid) for k in grid.k_modes])
 
 
 def grad_x_spatial(spatial: np.ndarray, grid: Grid) -> np.ndarray:
-    """Fourier gradient of a purely spatial field; returns (dim, nx_total)."""
-    return grad_x_field(spatial[:, None], grid)[:, :, 0]
+    """Fourier gradient of a purely spatial field (..., nx_total); returns
+    (dim, ..., nx_total)."""
+    return grad_x_field(spatial[..., None], grid)[..., 0]
 
 
 def _along_v(fld: np.ndarray, grid: Grid, matrix: np.ndarray, axis: int) -> np.ndarray:
-    """Apply an (nv, nv) matrix along one velocity axis of a (rows, nv_total) field."""
+    """Apply an (nv, nv) matrix along one velocity axis of a (..., nv_total) field."""
     tens = fld.reshape(-1, *grid.v_shape()).swapaxes(axis + 1, -1)
     return (tens @ matrix.T).swapaxes(axis + 1, -1).reshape(fld.shape)
 
@@ -257,7 +279,8 @@ def grad_v_field(fld: np.ndarray, grid: Grid) -> np.ndarray:
     """Hermite-recurrence gradient along every velocity axis.
 
     Expands each x-slice in orthonormal Hermite polynomials, lowers the
-    coefficients and re-evaluates at the nodes.
+    coefficients and re-evaluates at the nodes; returns (dim, ...) of the
+    field's shape.
     """
     return np.array([_along_v(fld, grid, grid.hermite_deriv, axis)
                      for axis in range(grid.dim)])
@@ -269,20 +292,24 @@ def hermite_coefficients(fld: np.ndarray, grid: Grid) -> np.ndarray:
     Works in the sqrt-weight frame where the transform is orthogonal, so
     no precision is lost even at the far-tail abscissae.
     """
-    c = fld * grid.sqrt_w[None, :]
+    c = fld * grid.sqrt_w
     for axis in range(grid.dim):
         c = _along_v(c, grid, grid.hermite_ortho, axis)
     return c
 
 
-def hermite_tail_fraction(fld: np.ndarray, grid: Grid) -> float:
-    """Fraction of the total coefficient norm in the top two modes per axis."""
+def hermite_tail_fraction(fld: np.ndarray, grid: Grid):
+    """Fraction of the total coefficient norm in the top two modes per axis,
+    per stack member; 0 for a zero member."""
     c = hermite_coefficients(fld, grid)
-    total = float(np.sqrt((c * c).sum()))
-    if total == 0.0:
-        return 0.0
-    tail = c[:, grid.hermite_tail]
-    return float(np.sqrt((tail * tail).sum())) / total
+    total = np.sqrt(_member_sum(c * c, axes=2))
+    tail = c[..., grid.hermite_tail]
+    # summed mode by mode, each over x: the memory order numpy gives the
+    # masked coefficients of a single field, so a member's sum is its own
+    tail_sq = np.moveaxis(tail * tail, -1, -2)
+    # a zero member has a zero tail: 0 / 1
+    share = np.sqrt(_member_sum(tail_sq, axes=2)) / np.where(total == 0.0, 1.0, total)
+    return float(share) if share.ndim == 0 else share
 
 
 def require_bounded_below(fld: np.ndarray, what: str = "h") -> None:
@@ -306,11 +333,13 @@ POSITIVITY_REPAIR_BUDGET = 1e-10
 
 def floor_immaterial(h: np.ndarray, grid: Grid) -> np.ndarray:
     """Floor sub-positive nodal values when the correction has negligible
-    equilibrium measure; raise PositivityError otherwise."""
+    equilibrium measure; raise PositivityError otherwise. Each stack member's
+    repair is held to the budget on its own."""
     if float(h.min()) >= H_MIN:
         return h
     low = h < H_MIN
-    repair = float((np.where(low, H_MIN - h, 0.0) @ grid.v_weights).sum()) / grid.nx_total
+    repair = np.max((np.where(low, H_MIN - h, 0.0) @ grid.v_weights).sum(axis=-1)
+                    / grid.nx_total)
     if repair > POSITIVITY_REPAIR_BUDGET:
         raise PositivityError(
             f"positivity lost by a measurable amount "
@@ -526,9 +555,19 @@ def load_state(path, grid: Grid | None = None) -> State:
     return State(grid, h, time=_header_value(path, header, "time", float))
 
 
+def open_fresh(path, mode: str = "w", **kwargs):
+    """open(path, mode) on a new file: a file already at `path` is removed
+    first rather than truncated in place, since ext4 writes out a file that
+    was truncated and rewritten when it is closed."""
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(path)
+    return open(path, mode, **kwargs)
+
+
 def write_json(path, obj) -> None:
     """Write `obj` in the one format of every JSON artifact: one-space
-    indent, sorted keys and a trailing newline."""
-    with open(path, "w") as f:
+    indent, sorted keys and a trailing newline; an old file at `path` is
+    replaced, not rewritten in place."""
+    with open_fresh(path) as f:
         json.dump(obj, f, indent=1, sort_keys=True)
         f.write("\n")

@@ -5,9 +5,10 @@ sub-flows are exact, so differencing error is the probe step squared)
 against the closed-form combination of diagnostics the theory predicts.
 Each state gets one full report, and each state a probe flows it to one
 composite report of the five columns the rows difference; every row
-reads from those reports. Equality checks report a residual,
-inequality checks a slack; both carry the tolerance they were judged
-against.
+reads from those reports. `run_suite` stacks its states, so one report
+and one probe pass serve a whole stack. Equality checks report a
+residual, inequality checks a slack; both carry the tolerance they were
+judged against.
 """
 
 from __future__ import annotations
@@ -39,6 +40,11 @@ CORRECTION_P_GRID = (1.1, 1.5, 1.9, 2.0)
 CORRECTION_ABS_TOL = 1e-12
 # fit_decay treats a functional at or below this as at equilibrium
 DECAY_FLOOR = 1e-14
+# run_suite stacks as many states as fit in this many nodal values (at
+# least one): 16 at 64x32, one at 32^2 x 16^2. Each numpy call then does a
+# stack's arithmetic for one call's overhead; the bound keeps the stack's
+# temporaries, and so the suite's memory, small.
+STACK_VALUES = 2**15
 
 
 @dataclass
@@ -153,7 +159,8 @@ def report_derivatives(state: State, rep: FunctionalReport,
     """d/dt of the COMPOSITE_COLUMNS along the generator's flow at `state`,
     whose report is `rep`: a report with `rep`'s time and entropy label that
     holds those five rates, every other column None. Each flowed state gets
-    one composite_report, and the five columns are differenced together."""
+    one composite_report, and the five columns are differenced together.
+    A stacked state gets one rate per member in each column."""
 
     def columns_at(s: State) -> np.ndarray:
         # the one-sided collision difference also evaluates the state itself
@@ -161,8 +168,8 @@ def report_derivatives(state: State, rep: FunctionalReport,
         return np.array([getattr(at, c) for c in fns.COMPOSITE_COLUMNS])
 
     d = semigroup_derivative(state, generator, columns_at)
-    return FunctionalReport(time=rep.time, p=rep.p,
-                            **dict(zip(fns.COMPOSITE_COLUMNS, map(float, d))))
+    return FunctionalReport(time=rep.time, p=rep.p, **dict(
+        zip(fns.COMPOSITE_COLUMNS, d.tolist() if d.ndim == 1 else d)))
 
 
 def check_lemma_table(rep: FunctionalReport, rates: FunctionalReport,
@@ -373,29 +380,39 @@ def run_suite(grid: Grid, collision: CollisionKind, p: PIndex,
     skewed flow must break equality rows. The relaxation functional
     inequality row reads the ratio constant of
     `estimate_functional_constant`.
+
+    The states of seeds seed0, seed0 + 1, ... are drawn one by one and
+    verified in stacks of STACK_VALUES nodal values: one build_report and
+    one report_derivatives per generator serve a stack. The rows come
+    seed by seed, each bit for bit what that state alone would give.
     """
     relaxation = isinstance(collision, BGK)
     C = estimate_functional_constant(grid, p).value if relaxation else None
-
-    def one_state(seed: int) -> list[LemmaCheckResult]:
-        state = random_band_limited(grid, seed, amplitude=amplitude)
-        rep = build_report(state, p, model=collision.name)
-        rates = report_derivatives(state, rep, collision, p)
-        if relaxation:
-            drift = report_derivatives(state, rep, Transport(), p)
-            res = check_lemma_table(rep, drift, Transport(), p)
-            res += check_lemma_table(rep, rates, collision, p, SPLITTERS)
-            res += check_projection_inequalities(rep, drift, rates, C=C)
-            res += [check_mixed_term(rep, eta) for eta in SPLITTERS]
-        else:
-            res = check_lemma_table(rep, rates, collision, p)
-        for r in res:
-            r.params["seed"] = seed
-        return res
+    stack = max(1, STACK_VALUES // (grid.nx_total * grid.nv_total))
+    seeds = range(seed0, seed0 + n_states)
 
     results: list[LemmaCheckResult] = []
-    for s in range(seed0, seed0 + n_states):
-        results.extend(one_state(s))
+    for start in range(0, n_states, stack):
+        members = seeds[start:start + stack]
+        state = State(grid, np.stack([random_band_limited(grid, s, amplitude=amplitude).h
+                                      for s in members]))
+        reps = build_report(state, p, model=collision.name)
+        rates = report_derivatives(state, reps, collision, p)
+        if relaxation:
+            drifts = report_derivatives(state, reps, Transport(), p)
+        for i, seed in enumerate(members):
+            rep, rate = reps.member(i), rates.member(i)
+            if relaxation:
+                drift = drifts.member(i)
+                res = check_lemma_table(rep, drift, Transport(), p)
+                res += check_lemma_table(rep, rate, collision, p, SPLITTERS)
+                res += check_projection_inequalities(rep, drift, rate, C=C)
+                res += [check_mixed_term(rep, eta) for eta in SPLITTERS]
+            else:
+                res = check_lemma_table(rep, rate, collision, p)
+            for r in res:
+                r.params["seed"] = seed
+            results.extend(res)
     if relaxation and not p.is_log:
         results.extend(check_correction_weight())
     return results

@@ -4,6 +4,9 @@ Everything here deliberately avoids the package's own quadrature and
 differentiation machinery: Gauss-Hermite rules come from a Golub-Welsch
 eigendecomposition, phase-space integrals from dense composite quadrature
 against the explicit Gaussian weight, and all derivatives are analytic.
+The verification loop at the end is the one exception: it runs the
+package's own checks one state at a time, the reference of the stacked
+suite.
 """
 
 from __future__ import annotations
@@ -210,3 +213,50 @@ def oracle_correction_terms(field: AnalyticField, x, v, p: float):
     cv = dense_integral(w * hv * hv * fp, x, v)
     vs = dense_integral(w * hv * hv * ratio**(2.0 - p), x, v)
     return cx, cv, vs
+
+
+# --- reference verification loop ---------------------------------------------
+#
+# run_suite as it was before states were stacked: one state, one report and
+# one probe pass at a time. The stacked suite must give these rows bit for bit.
+
+def run_suite_per_state(grid, collision, p, n_states: int = 100, seed0: int = 0,
+                        amplitude: float = 0.25):
+    from hypoflow.certificate import estimate_functional_constant
+    from hypoflow.functionals import build_report
+    from hypoflow.initial import random_band_limited
+    from hypoflow.operators import BGK, Transport
+    from hypoflow.verifier import (
+        SPLITTERS,
+        check_correction_weight,
+        check_lemma_table,
+        check_mixed_term,
+        check_projection_inequalities,
+        report_derivatives,
+    )
+
+    relaxation = isinstance(collision, BGK)
+    C = estimate_functional_constant(grid, p).value if relaxation else None
+
+    def one_state(seed):
+        state = random_band_limited(grid, seed, amplitude=amplitude)
+        rep = build_report(state, p, model=collision.name)
+        rates = report_derivatives(state, rep, collision, p)
+        if relaxation:
+            drift = report_derivatives(state, rep, Transport(), p)
+            res = check_lemma_table(rep, drift, Transport(), p)
+            res += check_lemma_table(rep, rates, collision, p, SPLITTERS)
+            res += check_projection_inequalities(rep, drift, rates, C=C)
+            res += [check_mixed_term(rep, eta) for eta in SPLITTERS]
+        else:
+            res = check_lemma_table(rep, rates, collision, p)
+        for r in res:
+            r.params["seed"] = seed
+        return res
+
+    results = []
+    for s in range(seed0, seed0 + n_states):
+        results.extend(one_state(s))
+    if relaxation and not p.is_log:
+        results.extend(check_correction_weight())
+    return results

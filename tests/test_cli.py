@@ -429,6 +429,9 @@ def _one_config_error_line(capsys):
     pytest.param("certify", BGK_MODEL, FP_MODEL.replace("fokker-planck", "fp"),
                  id="certify-kind-fp"),
     pytest.param("certify", "p = boltzmann", "p = none", id="certify-p-none"),
+    # numpy's generator takes no negative seed, and exp(1000 g) overflows
+    ("verify", "n_states = 2", "n_states = 2\nseed = -1"),
+    ("verify", "n_states = 2", "n_states = 2\namplitude = 1000"),
 ])
 def test_bad_config_value_is_config_error(tmp_path, capsys, command, old, new):
     text = (BASE.format(out=tmp_path / "o") + "\n[verify]\nn_states = 2\n"
@@ -440,6 +443,21 @@ def test_bad_config_value_is_config_error(tmp_path, capsys, command, old, new):
     cfg = write_config(tmp_path, text)
     assert main([command, cfg]) == 1
     assert _one_config_error_line(capsys)
+
+
+@pytest.mark.parametrize("how", ["flag", "environment"])
+def test_negative_seed_is_config_error(tmp_path, capsys, monkeypatch, how):
+    # --seed and HYPOFLOW_SEED reach the same check as [verify] seed
+    out = tmp_path / "o"
+    cfg = write_config(tmp_path, BASE.format(out=out) + "\n[verify]\nn_states = 2\n")
+    argv = ["verify", cfg]
+    if how == "flag":
+        argv += ["--seed", "-1"]
+    else:
+        monkeypatch.setenv("HYPOFLOW_SEED", "-1")
+    assert main(argv) == 1
+    assert "seed must be a non-negative integer" in _one_config_error_line(capsys)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command,section,key", [
@@ -643,3 +661,27 @@ def test_seed_env_fallback(tmp_path, monkeypatch):
     assert main(["simulate", cfg, "--output-dir", str(out2), "--seed", "7"]) == 0
     assert (out1 / "functionals.csv").read_bytes() == \
         (out2 / "functionals.csv").read_bytes()
+
+
+@pytest.mark.parametrize("command,names", [
+    ("verify", ("verification.json", "verification.txt", "verify-manifest.json")),
+    ("simulate", ("functionals.csv", "functionals.json", "simulate-manifest.json",
+                  "trajectory/manifest.json")),
+])
+def test_rerun_replaces_output_files(tmp_path, command, names):
+    # a second run into the same directory writes each output as a new
+    # file, not into the old one: hard links keep the first run's files
+    out = tmp_path / "out"
+    text = BASE.format(out=out).replace("t_end = 5.0", "t_end = 0.5")
+    cfg = write_config(tmp_path, text + "\n[verify]\nn_states = 1\n")
+    assert main([command, cfg]) == 0
+    first = {}
+    for i, name in enumerate(names):
+        os.link(out / name, tmp_path / f"first{i}")
+        first[name] = (out / name).read_bytes()
+    assert main([command, cfg]) == 0
+    for i, name in enumerate(names):
+        kept = tmp_path / f"first{i}"
+        assert kept.read_bytes() == first[name], name
+        assert (out / name).stat().st_ino != kept.stat().st_ino, name
+        assert (out / name).read_bytes() == first[name], name

@@ -356,6 +356,37 @@ class TestCompositeReport:
                 assert getattr(rep, c) is None, c
 
 
+class TestStackedReport:
+    @pytest.mark.parametrize("model", ["bgk", "fokker-planck"])
+    @pytest.mark.parametrize("p", [BOLTZMANN, PIndex(1.5)], ids=["log", "1.5"])
+    @pytest.mark.parametrize("grid_name", ["grid_accept", "grid_2d"])
+    def test_members_equal_single_reports(self, request, grid_name, p, model):
+        grid = request.getfixturevalue(grid_name)
+        states = [random_band_limited(grid, seed, amplitude=0.5) for seed in range(3)]
+        stack = State(grid, np.stack([s.h for s in states]))
+        for build in (lambda s: build_report(s, p, model=model),
+                      lambda s: composite_report(s, p)):
+            stacked = build(stack)
+            for i, s in enumerate(states):
+                got, want = stacked.member(i), build(s)
+                assert (got.time, got.p) == (want.time, want.p)
+                for c in FunctionalReport.diagnostics():
+                    g, w = getattr(got, c), getattr(want, c)
+                    assert type(g) is type(w) and type(w) in (float, type(None)), c
+                    if w is not None:
+                        # bit for bit, not merely equal
+                        assert np.float64(g).tobytes() == np.float64(w).tobytes(), c
+
+    def test_stack_axes_of_any_shape(self, grid_small):
+        states = [random_band_limited(grid_small, seed) for seed in range(4)]
+        stack = State(grid_small, np.stack([s.h for s in states]).reshape(
+            2, 2, grid_small.nx_total, grid_small.nv_total))
+        rep = build_report(stack, PIndex(1.5))
+        assert rep.entropy.shape == (2, 2)
+        for i, s in enumerate(states):
+            assert rep.member(divmod(i, 2)) == build_report(s, PIndex(1.5))
+
+
 class TestReportSerialization:
     def test_csv_roundtrip_columns(self, grid_small, tmp_path):
         s = random_band_limited(grid_small, 0)

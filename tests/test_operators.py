@@ -237,3 +237,16 @@ class TestTwoDimensionalFlows:
         out = fokker_planck_flow(s, t)
         expect = 1.0 + a * np.exp(-2.0 * t) * (v[:, 0] * v[:, 1])[None, :]
         assert np.abs(out.h - expect).max() < 1e-10
+
+
+@pytest.mark.parametrize("generator", [Transport(), BGK(1.3), FokkerPlanck()],
+                         ids=["transport", "bgk", "fp"])
+@pytest.mark.parametrize("grid_name", ["grid_small", "grid_2d"])
+def test_flow_of_a_stack_flows_each_member_alone(request, grid_name, generator):
+    # bit for bit: one numpy call per stack gives each member's own flow
+    grid = request.getfixturevalue(grid_name)
+    states = [random_band_limited(grid, seed, amplitude=0.5) for seed in range(3)]
+    stacked = generator.flow(State(grid, np.stack([s.h for s in states]), time=0.5), 0.01)
+    assert stacked.time == 0.51
+    for member, s in zip(stacked.h, states):
+        assert np.array_equal(member, generator.flow(State(grid, s.h, time=0.5), 0.01).h)

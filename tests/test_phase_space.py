@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -203,6 +204,21 @@ class TestGradients:
             assert tails["rough"] > 1e-6 and tails["dephased"] > 1e-6, (p, model, tails)
             assert tails["smooth"] < 1e-13, (p, model, tails)
 
+    @pytest.mark.parametrize("grid_name", ["grid_small", "grid_2d"])
+    def test_tail_fraction_sums_as_the_plain_formula(self, request, grid_name):
+        # per member, bit for bit the plain numpy formula on that member
+        # alone, whose masked sum runs in numpy's own memory order; rough
+        # fields make the order of summation show in the last bits
+        grid = request.getfixturevalue(grid_name)
+        rng = np.random.default_rng(4)
+        h = np.exp(3.0 * rng.standard_normal((32, grid.nx_total, grid.nv_total)))
+        fractions = hermite_tail_fraction(h, grid)
+        for member, got in zip(h, fractions):
+            c = hermite_coefficients(member, grid)
+            tail = c[:, grid.hermite_tail]
+            want = float(np.sqrt((tail * tail).sum())) / float(np.sqrt((c * c).sum()))
+            assert hermite_tail_fraction(member, grid) == want == got
+
     def test_tail_fraction_zero_for_resolved(self, grid_small):
         v = grid_small.v_nodes[:, 0]
         h = 1.0 + np.ones(grid_small.nx_total)[:, None] * v[None, :]
@@ -279,6 +295,58 @@ class TestState:
             save_state(State(grid_small, h / integrate_mu(h, grid_small), time=2.0), path)
         assert path.read_bytes() == before
         assert [q.name for q in tmp_path.iterdir()] == ["snap.txt"]
+
+
+class TestFloorImmaterial:
+    def _dent(self, grid, share):
+        """A unit field with one sub-floor node whose repair is `share` of
+        the budget."""
+        h = np.ones((grid.nx_total, grid.nv_total))
+        j = grid.nv_total // 2
+        repair = share * phase_space.POSITIVITY_REPAIR_BUDGET
+        h[0, j] = phase_space.H_MIN - repair * grid.nx_total / grid.v_weights[j]
+        return h
+
+    def test_budget_is_per_member(self, grid_small):
+        # each member repairs 0.6 of the budget, together 1.2 of it
+        h = np.stack([self._dent(grid_small, 0.6)] * 2)
+        out = phase_space.floor_immaterial(h, grid_small)
+        assert out.min() == phase_space.H_MIN
+        # one state with both repairs is over budget
+        both = self._dent(grid_small, 0.6)
+        both[1] = both[0]
+        with pytest.raises(PositivityError):
+            phase_space.floor_immaterial(both, grid_small)
+
+    def test_one_member_over_budget_raises(self, grid_small):
+        h = np.stack([self._dent(grid_small, 0.6), self._dent(grid_small, 1.5),
+                      np.ones((grid_small.nx_total, grid_small.nv_total))])
+        with pytest.raises(PositivityError):
+            phase_space.floor_immaterial(h, grid_small)
+
+
+def _write_text(path, text):
+    with phase_space.open_fresh(path) as f:
+        f.write(text)
+
+
+@pytest.mark.parametrize("write,first,second", [
+    (phase_space.write_json, {"a": 1}, {"b": 2}),
+    (_write_text, "old text\n", "new\n"),
+], ids=["write_json", "open_fresh"])
+def test_rewrite_replaces_the_file(tmp_path, write, first, second):
+    # a rewrite removes the old file rather than truncating it in place: a
+    # hard link keeps the old inode and its content
+    path, keep = tmp_path / "out", tmp_path / "first"
+    write(path, first)
+    os.link(path, keep)
+    before = keep.read_bytes()
+    write(path, second)
+    assert keep.read_bytes() == before
+    assert path.stat().st_ino != keep.stat().st_ino
+    want = tmp_path / "want"
+    write(want, second)
+    assert path.read_bytes() == want.read_bytes()
 
 
 def _percent(values) -> bytes:

@@ -26,6 +26,8 @@ from hypoflow.functionals import build_report, entropy
 from hypoflow.initial import cosine, equilibrium, velocity_perturbation
 from hypoflow.verifier import CorruptedBGK, check_correction_weight, save_results, summarize
 
+import oracles
+
 
 def lemma_rows(state, generator, p, **kw):
     # the transport rows read columns that every model's report has
@@ -240,9 +242,10 @@ class TestSuite:
     ], ids=["bgk-log", "bgk-1.5", "fp-1.5"])
     def test_one_report_per_flowed_state(self, grid_accept, monkeypatch,
                                          collision, p, probes):
-        # one full report of the base state; each probe state (transport at
-        # +-delta and a collision flow at delta/2 and delta for BGK, the
-        # collision flows alone for FP) gets only the composite columns
+        # one full report of each stack of base states; each stack of probe
+        # states (transport at +-delta and a collision flow at delta/2 and
+        # delta for BGK, the collision flows alone for FP) gets only the
+        # composite columns. One state more than a stack makes two stacks.
         calls = {"build_report": 0, "composite_report": 0}
 
         def counting(name):
@@ -253,10 +256,31 @@ class TestSuite:
 
         for name in calls:
             monkeypatch.setattr(verifier, name, counting(name))
-        n_states = 2
-        run_suite(grid_accept, collision, p, n_states=n_states)
-        assert calls == {"build_report": n_states,
-                         "composite_report": n_states * probes}
+        stack = verifier.STACK_VALUES // (grid_accept.nx_total * grid_accept.nv_total)
+        assert stack == 16
+        run_suite(grid_accept, collision, p, n_states=stack + 1)
+        assert calls == {"build_report": 2, "composite_report": 2 * probes}
+
+    @pytest.mark.parametrize("collision,p", [
+        (BGK(1.0), BOLTZMANN), (BGK(1.0), PIndex(1.5)),
+        (FokkerPlanck(), PIndex(1.5)), (CorruptedBGK(rate=1.0, skew=0.02), BOLTZMANN),
+    ], ids=["bgk-log", "bgk-1.5", "fp-1.5", "corrupted"])
+    @pytest.mark.parametrize("spec", [GridSpec(dim=1, nx=64, nv=32),
+                                      GridSpec(dim=2, nx=16, nv=8)], ids=["1d", "2d"])
+    def test_stacked_suite_equals_per_state_loop(self, spec, collision, p):
+        # one state more than a stack, so that the last stack is partial;
+        # every row, floats included, is bit for bit the per-state loop's
+        grid = build_grid(spec)
+        n_states = verifier.STACK_VALUES // (grid.nx_total * grid.nv_total) + 1
+        stacked = run_suite(grid, collision, p, n_states=n_states, seed0=5)
+        reference = oracles.run_suite_per_state(grid, collision, p, n_states=n_states, seed0=5)
+        assert len(stacked) == len(reference) > 0
+        for got, want in zip(stacked, reference):
+            got, want = got.to_dict(), want.to_dict()
+            assert got == want
+            for key in ("lhs", "rhs", "residual_or_slack", "tolerance"):
+                assert type(got[key]) is float
+                assert np.float64(got[key]).tobytes() == np.float64(want[key]).tobytes()
 
     def test_corruption_hook_breaks_equalities(self, grid_accept):
         results = run_suite(grid_accept, CorruptedBGK(rate=1.0, skew=0.02), BOLTZMANN,
