@@ -17,6 +17,7 @@ import hashlib
 import math
 import os
 import sys
+import warnings
 
 from . import __version__
 from .certificate import certify, estimate_functional_constant
@@ -235,6 +236,61 @@ def _certificate_from_config(cfg, grid, collision, p):
                       **_given(cfg, "certificate", C=_finite_float, eta=_finite_float))
 
 
+def _start_writer(traj, directory):
+    """save_trajectory(traj, directory) in one forked child, so that the
+    snapshot text is written while this process builds the reports; returns
+    the child's pid and the read end of the pipe that carries its failure.
+    Where os.fork does not exist the trajectory is saved here and None is
+    returned."""
+    if not hasattr(os, "fork"):
+        save_trajectory(traj, directory)
+        return None
+    sys.stdout.flush()
+    sys.stderr.flush()
+    read_fd, write_fd = os.pipe()
+    try:
+        with warnings.catch_warnings():
+            # Python 3.12+ warns that forking a process with threads (numpy's
+            # BLAS pool) may deadlock the child. This child only formats text
+            # and writes files; it makes no BLAS call.
+            warnings.filterwarnings("ignore", message=r".*fork\(\)",
+                                    category=DeprecationWarning)
+            pid = os.fork()
+    except BaseException:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        status = 0
+        try:
+            os.close(read_fd)
+            save_trajectory(traj, directory)
+        except BaseException as exc:
+            status = 1
+            with open(write_fd, "wb") as pipe:
+                pipe.write(str(exc).encode("utf-8", "backslashreplace"))
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    return pid, read_fd
+
+
+def _join_writer(writer, directory) -> None:
+    """Wait for the child of _start_writer; its failure is an OSError with
+    the text of the child's exception."""
+    if writer is None:
+        return
+    pid, read_fd = writer
+    with open(read_fd, "rb") as pipe:
+        text = pipe.read().decode("utf-8", "replace")
+    _, status = os.waitpid(pid, 0)
+    code = os.waitstatus_to_exitcode(status)
+    if code < 0:
+        raise OSError(f"the snapshot writer for {directory} was killed by signal {-code}")
+    if code != 0:
+        raise OSError(text or f"the snapshot writer for {directory} exited with status {code}")
+
+
 def cmd_simulate(args) -> int:
     cfg = _load_config(args.config)
     spec = _grid_from_config(cfg)
@@ -252,8 +308,12 @@ def cmd_simulate(args) -> int:
         print(f"simulation aborted: {exc}", file=sys.stderr)
         return EXIT_ASSERTION
 
-    save_trajectory(traj, os.path.join(outdir, "trajectory"))
-    reports = [build_report(state, p, model=model) for _, state in traj.snapshots]
+    traj_dir = os.path.join(outdir, "trajectory")
+    writer = _start_writer(traj, traj_dir)
+    try:
+        reports = [build_report(state, p, model=model) for _, state in traj.snapshots]
+    finally:
+        _join_writer(writer, traj_dir)
     write_report_csv(reports, os.path.join(outdir, "functionals.csv"))
     write_report_json(reports, os.path.join(outdir, "functionals.json"))
     _write_manifest(outdir, "simulate", args.config, spec, seed, extra={

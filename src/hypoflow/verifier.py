@@ -41,10 +41,11 @@ CORRECTION_ABS_TOL = 1e-12
 # fit_decay treats a functional at or below this as at equilibrium
 DECAY_FLOOR = 1e-14
 # run_suite stacks as many states as fit in this many nodal values (at
-# least one): 16 at 64x32, one at 32^2 x 16^2. Each numpy call then does a
-# stack's arithmetic for one call's overhead; the bound keeps the stack's
-# temporaries, and so the suite's memory, small.
-STACK_VALUES = 2**15
+# least one): 8 at 64x32, one at 16^2 x 8^2 and at 32^2 x 16^2. Each numpy
+# call then does a stack's arithmetic for one call's overhead; the bound
+# keeps the stack's temporaries, and so the suite's memory, small. Stacks of
+# 16 at 64x32 ran no faster and peaked higher.
+STACK_VALUES = 2**14
 
 
 @dataclass

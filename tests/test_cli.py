@@ -1,15 +1,19 @@
 import csv
+import errno
 import inspect
 import json
 import os
 import re
+import signal
 import textwrap
+import types
 
 import numpy as np
 import pytest
 
 from hypoflow import GridSpec, cli, cosine, integrator, random_band_limited, run_suite
 from hypoflow.cli import main
+from hypoflow.phase_space import PositivityError
 from hypoflow.verifier import CorruptedBGK
 
 BASE = """\
@@ -685,3 +689,118 @@ def test_rerun_replaces_output_files(tmp_path, command, names):
         assert kept.read_bytes() == first[name], name
         assert (out / name).stat().st_ino != kept.stat().st_ino, name
         assert (out / name).read_bytes() == first[name], name
+
+
+# simulate writes its snapshot files in one forked child while this process
+# builds the reports; the files are those a serial save_trajectory writes
+
+
+@pytest.fixture
+def writer_run(tmp_path, monkeypatch):
+    """A short simulate config, and a record of the trajectory simulated,
+    the pid each os.fork returned here, and the pid of each save_trajectory
+    call this process ran (a forked child's calls are not seen)."""
+    rec = types.SimpleNamespace(trajs=[], forked=[], saved_in=[], out=tmp_path / "out")
+    rec.cfg = write_config(tmp_path, BASE.format(out=rec.out).replace("t_end = 5.0",
+                                                                      "t_end = 0.5"))
+    simulate, save, fork = cli.simulate, cli.save_trajectory, os.fork
+
+    def recording_simulate(*args, **kwargs):
+        rec.trajs.append(simulate(*args, **kwargs))
+        return rec.trajs[-1]
+
+    def recording_save(*args, **kwargs):
+        rec.saved_in.append(os.getpid())
+        return save(*args, **kwargs)
+
+    def recording_fork():
+        rec.forked.append(fork())
+        return rec.forked[-1]
+
+    monkeypatch.setattr(cli, "simulate", recording_simulate)
+    monkeypatch.setattr(cli, "save_trajectory", recording_save)
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return rec
+
+
+def _files(directory) -> dict:
+    return {path.name: path.read_bytes() for path in sorted(directory.iterdir())}
+
+
+def _serial_files(rec, tmp_path) -> dict:
+    (traj,) = rec.trajs
+    integrator.save_trajectory(traj, tmp_path / "serial")
+    return _files(tmp_path / "serial")
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_forked_writer_matches_serial_save(tmp_path, writer_run):
+    assert main(["simulate", writer_run.cfg]) == 0
+    assert len(writer_run.forked) == 1 and writer_run.forked[0] > 0
+    assert writer_run.saved_in == []
+    _no_child_left()
+    written = _files(writer_run.out / "trajectory")
+    assert len(written) == 3
+    assert written == _serial_files(writer_run, tmp_path)
+
+
+def _failing_report(*args, **kwargs):
+    raise PositivityError("report refused")
+
+
+# the writer's failure is the one line the serial save printed, also when
+# the reports fail too, as the save came first
+@pytest.mark.parametrize("reports_fail", [False, True], ids=["reports-pass", "reports-fail"])
+def test_writer_failure_is_one_config_error_line(writer_run, capsys, monkeypatch, reports_fail):
+    if reports_fail:
+        monkeypatch.setattr(cli, "build_report", _failing_report)
+    blocker = writer_run.out / "trajectory"
+    writer_run.out.mkdir()
+    blocker.write_text("not a directory\n")
+    assert main(["simulate", writer_run.cfg]) == 1
+    exc = FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), str(blocker))
+    assert capsys.readouterr().err == f"configuration error: cannot write output: {exc}\n"
+    assert len(writer_run.forked) == 1
+    _no_child_left()
+    assert blocker.read_text() == "not a directory\n"
+    assert not (writer_run.out / "functionals.csv").exists()
+
+
+def test_report_failure_leaves_the_whole_trajectory(tmp_path, writer_run, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "build_report", _failing_report)
+    assert main(["simulate", writer_run.cfg]) == 2
+    assert capsys.readouterr().err == "invariant failure: report refused\n"
+    assert len(writer_run.forked) == 1
+    _no_child_left()
+    assert _files(writer_run.out / "trajectory") == _serial_files(writer_run, tmp_path)
+    assert not (writer_run.out / "functionals.csv").exists()
+
+
+def test_killed_writer_is_one_config_error_line(writer_run, capsys, monkeypatch):
+    parent = os.getpid()
+
+    def killed(traj, directory):
+        assert os.getpid() != parent, "the trajectory was saved in this process"
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    monkeypatch.setattr(cli, "save_trajectory", killed)
+    assert main(["simulate", writer_run.cfg]) == 1
+    line = _one_config_error_line(capsys)
+    assert line == (f"configuration error: cannot write output: the snapshot writer for "
+                    f"{writer_run.out / 'trajectory'} was killed by signal {int(signal.SIGKILL)}")
+    assert len(writer_run.forked) == 1
+    _no_child_left()
+    assert not (writer_run.out / "functionals.csv").exists()
+
+
+def test_without_fork_the_trajectory_is_saved_in_process(tmp_path, writer_run, monkeypatch):
+    monkeypatch.delattr(os, "fork")
+    assert main(["simulate", writer_run.cfg]) == 0
+    assert writer_run.forked == []
+    assert writer_run.saved_in == [os.getpid()]
+    _no_child_left()
+    assert _files(writer_run.out / "trajectory") == _serial_files(writer_run, tmp_path)
