@@ -45,7 +45,7 @@ from .integrator import (
     snapshot_times,
 )
 from .operators import BGK, FokkerPlanck
-from .phase_space import GridSpec, PositivityError, build_grid, open_fresh, write_json
+from .phase_space import Grid, GridSpec, PositivityError, build_grid, open_fresh, write_json
 from .verifier import CorruptedBGK, fit_decay, run_suite, save_results, summarize
 
 EXIT_OK = 0
@@ -150,6 +150,12 @@ def _random_amplitude(text) -> float:
 def _grid_from_config(cfg) -> GridSpec:
     return _validated("grid section", GridSpec,
                       **_given(cfg, "grid", dim=int, nx=int, nv=int))
+
+
+def _build_grid(cfg) -> Grid:
+    """The grid of the [grid] section; an nv whose quadrature numpy cannot
+    compute is a configuration error."""
+    return _validated("grid section", build_grid, spec=_grid_from_config(cfg))
 
 
 def _model_from_config(cfg):
@@ -293,8 +299,7 @@ def _join_writer(writer, directory) -> None:
 
 def cmd_simulate(args) -> int:
     cfg = _load_config(args.config)
-    spec = _grid_from_config(cfg)
-    grid = build_grid(spec)
+    grid = _build_grid(cfg)
     collision, p = _model_from_config(cfg)
     initial, seed = _initial_from_config(cfg, grid, args.seed)
     schedule = _schedule_from_config(cfg, collision)
@@ -316,7 +321,7 @@ def cmd_simulate(args) -> int:
         _join_writer(writer, traj_dir)
     write_report_csv(reports, os.path.join(outdir, "functionals.csv"))
     write_report_json(reports, os.path.join(outdir, "functionals.json"))
-    _write_manifest(outdir, "simulate", args.config, spec, seed, extra={
+    _write_manifest(outdir, "simulate", args.config, grid.spec, seed, extra={
         "model": model, "p": p.label(),
         "schedule": {"dt": schedule.dt, "t_end": schedule.t_end,
                      "snapshot_every": schedule.snapshot_every},
@@ -327,8 +332,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_certify(args) -> int:
     cfg = _load_config(args.config)
-    spec = _grid_from_config(cfg)
-    grid = build_grid(spec)
+    grid = _build_grid(cfg)
     collision, p = _model_from_config(cfg)
     outdir = _output_dir(cfg, args.output_dir)
     os.makedirs(outdir, exist_ok=True)
@@ -337,7 +341,7 @@ def cmd_certify(args) -> int:
     path = os.path.join(outdir, "certificate.json")
     cert.save_json(path)
     # a certificate draws no random numbers, so it records no seed
-    _write_manifest(outdir, "certify", args.config, spec, None,
+    _write_manifest(outdir, "certify", args.config, grid.spec, None,
                     extra={"model": cert.model})
     print(f"model {cert.model}: rate {cert.rate:.6e} "
           f"(feasible: {cert.feasible}, binding: {cert.feasibility.binding})")
@@ -347,8 +351,7 @@ def cmd_certify(args) -> int:
 
 def cmd_verify(args) -> int:
     cfg = _load_config(args.config)
-    spec = _grid_from_config(cfg)
-    grid = build_grid(spec)
+    grid = _build_grid(cfg)
     collision, p = _model_from_config(cfg)
     n_states = _value(cfg, "verify", "n_states", int, 100)
     if n_states < 1:
@@ -371,7 +374,7 @@ def cmd_verify(args) -> int:
     with open_fresh(os.path.join(outdir, "verification.txt")) as f:
         f.write(table + "\n")
     print(table)
-    _write_manifest(outdir, "verify", args.config, spec, seed0, extra={
+    _write_manifest(outdir, "verify", args.config, grid.spec, seed0, extra={
         "model": collision.name, "p": p.label(),
         "n_states": n_states, "checks": len(results),
     })
@@ -444,8 +447,7 @@ def cmd_fit_decay(args) -> int:
 
 def cmd_estimate_constant(args) -> int:
     cfg = _load_config(args.config)
-    spec = _grid_from_config(cfg)
-    grid = build_grid(spec)
+    grid = _build_grid(cfg)
     _, p = _model_from_config(cfg)
     est = estimate_functional_constant(grid, p)
     outdir = _output_dir(cfg, args.output_dir)
@@ -455,7 +457,7 @@ def cmd_estimate_constant(args) -> int:
         "coercivity": est.coercivity,
     })
     # the constant draws no random numbers, so it records no seed
-    _write_manifest(outdir, "estimate-constant", args.config, spec, None)
+    _write_manifest(outdir, "estimate-constant", args.config, grid.spec, None)
     print(f"entropy/Fisher ratio constant: {est.value:.8e}")
     print(f"coercivity orientation: {est.coercivity:.6e}")
     return EXIT_OK

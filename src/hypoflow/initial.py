@@ -3,9 +3,11 @@ positive fields with controlled amplitude and band limits."""
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 
-from .phase_space import H_MIN, Grid, State, integrate_mu
+from .phase_space import H_MIN, Grid, State, integrate_x, project_pi
 
 # random_band_limited's exponent g has sup norm |amplitude| and h = exp(g)/Z
 # with exp(-|a|) <= Z <= exp(|a|), so h >= exp(-2|a|); up to this amplitude
@@ -53,25 +55,31 @@ def velocity_perturbation(grid: Grid, amplitude: float = 0.3) -> State:
     return State(grid, h)
 
 
-def random_band_limited(grid: Grid, seed: int, amplitude: float = 0.25,
+def random_band_limited(grid: Grid, seed: int | Sequence[int], amplitude: float = 0.25,
                         x_modes: int = 2, v_degree: int = 2) -> State:
     """exp(band-limited field) / normalization: positive, unit mass.
 
     The exponent combines low spatial harmonics with low-degree Hermite
     polynomials in each velocity coordinate, scaled so its sup norm is
     close to `amplitude`; gentle enough that all spectral tails stay far
-    below the functional tolerances.
+    below the functional tolerances. Harmonics reach x_modes < nx // 2,
+    below the Nyquist mode.
+
+    A sequence of seeds gives a stack with one member per seed, each bit
+    for bit the state of that seed alone: its own generator draws its
+    coefficients, and its sup scaling and mass are its own.
     """
     if not abs(amplitude) <= MAX_RANDOM_AMPLITUDE:
         raise ValueError(f"amplitude must satisfy |amplitude| <= {MAX_RANDOM_AMPLITUDE:.4g}, "
                          f"got {amplitude}")
-    if x_modes < 0:
-        raise ValueError(f"x_modes must be >= 0, got {x_modes}")
+    if not 0 <= x_modes < grid.spec.nx // 2:
+        raise ValueError(f"x_modes must lie in 0..{grid.spec.nx // 2 - 1} "
+                         f"(below nx // 2), got {x_modes}")
     if not 0 <= v_degree <= 2:
         raise ValueError(f"v_degree must lie in 0..2, got {v_degree}")
-    rng = np.random.default_rng(seed)
+    single = np.ndim(seed) == 0
+    seeds = [seed] if single else list(seed)
     two_pi = 2.0 * np.pi / grid.spec.period
-    g = np.zeros((grid.nx_total, grid.nv_total))
 
     # orthonormal Hermite values per velocity axis, degrees 0..v_degree
     vp = []
@@ -80,21 +88,37 @@ def random_band_limited(grid: Grid, seed: int, amplitude: float = 0.25,
         cols = [np.ones_like(v), v, (v * v - 1.0) / np.sqrt(2.0)]
         vp.append(cols[: v_degree + 1])
 
+    # the (spatial, velocity) factors of each term of the exponent, in the
+    # order each seed draws their coefficients, and each coefficient's
+    # divisor; a term's outer product is formed once for the whole stack
+    terms, divisors = [], []
     for ax in range(grid.dim):
         x = grid.x_nodes[:, ax]
         for m in range(1, x_modes + 1):
             for trig in (np.cos(two_pi * m * x), np.sin(two_pi * m * x)):
                 for n in range(0, v_degree + 1):
-                    vpart = vp[ax][n]
-                    coef = rng.normal() / (1.0 + m + n)
-                    g += coef * np.outer(trig, vpart)
+                    terms.append((trig, vp[ax][n]))
+                    divisors.append(1.0 + m + n)
     # a purely kinetic component so velocity gradients never vanish
     for n in range(1, v_degree + 1):
-        g += rng.normal() / (2.0 + n) * vp[0][n][None, :]
+        terms.append((None, vp[0][n]))
+        divisors.append(2.0 + n)
 
-    sup = np.abs(g).max()
-    if sup > 0:
-        g *= amplitude / sup
+    coefs = np.array([np.random.default_rng(s).normal(size=len(terms))
+                      for s in seeds]) / np.array(divisors)
+    g = np.zeros((len(seeds), grid.nx_total, grid.nv_total))
+    # work arrays reused by every term: fresh temporaries of a 2-D grid's
+    # size can be paged in anew each term (18 against 5 ms a 32^2 x 16^2 draw)
+    outer, term = np.empty(g.shape[1:]), np.empty_like(g)
+    for c, (trig, vpart) in zip(coefs.T[:, :, None, None], terms):
+        if trig is None:  # a kinetic term, constant in x
+            g += c * vpart
+        else:
+            g += np.multiply(c, np.outer(trig, vpart, out=outer), out=term)
+    sup = np.abs(g).max(axis=(1, 2))
+    scale = np.ones_like(sup)
+    scale[sup > 0] = amplitude / sup[sup > 0]
+    g *= scale[:, None, None]
     h = np.exp(g)
-    h /= integrate_mu(h, grid)
-    return State(grid, h)
+    h /= integrate_x(project_pi(h, grid), grid)[:, None, None]
+    return State(grid, h[0] if single else h)

@@ -12,6 +12,7 @@ import contextlib
 import json
 import os
 from dataclasses import dataclass, field
+from json.encoder import c_make_encoder, encode_basestring_ascii
 
 import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
@@ -144,7 +145,8 @@ def _tensor_product(axis: np.ndarray, d: int) -> np.ndarray:
 
 
 def build_grid(spec: GridSpec) -> Grid:
-    """Construct the grid for a validated GridSpec."""
+    """Construct the grid for a validated GridSpec; a ValueError names an
+    nv whose Gauss-Hermite rule or Hermite transform is not finite."""
     nx, nv, d = spec.nx, spec.nv, spec.dim
     x = np.arange(nx) * (spec.period / nx)
     modes = np.fft.fftfreq(nx, d=1.0 / nx)
@@ -154,9 +156,17 @@ def build_grid(spec: GridSpec) -> Grid:
     per_axis = [k] * (d - 1) + [k[: nx // 2 + 1]]
     k_modes = tuple(ka.reshape((-1,) + (1,) * (d - axis)) for axis, ka in enumerate(per_axis))
 
-    v, w = hermegauss(nv)
-    w = w / w.sum()
-    ortho, sqw, deriv = _hermite_matrices(v, w)
+    # numpy's rule overflows or underflows for large nv (weights NaN or 0
+    # from nv = 371 with numpy 2.4); such a grid is refused, not warned about
+    with np.errstate(all="ignore"):
+        v, w = hermegauss(nv)
+        if not (np.isfinite(v).all() and np.isfinite(w).all() and (w > 0).all()):
+            raise ValueError(f"nv = {nv}: numpy's Gauss-Hermite rule has non-finite "
+                             "or non-positive weights")
+        w = w / w.sum()
+        ortho, sqw, deriv = _hermite_matrices(v, w)
+    if not (np.isfinite(ortho).all() and np.isfinite(deriv).all()):
+        raise ValueError(f"nv = {nv}: the Hermite transform has non-finite entries")
     degrees = np.indices((nv,) * d).reshape(d, -1)
     return Grid(
         spec=spec, x_axis=x, k_modes=k_modes,
@@ -564,10 +574,104 @@ def open_fresh(path, mode: str = "w", **kwargs):
     return open(path, mode, **kwargs)
 
 
+# --- JSON artifacts ----------------------------------------------------------
+#
+# json.dump with an indent runs json's pure-Python encoder. The text here is
+# the same, built from json's C encoder, which writes a container on one
+# line with a given item separator at every level: given ",\n" plus the
+# indent of the container's items, a container that holds no container
+# needs only its opening and closing lines added. A list of dicts with one
+# key set (report rows, verify rows, snapshot lists) is encoded column by
+# column, _ROW_BLOCK rows at a time, and the columns are filled into one
+# row template.
+
+_refuse = json.JSONEncoder().default  # json's TypeError for a value it cannot encode
+
+# Rows encoded at a time; bounds the column texts held to about 200 KB.
+_ROW_BLOCK = 256
+
+
+def _c_encode(obj, item_separator: str) -> str:
+    """obj on one line, `item_separator` between the items of every
+    container, keys sorted."""
+    encode = c_make_encoder(None, _refuse, encode_basestring_ascii, None, ": ",
+                            item_separator, True, False, True)
+    return "".join(encode(obj, 0))
+
+
+def _is_container(value) -> bool:
+    return isinstance(value, (list, tuple, dict))
+
+
+def _is_flat(obj) -> bool:
+    return not any(map(_is_container, obj.values() if isinstance(obj, dict) else obj))
+
+
+def _json_pieces(obj, depth: int):
+    """Yield the text of json.dumps(obj, indent=1, sort_keys=True) in
+    pieces, for a value `depth` levels deep. The keys of a dict that holds
+    a container, or of a list of rows, are str."""
+    if not _is_container(obj):
+        yield _c_encode(obj, "")
+        return
+    if not obj:
+        yield "{}" if isinstance(obj, dict) else "[]"
+        return
+    inner = "\n" + " " * (depth + 1)
+    sep = "," + inner
+    close = "\n" + " " * depth
+    if _is_flat(obj):
+        text = _c_encode(obj, sep)
+        yield text[0] + inner + text[1:-1] + close + text[-1]
+        return
+    if isinstance(obj, dict):
+        yield "{" + inner
+        for i, (key, value) in enumerate(sorted(obj.items())):
+            yield (sep if i else "") + encode_basestring_ascii(key) + ": "
+            yield from _json_pieces(value, depth + 1)
+        yield close + "}"
+        return
+    yield "[" + inner
+    first = obj[0]
+    if (isinstance(first, dict) and first
+            and all(isinstance(row, dict) and row.keys() == first.keys() for row in obj)):
+        keys = sorted(first)
+        field = "\n" + " " * (depth + 2)
+        template = "{" + ",".join(field + encode_basestring_ascii(k).replace("%", "%%") + ": %s"
+                                  for k in keys) + inner + "}"
+        for start in range(0, len(obj), _ROW_BLOCK):
+            block = obj[start:start + _ROW_BLOCK]
+            columns = [_column_texts([row[k] for row in block], depth + 2) for k in keys]
+            yield (sep if start else "") + sep.join(template % values
+                                                    for values in zip(*columns))
+    else:
+        for i, value in enumerate(obj):
+            if i:
+                yield sep
+            yield from _json_pieces(value, depth + 1)
+    yield close + "]"
+
+
+def _column_texts(column: list, depth: int) -> list:
+    """The JSON text of each value of a column `depth` levels deep, with one
+    C call for a column of scalars or of flat dicts."""
+    if _is_flat(column):
+        # the encoder escapes every newline inside a string
+        return _c_encode(column, "\n")[1:-1].split("\n")
+    if all(isinstance(v, dict) and _is_flat(v) for v in column):
+        inner = "\n" + " " * (depth + 1)
+        sep = "," + inner
+        close = "\n" + " " * depth + "}"
+        # a separator inside a dict is followed by a key, never by "{"
+        parts = _c_encode(column, sep)[2:-2].split("}" + sep + "{")
+        return ["{" + inner + part + close if part else "{}" for part in parts]
+    return ["".join(_json_pieces(v, depth)) for v in column]
+
+
 def write_json(path, obj) -> None:
-    """Write `obj` in the one format of every JSON artifact: one-space
-    indent, sorted keys and a trailing newline; an old file at `path` is
-    replaced, not rewritten in place."""
+    """Write `obj` in the one format of every JSON artifact: the bytes of
+    json.dumps(obj, indent=1, sort_keys=True) plus a trailing newline. An
+    old file at `path` is replaced, not rewritten in place."""
     with open_fresh(path) as f:
-        json.dump(obj, f, indent=1, sort_keys=True)
+        f.writelines(_json_pieces(obj, 0))
         f.write("\n")

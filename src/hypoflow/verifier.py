@@ -382,10 +382,11 @@ def run_suite(grid: Grid, collision: CollisionKind, p: PIndex,
     inequality row reads the ratio constant of
     `estimate_functional_constant`.
 
-    The states of seeds seed0, seed0 + 1, ... are drawn one by one and
-    verified in stacks of STACK_VALUES nodal values: one build_report and
-    one report_derivatives per generator serve a stack. The rows come
-    seed by seed, each bit for bit what that state alone would give.
+    The states of seeds seed0, seed0 + 1, ... are drawn and verified in
+    stacks of STACK_VALUES nodal values: one random_band_limited draw, one
+    build_report and one report_derivatives per generator serve a stack.
+    The rows come seed by seed, each bit for bit what that state alone
+    would give.
     """
     relaxation = isinstance(collision, BGK)
     C = estimate_functional_constant(grid, p).value if relaxation else None
@@ -395,8 +396,7 @@ def run_suite(grid: Grid, collision: CollisionKind, p: PIndex,
     results: list[LemmaCheckResult] = []
     for start in range(0, n_states, stack):
         members = seeds[start:start + stack]
-        state = State(grid, np.stack([random_band_limited(grid, s, amplitude=amplitude).h
-                                      for s in members]))
+        state = random_band_limited(grid, members, amplitude=amplitude)
         reps = build_report(state, p, model=collision.name)
         rates = report_derivatives(state, reps, collision, p)
         if relaxation:

@@ -215,6 +215,41 @@ def oracle_correction_terms(field: AnalyticField, x, v, p: float):
     return cx, cv, vs
 
 
+# --- reference random draw ---------------------------------------------------
+#
+# random_band_limited as it was before a stack of seeds was drawn in one pass:
+# one seed, one generator, the exponent accumulated term by term. Each member
+# of a stacked draw must equal this bit for bit.
+
+def random_band_limited_one(grid, seed, amplitude=0.25, x_modes=2, v_degree=2):
+    from hypoflow.phase_space import State, integrate_mu
+
+    rng = np.random.default_rng(seed)
+    two_pi = 2.0 * np.pi / grid.spec.period
+    g = np.zeros((grid.nx_total, grid.nv_total))
+    vp = []
+    for ax in range(grid.dim):
+        v = grid.v_nodes[:, ax]
+        cols = [np.ones_like(v), v, (v * v - 1.0) / np.sqrt(2.0)]
+        vp.append(cols[: v_degree + 1])
+    for ax in range(grid.dim):
+        x = grid.x_nodes[:, ax]
+        for m in range(1, x_modes + 1):
+            for trig in (np.cos(two_pi * m * x), np.sin(two_pi * m * x)):
+                for n in range(0, v_degree + 1):
+                    vpart = vp[ax][n]
+                    coef = rng.normal() / (1.0 + m + n)
+                    g += coef * np.outer(trig, vpart)
+    for n in range(1, v_degree + 1):
+        g += rng.normal() / (2.0 + n) * vp[0][n][None, :]
+    sup = np.abs(g).max()
+    if sup > 0:
+        g *= amplitude / sup
+    h = np.exp(g)
+    h /= integrate_mu(h, grid)
+    return State(grid, h)
+
+
 # --- reference verification loop ---------------------------------------------
 #
 # run_suite as it was before states were stacked: one state, one report and
@@ -224,7 +259,6 @@ def run_suite_per_state(grid, collision, p, n_states: int = 100, seed0: int = 0,
                         amplitude: float = 0.25):
     from hypoflow.certificate import estimate_functional_constant
     from hypoflow.functionals import build_report
-    from hypoflow.initial import random_band_limited
     from hypoflow.operators import BGK, Transport
     from hypoflow.verifier import (
         SPLITTERS,
@@ -239,7 +273,7 @@ def run_suite_per_state(grid, collision, p, n_states: int = 100, seed0: int = 0,
     C = estimate_functional_constant(grid, p).value if relaxation else None
 
     def one_state(seed):
-        state = random_band_limited(grid, seed, amplitude=amplitude)
+        state = random_band_limited_one(grid, seed, amplitude=amplitude)
         rep = build_report(state, p, model=collision.name)
         rates = report_derivatives(state, rep, collision, p)
         if relaxation:

@@ -7,6 +7,7 @@ import re
 import signal
 import textwrap
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -425,6 +426,8 @@ def _one_config_error_line(capsys):
     ("certify", "C = 1000000.0", "C = 1000000.0\neta = -0.5"),
     ("simulate", "family = cosine", "family = random\nv_degree = 3"),
     ("simulate", "family = cosine", "family = random\nx_modes = -1"),
+    # harmonic nx // 2 = 16 is the Nyquist mode, which the gradients zero
+    ("simulate", "family = cosine", "family = random\nx_modes = 16"),
     # two edits: the velocity-diffusion certificate has no splitter
     pytest.param("certify", (BGK_MODEL, "C = 1000000.0"),
                  (FP_MODEL, "C = 1000000.0\neta = 0.5"), id="certify-fp-eta"),
@@ -447,6 +450,19 @@ def test_bad_config_value_is_config_error(tmp_path, capsys, command, old, new):
     cfg = write_config(tmp_path, text)
     assert main([command, cfg]) == 1
     assert _one_config_error_line(capsys)
+
+
+@pytest.mark.parametrize("command", ["simulate", "certify", "verify", "estimate-constant"])
+@pytest.mark.parametrize("nv", [400, 800])
+def test_nv_beyond_the_quadrature_is_one_config_error_line(tmp_path, capsys, command, nv):
+    # numpy's Gauss-Hermite rule has a zero or NaN weight from nv = 371 on (numpy 2.4)
+    text = (BASE.format(out=tmp_path / "o").replace("nv = 16", f"nv = {nv}")
+            + "\n[verify]\nn_states = 2\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([command, write_config(tmp_path, text)]) == 1
+    assert not caught
+    assert f"nv = {nv}:" in _one_config_error_line(capsys)
 
 
 @pytest.mark.parametrize("how", ["flag", "environment"])
@@ -804,3 +820,35 @@ def test_without_fork_the_trajectory_is_saved_in_process(tmp_path, writer_run, m
     assert writer_run.saved_in == [os.getpid()]
     _no_child_left()
     assert _files(writer_run.out / "trajectory") == _serial_files(writer_run, tmp_path)
+
+
+# the three workload configs of perfbench/run.py
+WORKLOADS = {
+    "sim2d-bgk": ("[grid]\ndim = 2\nnx = 32\nnv = 16\n[model]\n" + BGK_MODEL
+                  + "\n[initial]\nfamily = random\n"
+                  "[schedule]\ndt = 0.01\nt_end = 0.5\nsnapshot_every = 10\n", ("simulate",)),
+    "sim1d-fp": ("[grid]\ndim = 1\nnx = 64\nnv = 32\n[model]\n" + FP_MODEL
+                 + "\n[initial]\nfamily = random\n"
+                 "[schedule]\ndt = 0.01\nt_end = 20.0\nsnapshot_every = 10\n"
+                 "[fit]\ntrajectory = {out}/trajectory\nfunctional = entropy\n"
+                 "t_start = 0.1\nt_end = 1.0\n", ("simulate", "fit-decay")),
+    "verify1d-bgk": ("[grid]\ndim = 1\nnx = 64\nnv = 32\n[model]\n"
+                     + BGK_MODEL.replace("boltzmann", "1.5")
+                     + "\n[verify]\nn_states = 100\n", ("certify", "verify")),
+}
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOADS))
+def test_json_artifacts_are_json_dumps(tmp_path, workload):
+    # every JSON file holds the bytes json.dumps(..., indent=1, sort_keys=True)
+    # gives for its own content
+    text, commands = WORKLOADS[workload]
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, text.format(out=out))
+    for command in commands:
+        assert main([command, cfg, "--output-dir", str(out), "--seed", "0"]) == 0
+    paths = sorted(out.rglob("*.json"))
+    assert len(paths) >= 2
+    for path in paths:
+        data = path.read_bytes()
+        assert data == (json.dumps(json.loads(data), indent=1, sort_keys=True) + "\n").encode(), path

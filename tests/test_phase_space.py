@@ -1,3 +1,4 @@
+import json
 import math
 import os
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.polynomial.hermite_e import hermeval
+from numpy.polynomial.hermite_e import hermegauss, hermeval
 
 from hypoflow import (
     BOLTZMANN,
@@ -50,6 +51,21 @@ class TestGridSpec:
     def test_rejects_bad_dim(self):
         with pytest.raises(ValueError):
             GridSpec(dim=3)
+
+    @pytest.mark.parametrize("nv", [400, 800])
+    def test_nv_beyond_the_quadrature_is_refused(self, nv):
+        # numpy's hermegauss returns a zero or NaN weight from nv = 371 on (numpy
+        # 2.4); the refusal names nv and warns of nothing (warnings are errors)
+        with pytest.raises(ValueError, match=f"nv = {nv}:"):
+            build_grid(GridSpec(nx=8, nv=nv))
+
+    def test_non_finite_hermite_transform_is_refused(self, monkeypatch):
+        # finite, positive weights at abscissae so large that the Hermite
+        # polynomials overflow
+        v, w = hermegauss(16)
+        monkeypatch.setattr(phase_space, "hermegauss", lambda nv: (v * 1e200, w))
+        with pytest.raises(ValueError, match="nv = 16: the Hermite transform"):
+            build_grid(GridSpec(nx=8, nv=16))
 
 
 class TestQuadrature:
@@ -347,6 +363,48 @@ def test_rewrite_replaces_the_file(tmp_path, write, first, second):
     want = tmp_path / "want"
     write(want, second)
     assert path.read_bytes() == want.read_bytes()
+
+
+# Every value kind JSON has, with the floats and string characters that
+# the encoders treat specially
+_JSON_FLOATS = st.one_of(st.floats(), st.sampled_from(
+    [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308, 0.1]))
+_JSON_TEXT = st.text(st.one_of(st.sampled_from('%}{"\\\n\r\t\x00\x1f\x7f,: \u00e9\u20ac\U0001f600'),
+                               st.characters()), max_size=6)
+_JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), _JSON_FLOATS, _JSON_TEXT)
+_FLAT_DICTS = st.dictionaries(_JSON_TEXT, _JSON_SCALARS, max_size=3)
+
+
+def _json_containers(children):
+    # rows: dicts that share one key set, each key's column drawn from
+    # scalars, flat dicts (an empty one included) or any value
+    kinds = (_JSON_SCALARS, _FLAT_DICTS, children)
+    columns = st.lists(st.tuples(_JSON_TEXT, st.integers(0, len(kinds) - 1)),
+                       min_size=1, max_size=4, unique_by=lambda column: column[0])
+    rows = columns.flatmap(lambda cols: st.lists(
+        st.fixed_dictionaries({key: kinds[kind] for key, kind in cols}), min_size=1, max_size=5))
+    return st.one_of(st.lists(children, max_size=4), st.tuples(children, children),
+                     st.dictionaries(_JSON_TEXT, children, max_size=4), _FLAT_DICTS, rows)
+
+
+_JSON_VALUES = st.recursive(_JSON_SCALARS, _json_containers, max_leaves=40)
+
+
+@given(_JSON_VALUES)
+@settings(max_examples=300, deadline=None)
+def test_write_json_is_json_dumps(tmp_path_factory, obj):
+    path = tmp_path_factory.mktemp("json") / "out.json"
+    phase_space.write_json(path, obj)
+    assert path.read_bytes() == (json.dumps(obj, indent=1, sort_keys=True) + "\n").encode()
+
+
+def test_write_json_rows_in_blocks(tmp_path, monkeypatch):
+    # rows of one key set are written _ROW_BLOCK at a time
+    rows = [{"b": i, "a": {"x": -0.5 * i} if i % 3 else {}, "c": [i]} for i in range(10)]
+    monkeypatch.setattr(phase_space, "_ROW_BLOCK", 4)
+    phase_space.write_json(tmp_path / "rows.json", {"rows": rows})
+    assert ((tmp_path / "rows.json").read_text()
+            == json.dumps({"rows": rows}, indent=1, sort_keys=True) + "\n")
 
 
 def _percent(values) -> bytes:
