@@ -38,7 +38,6 @@ from .integrator import (
     load_trajectory,
     save_trajectory,
     simulate,
-    strang_step,
 )
 from .operators import (
     BGK,

@@ -141,10 +141,18 @@ def paper_constants_bgk(lam: float, C: float = math.inf, eta: float = 1.0 / 3.0,
         raise ValueError(f"C must be positive, got {C}")
     A3 = 1.0
     A2 = lam * A3
-    A1 = (lam + 2.0 / lam) * A3 / eta
-    A4 = (lam * A2 + 2.0 * A3)          # = (lam^2 + 2) A3
     gain = 1.0 if p is None else 2.0
-    rate = gain * lam**2 * eta / (4.0 * (lam**2 + 2.0))
+    try:
+        A1 = (lam + 2.0 / lam) * A3 / eta
+        A4 = (lam * A2 + 2.0 * A3)          # = (lam^2 + 2) A3
+        rate = gain * lam**2 * eta / (4.0 * (lam**2 + 2.0))
+        alpha_pref = 4.0 * (lam**2 + 2.0) / (eta * lam)
+        finite = all(map(math.isfinite, (A1, A4, rate, alpha_pref)))
+    except (OverflowError, ZeroDivisionError):
+        finite = False
+    if not finite:
+        raise ValueError(f"lambda = {lam!r} gives non-finite certificate coefficients "
+                         f"or rate at eta = {eta!r}")
 
     fz = FeasibilityReport()
     # trivially-true member of the proof's list, kept in non-reduced form
@@ -173,7 +181,6 @@ def paper_constants_bgk(lam: float, C: float = math.inf, eta: float = 1.0 / 3.0,
     fz.add("rate_domination", C * lam / (2.0 * (lam**2 + 2.0)) * gain - rate)
 
     beta = 2.0 * (lam**2 + 2.0)
-    alpha_pref = 4.0 * (lam**2 + 2.0) / (eta * lam)
     gamma = None
     if p is None and math.isfinite(C):
         # entropy is dominated by Fisher information with the phase-space

@@ -74,8 +74,16 @@ KNOWN_KEYS = {
 def _load_config(path) -> configparser.ConfigParser:
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
-    cfg = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    if not cfg.read(path):
+    # no interpolation: a value is read as written, so a "%" in it is not a
+    # configparser error at the first read of its key
+    cfg = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
+    try:
+        read = cfg.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        # configparser's messages span lines; the report is one line
+        text = " ".join(str(exc).split())
+        raise ConfigError(f"cannot read config file {path}: {text}") from exc
+    if not read:
         raise ConfigError(f"cannot read config file: {path}")
     unknown = sorted(set(cfg.sections()) - set(KNOWN_KEYS))
     if unknown:

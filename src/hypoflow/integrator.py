@@ -21,9 +21,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .operators import BGK, CollisionKind, FokkerPlanck, ModesFlow, time_scale, transport_phases
+from .operators import BGK, CollisionKind, FokkerPlanck, time_scale, transport_phases
 from .phase_space import (
-    Grid,
     GridSpec,
     State,
     build_grid,
@@ -66,6 +65,8 @@ class Schedule:
             raise ValueError(f"dt must be positive, got {self.dt}")
         if self.t_end < 0:
             raise ValueError(f"t_end must be nonnegative, got {self.t_end}")
+        if not math.isfinite(self.t_end / self.dt):
+            raise ValueError(f"t_end / dt must be finite, got {self.t_end} / {self.dt}")
         if self.snapshot_every < 1:
             raise ValueError(f"snapshot_every must be >= 1, got {self.snapshot_every}")
 
@@ -100,35 +101,11 @@ def default_dt(collision: CollisionKind) -> float:
     return 0.01 * time_scale(collision)
 
 
-def _strang_modes(modes: np.ndarray, grid: Grid, phases: np.ndarray, collide: ModesFlow,
-                  collision: CollisionKind) -> tuple[np.ndarray, np.ndarray]:
-    """One symmetric splitting step on x-modes, with `phases` the transport
-    table and `collide` the collision's mode flow of the step; returns the
-    new modes and the nodal h.
-
-    The diffusion path floors measure-immaterial negative excursions after
-    the closing transport half-step: shifting a repaired far-tail column
-    can undershoot again by an equally immaterial amount. The modes are
-    transformed again only when the floor repaired a value.
-    """
-    modes = collide(modes * phases)
-    modes *= phases
-    h = to_nodes(modes, grid)
-    if isinstance(collision, FokkerPlanck):
-        floored = floor_immaterial(h, grid)
-        if floored is not h:
-            h, modes = floored, to_modes(floored, grid)
-    return modes, h
-
-
 def strang_step(state: State, dt: float, collision: CollisionKind) -> State:
-    """One symmetric splitting step of the full dynamics."""
-    if not dt > 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    grid = state.grid
-    _, h = _strang_modes(to_modes(state.h, grid), grid, transport_phases(grid, 0.5 * dt),
-                         collision.modes_flow(grid, dt), collision)
-    return state.replace(h, time=state.time + dt)
+    """One symmetric splitting step of the full dynamics: the one step of
+    `simulate` over [state.time, state.time + dt]. Nothing in the package
+    calls it; the benchmark's traced run reports its call count."""
+    return simulate(state, Schedule(dt=dt, t_end=dt, collision=collision)).final()
 
 
 def simulate(initial: State, schedule: Schedule) -> Trajectory:
@@ -148,6 +125,7 @@ def simulate(initial: State, schedule: Schedule) -> Trajectory:
     state = initial
     t0 = initial.time
     modes = to_modes(initial.h, grid)
+    diffusion = isinstance(schedule.collision, FokkerPlanck)
     table_dt = phases = collide = None
     for step in range(1, n_steps + 1):
         target = min(t0 + step * schedule.dt, t0 + schedule.t_end)
@@ -157,7 +135,16 @@ def simulate(initial: State, schedule: Schedule) -> Trajectory:
         if dt != table_dt:
             table_dt, phases = dt, transport_phases(grid, 0.5 * dt)
             collide = schedule.collision.modes_flow(grid, dt)
-        modes, h = _strang_modes(modes, grid, phases, collide, schedule.collision)
+        modes = collide(modes * phases)
+        modes *= phases
+        h = to_nodes(modes, grid)
+        if diffusion:
+            # the closing transport half-step can shift a repaired far-tail
+            # column below the floor again by an equally immaterial amount;
+            # the modes are transformed again only when a value was repaired
+            floored = floor_immaterial(h, grid)
+            if floored is not h:
+                h, modes = floored, to_modes(floored, grid)
         state = State(grid, h, time=target)
         hmin = float(h.min())
         if hmin < STEP_POSITIVITY_FLOOR:
@@ -216,26 +203,49 @@ def save_trajectory(traj: Trajectory, directory) -> None:
         save_state(state, os.path.join(directory, entry["file"]))
 
 
+# The type of every manifest field that load_trajectory reads (float: any
+# number); a relaxation collision also has a numeric "rate".
+_MANIFEST_FIELDS = {
+    "grid": {"dim": int, "nx": int, "nv": int, "period": float},
+    "schedule": {"dt": float, "t_end": float, "snapshot_every": int},
+    "collision": {"kind": str},
+}
+
+
 def _read_manifest(directory) -> dict:
-    with open(os.path.join(directory, "manifest.json")) as f:
-        return json.load(f)
+    """The manifest of a trajectory directory. A ValueError names the
+    manifest and the field unless every field load_trajectory reads has its
+    type and every snapshot time is finite."""
+    path = os.path.join(directory, "manifest.json")
+    with open(path) as f:
+        manifest = json.load(f)
 
+    def check(value, name, kind):
+        kinds = (int, float) if kind is float else kind
+        if isinstance(value, bool) or not isinstance(value, kinds):
+            raise ValueError(f"{path}: {name} is {value!r}, expected {kind.__name__}")
+        return value
 
-def _snapshot_time(directory, index: int, entry: dict) -> float:
-    """The time of manifest entry `index`; a ValueError naming the manifest
-    and the entry unless it is a finite number."""
-    t = entry["time"]
-    if isinstance(t, bool) or not isinstance(t, (int, float)) or not math.isfinite(t):
-        raise ValueError(f"{os.path.join(directory, 'manifest.json')}: snapshots[{index}] "
-                         f"has time {t!r}, expected a finite number")
-    return t
+    check(manifest, "the manifest", dict)
+    for part, fields in _MANIFEST_FIELDS.items():
+        check(manifest.get(part), part, dict)
+        for key, kind in fields.items():
+            check(manifest[part].get(key), f"{part}.{key}", kind)
+    if manifest["collision"]["kind"] == BGK.name:
+        check(manifest["collision"].get("rate"), "collision.rate", float)
+    for i, entry in enumerate(check(manifest.get("snapshots"), "snapshots", list)):
+        check(entry, f"snapshots[{i}]", dict)
+        check(entry.get("file"), f"snapshots[{i}].file", str)
+        if not math.isfinite(check(entry.get("time"), f"snapshots[{i}].time", float)):
+            raise ValueError(f"{path}: snapshots[{i}].time is {entry['time']!r}, "
+                             "expected a finite number")
+    return manifest
 
 
 def snapshot_times(directory) -> list[float]:
     """The snapshot times the manifest of a trajectory directory lists; no
     snapshot file is opened."""
-    times = [_snapshot_time(directory, i, entry)
-             for i, entry in enumerate(_read_manifest(directory)["snapshots"])]
+    times = [entry["time"] for entry in _read_manifest(directory)["snapshots"]]
     if not times:
         raise ValueError(f"{directory}: the manifest lists no snapshots")
     return times
@@ -248,17 +258,21 @@ def load_trajectory(directory, window: tuple[float, float] | None = None) -> Tra
     differs from its manifest time is a ValueError."""
     manifest = _read_manifest(directory)
     g = manifest["grid"]
-    grid = build_grid(GridSpec(dim=g["dim"], nx=g["nx"], nv=g["nv"],
-                               period=g["period"]))
-    schedule = Schedule(
-        dt=manifest["schedule"]["dt"],
-        t_end=manifest["schedule"]["t_end"],
-        snapshot_every=manifest["schedule"]["snapshot_every"],
-        collision=_collision_from_dict(manifest["collision"]),
-    )
+    try:
+        grid = build_grid(GridSpec(dim=g["dim"], nx=g["nx"], nv=g["nv"],
+                                   period=g["period"]))
+        schedule = Schedule(
+            dt=manifest["schedule"]["dt"],
+            t_end=manifest["schedule"]["t_end"],
+            snapshot_every=manifest["schedule"]["snapshot_every"],
+            collision=_collision_from_dict(manifest["collision"]),
+        )
+    except ValueError as exc:
+        # each message names its field
+        raise ValueError(f"{os.path.join(directory, 'manifest.json')}: {exc}") from None
     snaps = []
-    for i, entry in enumerate(manifest["snapshots"]):
-        t = _snapshot_time(directory, i, entry)
+    for entry in manifest["snapshots"]:
+        t = entry["time"]
         path = os.path.join(directory, entry["file"])
         if window is None or _in_window(t, *window):
             state = load_state(path, grid)

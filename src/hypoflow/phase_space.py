@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from json.encoder import c_make_encoder, encode_basestring_ascii
@@ -46,8 +47,8 @@ class GridSpec:
             raise ValueError(f"nx must be even and >= 8, got {self.nx}")
         if self.nv < 4:
             raise ValueError(f"nv must be >= 4, got {self.nv}")
-        if not self.period > 0:
-            raise ValueError(f"period must be positive, got {self.period}")
+        if not (self.period > 0 and math.isfinite(self.period)):
+            raise ValueError(f"period must be positive and finite, got {self.period}")
 
     @property
     def nx_total(self) -> int:
@@ -378,16 +379,21 @@ _WRITE_BLOCK = 8192
 # E = floor(log10 |x|), as "d.ddddddddddddddddde+EE". Both are found exactly
 # in float64 arithmetic. E: |x| is compared with a (hi, lo) double-double
 # table of 10**k. D: Dekker's two-product forms |x| * 10**(17 - E) as
-# p + err, within 1e-13 of the exact product, which is then rounded. A value
-# whose product lies within _TIE_GUARD of a rounding tie, that is not
-# finite, or whose magnitude is outside [_EXACT_MIN, _EXACT_MAX] (beyond
-# which the table's lo parts or Dekker's split leave the normal float64
-# range) is printed by "%" itself, so every line is the bytes "%" prints.
+# p + err, within 1e-13 of the exact product, which is then rounded.
+#
+# Every line formatted here has one 24-byte layout: a positive finite value
+# whose E, after rounding to 18 digits, has two digits. That covers the
+# values `simulate` stores, which lie between the floor H_MIN = 1e-12 and
+# about 1e9 on every run measured. Any other value (negative, zero,
+# subnormal, not finite, E outside [-99, 99]) or one whose product lies
+# within _TIE_GUARD of a rounding tie is printed by "%" itself, so every
+# line is the bytes "%" prints.
 
-_EXACT_MIN, _EXACT_MAX = 1e-280, 1e280
+_EXACT_MIN, _EXACT_MAX = 1e-99, 1e100
 _TIE_GUARD = 1e-6
-# the table holds 10**E, 10**(E + 1) and 10**(17 - E) for every such E
-_K_MIN, _K_MAX = -290, 300
+# the table holds 10**E, 10**(E + 1) and 10**(17 - E) for every E of a
+# value in [_EXACT_MIN, _EXACT_MAX)
+_K_MIN, _K_MAX = -100, 117
 _DEKKER_SPLIT = 134217729.0  # 2**27 + 1
 _LOG10_2 = np.log10(2.0)
 
@@ -419,13 +425,9 @@ _P10_HI, _P10_LO, _P10_HI_HI, _P10_HI_LO = _pow10_table()
 _HEAD = np.array([b"%d.%02d" % divmod(i, 100) for i in range(1000)], dtype="S4")
 _DIGITS3 = np.array([b"%03d" % i for i in range(1000)], dtype="S3")
 _EXP2 = np.array([b"e%+03d" % e for e in range(-99, 100)], dtype="S4")
-_EXP3 = np.array([b"e%c%03d" % (b"-+"[e >= 0], abs(e))
-                  for e in range(-_K_MAX, _K_MAX + 1)], dtype="S5")
-# one line as a record: the 24-byte line of a positive value with a
-# two-digit exponent, and one with room for a sign and a third digit
-_DIGIT_FIELDS = [("head", "S4")] + [(f"g{i}", "S3") for i in range(5)]
-_LINE = np.dtype(_DIGIT_FIELDS + [("exp", "S4"), ("nl", "S1")])
-_LONG_LINE = np.dtype([("sign", "S1")] + _DIGIT_FIELDS + [("exp", "S5"), ("nl", "S1")])
+# one line as a record
+_LINE = np.dtype([("head", "S4")] + [(f"g{i}", "S3") for i in range(5)]
+                 + [("exp", "S4"), ("nl", "S1")])
 
 
 def _at_least_pow10(a: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -435,7 +437,7 @@ def _at_least_pow10(a: np.ndarray, k: np.ndarray) -> np.ndarray:
 
 
 def _decimal(a: np.ndarray):
-    """(D, E, near_tie) for positive normal a within [_EXACT_MIN, _EXACT_MAX]:
+    """(D, E, near_tie) for a in [_EXACT_MIN, _EXACT_MAX):
     a rounds to D * 10**(E - 17) with 10**17 <= D < 10**18, and near_tie
     marks where the rounding is too close to call."""
     # a in [2**b, 2**(b + 1)) puts E at floor(b log10 2) or one above
@@ -460,15 +462,12 @@ def _format_values(x: np.ndarray) -> bytes:
     """b"".join(b"%.17e\\n" % v for v in x) for a 1-D float64 array."""
     n = x.shape[0]
     with np.errstate(invalid="ignore"):
-        exact = (np.abs(x) >= _EXACT_MIN) & (np.abs(x) <= _EXACT_MAX)
+        exact = (x >= _EXACT_MIN) & (x < _EXACT_MAX)
     # _decimal's temporaries are freed on return, which cuts the peak memory
     # of a block by about 40%
-    d, e, near_tie = _decimal(np.abs(np.where(exact, x, 1.0)))
-    exact &= ~near_tie
-    neg = np.signbit(x)
-    long_exp = (e >= 100) | (e <= -100)
-    short = not (neg.any() or long_exp.any())
-    rec = np.empty(n, _LINE if short else _LONG_LINE)
+    d, e, near_tie = _decimal(np.where(exact, x, 1.0))
+    exact &= ~near_tie & (e >= -99) & (e <= 99)
+    rec = np.empty(n, _LINE)
     head = d // 10**15
     rec["head"] = np.take(_HEAD, head)
     rest = d - head * 10**15
@@ -477,25 +476,17 @@ def _format_values(x: np.ndarray) -> bytes:
         group = rest // scale
         rest -= group * scale
         rec[f"g{i}"] = np.take(_DIGITS3, group)
+    # an exponent outside the table is spliced over below
+    rec["exp"] = np.take(_EXP2, e + 99, mode="clip")
     rec["nl"] = b"\n"
-    if short:
-        rec["exp"] = np.take(_EXP2, e + 99)
-        text = rec.tobytes()
-    else:
-        rec["sign"] = b"-"
-        rec["exp"] = np.take(_EXP3, e + _K_MAX)
-        keep = np.ones((n, _LONG_LINE.itemsize), dtype=bool)
-        keep[:, 0] = neg
-        keep[:, _LONG_LINE.fields["exp"][1] + 2] = long_exp
-        text = rec.view(np.uint8).reshape(n, -1)[keep].tobytes()
+    text = rec.tobytes()
     if exact.all():
         return text
     # splice in what "%" prints for the values not formatted exactly here
-    ends = np.cumsum(24 + neg + long_exp)
     pieces, start = [], 0
     for i in np.flatnonzero(~exact):
-        pieces += [text[start:ends[i - 1] if i else 0], b"%.17e\n" % x[i]]
-        start = ends[i]
+        pieces += [text[start:_LINE.itemsize * i], b"%.17e\n" % x[i]]
+        start = _LINE.itemsize * (i + 1)
     pieces.append(text[start:])
     return b"".join(pieces)
 
@@ -545,10 +536,12 @@ def load_state(path, grid: Grid | None = None) -> State:
             if not eq:
                 raise ValueError(f"{path}: snapshot header entry {tok!r} is not key=value")
             header[key] = val
-        spec = GridSpec(dim=_header_value(path, header, "dim", int),
-                        nx=_header_value(path, header, "nx", int),
-                        nv=_header_value(path, header, "nv", int),
-                        period=_header_value(path, header, "period", float))
+        fields = {key: _header_value(path, header, key, kind)
+                  for key, kind in (("dim", int), ("nx", int), ("nv", int), ("period", float))}
+        try:
+            spec = GridSpec(**fields)
+        except ValueError as exc:
+            raise ValueError(f"{path}: snapshot header: {exc}") from None
         if grid is None:
             grid = build_grid(spec)
         elif grid.spec != spec:

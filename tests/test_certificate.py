@@ -77,6 +77,12 @@ class TestRelaxationLogRecipe:
             paper_constants_bgk(-1.0)
         with pytest.raises(ValueError):
             paper_constants_bgk(1.0, eta=0.0)
+        # finite, but 2 / lam, lam**2 or eta * lam leaves the float range
+        for lam, p in ((1e-320, None), (1e308, None), (1e308, 1.5)):
+            with pytest.raises(ValueError, match="lambda"):
+                paper_constants_bgk(lam, p=p)
+            with pytest.raises(ValueError, match="lambda"):
+                optimize_rate(lam, p=p)
 
     @given(lam=st.floats(0.1, 5.0), eta=st.floats(1e-4, 20.0))
     @settings(max_examples=200, deadline=None)

@@ -395,6 +395,33 @@ class TestFitDecay:
         line = _one_config_error_line(capsys)
         assert "manifest.json" in line and "snapshots[0]" in line, line
 
+    @pytest.mark.parametrize("damage,named", [
+        (lambda m: {**m, "snapshots": [1, 2, 3]}, "snapshots[0]"),
+        (lambda m: [m], "the manifest"),
+        (lambda m: {**m, "grid": [1]}, "grid"),
+        (lambda m: {**m, "schedule": None}, "schedule"),
+        (lambda m: {**m, "collision": "bgk"}, "collision"),
+        (lambda m: {**m, "schedule": {**m["schedule"], "dt": "0.01"}}, "schedule.dt"),
+        (lambda m: {**m, "snapshots": [{**m["snapshots"][0], "file": 7}]}, "snapshots[0].file"),
+        (lambda m: {**m, "grid": {**m["grid"], "period": float("inf")}}, "period"),
+    ], ids=["int-snapshots", "list", "list-grid", "null-schedule", "string-collision",
+            "string-dt", "int-file", "infinite-period"])
+    def test_manifest_with_wrong_types_is_config_error(self, tmp_path, capsys, damage, named):
+        out = tmp_path / "sim"
+        text = BASE.format(out=out).replace("t_end = 5.0", "t_end = 0.0")
+        assert main(["simulate", write_config(tmp_path, text)]) == 0
+        manifest_path = out / "trajectory" / "manifest.json"
+        manifest_path.write_text(json.dumps(damage(json.loads(manifest_path.read_text()))))
+        fit_cfg = write_config(tmp_path, text + f"\n[fit]\ntrajectory = {out / 'trajectory'}\n",
+                               name="fit.ini")
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["fit-decay", fit_cfg, "--output-dir", str(tmp_path / "fit")]) == 1
+        assert not caught
+        line = _one_config_error_line(capsys)
+        assert "manifest.json" in line and named in line, line
+
 
 def _one_config_error_line(capsys):
     """The single `configuration error:` line on stderr, or "" if there is
@@ -439,6 +466,14 @@ def _one_config_error_line(capsys):
     # numpy's generator takes no negative seed, and exp(1000 g) overflows
     ("verify", "n_states = 2", "n_states = 2\nseed = -1"),
     ("verify", "n_states = 2", "n_states = 2\namplitude = 1000"),
+    # finite, but t_end / dt overflows, or the certificate's coefficients do
+    ("simulate", "dt = 0.01", "dt = 1e-320"),
+    ("certify", "lambda = 1.0", "lambda = 1e-320"),
+    ("certify", "lambda = 1.0", "lambda = 1e308"),
+    # read as written, not as a configparser interpolation
+    ("certify", "lambda = 1.0", "lambda = 1%"),
+    pytest.param("certify", ("lambda = 1.0", "C = 1000000.0"),
+                 ("lambda = 1e308", "C = 1000000.0\neta = 0.3"), id="certify-eta-huge-lambda"),
 ])
 def test_bad_config_value_is_config_error(tmp_path, capsys, command, old, new):
     text = (BASE.format(out=tmp_path / "o") + "\n[verify]\nn_states = 2\n"
@@ -450,6 +485,25 @@ def test_bad_config_value_is_config_error(tmp_path, capsys, command, old, new):
     cfg = write_config(tmp_path, text)
     assert main([command, cfg]) == 1
     assert _one_config_error_line(capsys)
+
+
+@pytest.mark.parametrize("command", ["simulate", "certify", "verify", "fit-decay",
+                                     "estimate-constant"])
+@pytest.mark.parametrize("text", [
+    b"nx = 16\n[grid]\ndim = 1\n",
+    b"[grid]\nnx = 16\nnx = 16\n",
+    b"[grid]\nnx = 16\n[grid]\nnv = 8\n",
+    b"[grid]\nnx 16\n",
+    b"[grid]\nnx = 16\xff\n",
+], ids=["key-before-section", "duplicate-option", "duplicate-section", "not-key-value",
+        "not-utf8"])
+def test_malformed_config_is_one_config_error_line(tmp_path, capsys, command, text):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_bytes(text)
+    assert main([command, str(cfg), "--output-dir", str(tmp_path / "o")]) == 1
+    line = _one_config_error_line(capsys)
+    assert line.startswith(f"configuration error: cannot read config file {cfg}: "), line
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("command", ["simulate", "certify", "verify", "estimate-constant"])
@@ -559,7 +613,9 @@ def _edit_header(old, new):
     (_truncate, None), (_move_period, None),
     (_edit_header(" nv=16 ", " "), "'nv'"), (_edit_header(" nx=32 ", " nx=abc "), "nx='abc'"),
     (_bad_number, "'abc'"), (_edit_header(" time=", " time=9"), "time=9"),
-], ids=["truncated", "mismatched-header", "missing-key", "bad-value", "bad-number", "time"])
+    (_edit_header(" period=1.0 ", " period=inf "), "period"),
+], ids=["truncated", "mismatched-header", "missing-key", "bad-value", "bad-number", "time",
+        "infinite-period"])
 def test_damaged_snapshot_is_config_error(tmp_path, capsys, damage, named):
     out = tmp_path / "sim"
     text = BASE.format(out=out).replace("t_end = 5.0", "t_end = 1.0")

@@ -18,11 +18,11 @@ from hypoflow import (
     load_trajectory,
     save_trajectory,
     simulate,
-    strang_step,
     transport_flow,
 )
 from hypoflow.functionals import BOLTZMANN, entropy
 from hypoflow.initial import cosine, equilibrium, random_band_limited, velocity_perturbation
+from hypoflow.integrator import strang_step
 from hypoflow.phase_space import floor_immaterial, save_state
 
 
@@ -44,6 +44,11 @@ def physical_strang(initial, schedule):
     return snaps
 
 
+def one_step(state, dt, collision):
+    """The state after one splitting step of length dt, taken by simulate."""
+    return simulate(state, Schedule(dt=dt, t_end=dt, collision=collision)).final()
+
+
 def test_schedule_validation():
     with pytest.raises(ValueError):
         Schedule(dt=0.0, t_end=1.0, collision=BGK(1.0))
@@ -51,6 +56,9 @@ def test_schedule_validation():
         Schedule(dt=0.1, t_end=-1.0, collision=BGK(1.0))
     with pytest.raises(ValueError):
         Schedule(dt=0.1, t_end=1.0, collision=BGK(1.0), snapshot_every=0)
+    # the step count t_end / dt overflows
+    with pytest.raises(ValueError, match="t_end / dt"):
+        Schedule(dt=1e-320, t_end=10.0, collision=BGK(1.0))
 
 
 def test_cosine_rejects_any_sign_of_too_large_amplitude(grid_small):
@@ -63,14 +71,14 @@ def test_cosine_rejects_any_sign_of_too_large_amplitude(grid_small):
 
 def test_strang_requires_positive_dt(grid_small):
     with pytest.raises(ValueError):
-        strang_step(equilibrium(grid_small), 0.0, BGK(1.0))
+        one_step(equilibrium(grid_small), 0.0, BGK(1.0))
 
 
 def test_strang_equals_bgk_on_velocity_only_data(grid_small):
     # transport acts trivially when the field has no spatial structure
     s = velocity_perturbation(grid_small, 0.3)
     dt = 0.05
-    stepped = strang_step(s, dt, BGK(1.2))
+    stepped = one_step(s, dt, BGK(1.2))
     exact = bgk_flow(s, 1.2, dt)
     assert np.abs(stepped.h - exact.h).max() < 1e-12
     assert stepped.time == pytest.approx(dt, abs=1e-15)
@@ -78,9 +86,9 @@ def test_strang_equals_bgk_on_velocity_only_data(grid_small):
 
 def test_strang_fixes_equilibrium(grid_small):
     s = equilibrium(grid_small)
-    out = strang_step(s, 0.02, BGK(1.0))
+    out = one_step(s, 0.02, BGK(1.0))
     assert np.abs(out.h - 1.0).max() < 1e-13
-    out = strang_step(s, 0.02, FokkerPlanck())
+    out = one_step(s, 0.02, FokkerPlanck())
     assert np.abs(out.h - 1.0).max() < 1e-13
 
 
@@ -196,8 +204,10 @@ def test_simulate_matches_physical_strang(dim, collision):
     for (_, a), (_, b) in zip(got, want):
         assert np.abs(a.h - b.h).max() < 1e-12
     one = Schedule(dt=sched.dt, t_end=sched.dt, collision=collision)
-    step = strang_step(s, sched.dt, collision)
+    step = one_step(s, sched.dt, collision)
     assert np.abs(step.h - physical_strang(s, one)[1][1].h).max() < 1e-12
+    # strang_step is that step
+    assert np.array_equal(strang_step(s, sched.dt, collision).h, step.h)
 
 
 def test_simulate_matches_physical_strang_through_floor_repairs(grid_accept, monkeypatch):

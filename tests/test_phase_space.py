@@ -52,6 +52,11 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec(dim=3)
 
+    @pytest.mark.parametrize("period", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_bad_period(self, period):
+        with pytest.raises(ValueError, match="period"):
+            GridSpec(period=period)
+
     @pytest.mark.parametrize("nv", [400, 800])
     def test_nv_beyond_the_quadrature_is_refused(self, nv):
         # numpy's hermegauss returns a zero or NaN weight from nv = 371 on (numpy
@@ -421,6 +426,12 @@ EDGE_VALUES = [
     np.nextafter(1e-280, 0.0), np.nextafter(1e280, math.inf), math.inf, -math.inf, math.nan,
     1e153, 1e23, 1e22, 1.0, -1.0, 10.0, 0.1, 123.456, 518556607.5224609375,
     -518556607.5224609375, 2.0**-10, 2.0**60,
+    # the bounds of the two-digit exponents the formatter prints itself
+    1e-99, np.nextafter(1e-99, 0.0), np.nextafter(1e100, 0.0), 1e100,
+    # the positivity floor, and its negative
+    1e-12, -1e-12,
+    # 1e153 above is the one double whose 18 digits carry into the next
+    # exponent ("1.00000000000000000e+153"); no double in [1e-99, 1e100) does
 ]
 
 
