@@ -214,7 +214,8 @@ _MANIFEST_FIELDS = {
 
 def _read_manifest(directory) -> dict:
     """The manifest of a trajectory directory. A ValueError names the
-    manifest and the field unless every field load_trajectory reads has its
+    manifest and the field unless the manifest is of format
+    TRAJECTORY_FORMAT_VERSION, every field load_trajectory reads has its
     type and every snapshot time is finite."""
     path = os.path.join(directory, "manifest.json")
     with open(path) as f:
@@ -227,6 +228,9 @@ def _read_manifest(directory) -> dict:
         return value
 
     check(manifest, "the manifest", dict)
+    if check(manifest.get("format_version"), "format_version", int) != TRAJECTORY_FORMAT_VERSION:
+        raise ValueError(f"{path}: format_version is {manifest['format_version']!r}, "
+                         f"expected {TRAJECTORY_FORMAT_VERSION}")
     for part, fields in _MANIFEST_FIELDS.items():
         check(manifest.get(part), part, dict)
         for key, kind in fields.items():

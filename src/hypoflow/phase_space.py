@@ -569,19 +569,24 @@ def open_fresh(path, mode: str = "w", **kwargs):
 
 # --- JSON artifacts ----------------------------------------------------------
 #
-# json.dump with an indent runs json's pure-Python encoder. The text here is
-# the same, built from json's C encoder, which writes a container on one
-# line with a given item separator at every level: given ",\n" plus the
-# indent of the container's items, a container that holds no container
-# needs only its opening and closing lines added. A list of dicts with one
-# key set (report rows, verify rows, snapshot lists) is encoded column by
-# column, _ROW_BLOCK rows at a time, and the columns are filled into one
-# row template.
+# json.dump with an indent runs json's pure-Python encoder, which is slow on
+# the two large artifacts, verification.json and functionals.json. Each is a
+# list of rows: dicts of one key set whose every column is all scalars or all
+# flat dicts. Their text is built from json's C encoder, which writes a
+# container on one line with a given item separator: each column of
+# _ROW_BLOCK rows is encoded in one call and split into its values, which
+# fill one row template. Any other block of a list, and any other object,
+# is json.dumps itself; every other artifact is a few KB (the trajectory
+# manifest, the largest, takes about 60 bytes a snapshot).
 
 _refuse = json.JSONEncoder().default  # json's TypeError for a value it cannot encode
 
 # Rows encoded at a time; bounds the column texts held to about 200 KB.
 _ROW_BLOCK = 256
+
+# a row's fields are two levels deep, the items of a dict in a field three
+_FIELD = "\n  "
+_ITEM = "\n   "
 
 
 def _c_encode(obj, item_separator: str) -> str:
@@ -592,73 +597,37 @@ def _c_encode(obj, item_separator: str) -> str:
     return "".join(encode(obj, 0))
 
 
-def _is_container(value) -> bool:
-    return isinstance(value, (list, tuple, dict))
+def _is_flat(values) -> bool:
+    return not any(isinstance(v, (list, tuple, dict)) for v in values)
 
 
-def _is_flat(obj) -> bool:
-    return not any(map(_is_container, obj.values() if isinstance(obj, dict) else obj))
-
-
-def _json_pieces(obj, depth: int):
-    """Yield the text of json.dumps(obj, indent=1, sort_keys=True) in
-    pieces, for a value `depth` levels deep. The keys of a dict that holds
-    a container, or of a list of rows, are str."""
-    if not _is_container(obj):
-        yield _c_encode(obj, "")
-        return
-    if not obj:
-        yield "{}" if isinstance(obj, dict) else "[]"
-        return
-    inner = "\n" + " " * (depth + 1)
-    sep = "," + inner
-    close = "\n" + " " * depth
-    if _is_flat(obj):
-        text = _c_encode(obj, sep)
-        yield text[0] + inner + text[1:-1] + close + text[-1]
-        return
-    if isinstance(obj, dict):
-        yield "{" + inner
-        for i, (key, value) in enumerate(sorted(obj.items())):
-            yield (sep if i else "") + encode_basestring_ascii(key) + ": "
-            yield from _json_pieces(value, depth + 1)
-        yield close + "}"
-        return
-    yield "[" + inner
-    first = obj[0]
-    if (isinstance(first, dict) and first
-            and all(isinstance(row, dict) and row.keys() == first.keys() for row in obj)):
-        keys = sorted(first)
-        field = "\n" + " " * (depth + 2)
-        template = "{" + ",".join(field + encode_basestring_ascii(k).replace("%", "%%") + ": %s"
-                                  for k in keys) + inner + "}"
-        for start in range(0, len(obj), _ROW_BLOCK):
-            block = obj[start:start + _ROW_BLOCK]
-            columns = [_column_texts([row[k] for row in block], depth + 2) for k in keys]
-            yield (sep if start else "") + sep.join(template % values
-                                                    for values in zip(*columns))
-    else:
-        for i, value in enumerate(obj):
-            if i:
-                yield sep
-            yield from _json_pieces(value, depth + 1)
-    yield close + "]"
-
-
-def _column_texts(column: list, depth: int) -> list:
-    """The JSON text of each value of a column `depth` levels deep, with one
-    C call for a column of scalars or of flat dicts."""
+def _column_texts(column: list) -> list | None:
+    """The JSON text of each value of a column of row fields, with one C
+    call; None unless the column is all scalars or all flat dicts."""
     if _is_flat(column):
         # the encoder escapes every newline inside a string
         return _c_encode(column, "\n")[1:-1].split("\n")
-    if all(isinstance(v, dict) and _is_flat(v) for v in column):
-        inner = "\n" + " " * (depth + 1)
-        sep = "," + inner
-        close = "\n" + " " * depth + "}"
+    if all(isinstance(v, dict) and _is_flat(v.values()) for v in column):
         # a separator inside a dict is followed by a key, never by "{"
-        parts = _c_encode(column, sep)[2:-2].split("}" + sep + "{")
-        return ["{" + inner + part + close if part else "{}" for part in parts]
-    return ["".join(_json_pieces(v, depth)) for v in column]
+        parts = _c_encode(column, "," + _ITEM)[2:-2].split("}," + _ITEM + "{")
+        return ["{" + _ITEM + part + _FIELD + "}" if part else "{}" for part in parts]
+    return None
+
+
+def _block_text(block: list) -> str:
+    """The items of a non-empty list one level deep, as
+    json.dumps(block, indent=1, sort_keys=True) writes them inside its
+    brackets."""
+    first = block[0]
+    if (isinstance(first, dict) and first and all(isinstance(k, str) for k in first)
+            and all(isinstance(row, dict) and row.keys() == first.keys() for row in block)):
+        keys = sorted(first)
+        columns = [_column_texts([row[k] for row in block]) for k in keys]
+        if None not in columns:
+            template = "{" + ",".join(_FIELD + encode_basestring_ascii(k).replace("%", "%%")
+                                      + ": %s" for k in keys) + "\n }"
+            return ",\n ".join(template % values for values in zip(*columns))
+    return json.dumps(block, indent=1, sort_keys=True)[3:-2]
 
 
 def write_json(path, obj) -> None:
@@ -666,5 +635,10 @@ def write_json(path, obj) -> None:
     json.dumps(obj, indent=1, sort_keys=True) plus a trailing newline. An
     old file at `path` is replaced, not rewritten in place."""
     with open_fresh(path) as f:
-        f.writelines(_json_pieces(obj, 0))
-        f.write("\n")
+        if not (isinstance(obj, list) and obj):
+            f.write(json.dumps(obj, indent=1, sort_keys=True) + "\n")
+            return
+        f.write("[\n ")
+        for start in range(0, len(obj), _ROW_BLOCK):
+            f.write((",\n " if start else "") + _block_text(obj[start:start + _ROW_BLOCK]))
+        f.write("\n]\n")

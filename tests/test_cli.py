@@ -404,8 +404,13 @@ class TestFitDecay:
         (lambda m: {**m, "schedule": {**m["schedule"], "dt": "0.01"}}, "schedule.dt"),
         (lambda m: {**m, "snapshots": [{**m["snapshots"][0], "file": 7}]}, "snapshots[0].file"),
         (lambda m: {**m, "grid": {**m["grid"], "period": float("inf")}}, "period"),
+        (lambda m: {**m, "format_version": 99}, "format_version"),
+        (lambda m: {k: v for k, v in m.items() if k != "format_version"}, "format_version"),
+        (lambda m: {**m, "format_version": "1"}, "format_version"),
+        (lambda m: {**m, "format_version": True}, "format_version"),
     ], ids=["int-snapshots", "list", "list-grid", "null-schedule", "string-collision",
-            "string-dt", "int-file", "infinite-period"])
+            "string-dt", "int-file", "infinite-period", "version-99", "no-version",
+            "string-version", "bool-version"])
     def test_manifest_with_wrong_types_is_config_error(self, tmp_path, capsys, damage, named):
         out = tmp_path / "sim"
         text = BASE.format(out=out).replace("t_end = 5.0", "t_end = 0.0")

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from numpy.polynomial.hermite_e import hermegauss, hermeval
 
 from hypoflow import (
+    BGK,
     BOLTZMANN,
     GridSpec,
     PIndex,
@@ -21,9 +22,10 @@ from hypoflow import (
     load_state,
     project_pi,
     random_band_limited,
+    run_suite,
     save_state,
 )
-from hypoflow import phase_space
+from hypoflow import functionals, phase_space, verifier
 from hypoflow.phase_space import (
     grad_v_field,
     grad_x_field,
@@ -404,12 +406,69 @@ def test_write_json_is_json_dumps(tmp_path_factory, obj):
 
 
 def test_write_json_rows_in_blocks(tmp_path, monkeypatch):
-    # rows of one key set are written _ROW_BLOCK at a time
-    rows = [{"b": i, "a": {"x": -0.5 * i} if i % 3 else {}, "c": [i]} for i in range(10)]
+    # a top-level row list is written _ROW_BLOCK rows at a time, each block
+    # from one C call per column of scalars or of flat dicts
+    rows = [{"b": i, "a": {"x": -0.5 * i} if i % 3 else {}, "c": f"%s{i}"} for i in range(10)]
     monkeypatch.setattr(phase_space, "_ROW_BLOCK", 4)
-    phase_space.write_json(tmp_path / "rows.json", {"rows": rows})
+    encoded = []
+
+    def column_texts(column, encode=phase_space._column_texts):
+        encoded.append(len(column))
+        return encode(column)
+
+    monkeypatch.setattr(phase_space, "_column_texts", column_texts)
+    phase_space.write_json(tmp_path / "rows.json", rows)
     assert ((tmp_path / "rows.json").read_text()
-            == json.dumps({"rows": rows}, indent=1, sort_keys=True) + "\n")
+            == json.dumps(rows, indent=1, sort_keys=True) + "\n")
+    assert encoded == [4] * 3 + [4] * 3 + [2] * 3
+
+
+def test_write_json_block_of_other_items(tmp_path, monkeypatch):
+    # a block that is not rows of one key set, or holds a nested column, is
+    # json.dumps text between blocks that are
+    rows = [{"a": i, "b": {"x": i}} for i in range(12)]
+    rows[5] = {"a": 5, "b": {"x": [5]}}
+    rows[9] = 9
+    monkeypatch.setattr(phase_space, "_ROW_BLOCK", 4)
+    phase_space.write_json(tmp_path / "rows.json", rows)
+    assert ((tmp_path / "rows.json").read_text()
+            == json.dumps(rows, indent=1, sort_keys=True) + "\n")
+
+
+@pytest.mark.parametrize("obj", [
+    {1: [1]},
+    [{"a": {1: 0.5, 2: None}, "b": 1}, {"a": {}, "b": 2}, {"a": {3: "x"}, "b": 3}],
+    [{1: "a"}, {1: "b"}],
+], ids=["int-key-dict-of-list", "int-key-flat-dict-column", "int-key-rows"])
+def test_write_json_non_str_keys(tmp_path, obj):
+    phase_space.write_json(tmp_path / "out.json", obj)
+    assert ((tmp_path / "out.json").read_text()
+            == json.dumps(obj, indent=1, sort_keys=True) + "\n")
+
+
+def test_verification_and_report_rows_need_no_json_dumps(tmp_path, monkeypatch, grid_small):
+    # verification.json and functionals.json, the two large artifacts, are
+    # written by the C path alone
+    results = run_suite(grid_small, BGK(1.0), PIndex(1.5), n_states=1)
+    reports = [build_report(random_band_limited(grid_small, seed), PIndex(1.5))
+               for seed in range(6)]
+    want = {
+        "verification.json": [r.to_dict() for r in results],
+        "functionals.json": [{c: getattr(rep, c) for c in functionals.FunctionalReport.columns()}
+                             for rep in reports],
+    }
+    want = {name: (json.dumps(rows, indent=1, sort_keys=True) + "\n").encode()
+            for name, rows in want.items()}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("json.dumps called")
+
+    monkeypatch.setattr(json, "dumps", refuse)
+    monkeypatch.setattr(phase_space, "_ROW_BLOCK", 4)
+    verifier.save_results(results, tmp_path / "verification.json")
+    functionals.write_report_json(reports, tmp_path / "functionals.json")
+    for name, text in want.items():
+        assert (tmp_path / name).read_bytes() == text, name
 
 
 def _percent(values) -> bytes:

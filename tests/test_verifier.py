@@ -290,6 +290,17 @@ class TestSuite:
         failed_eq = [r for r in results if r.kind == "equality" and not r.passed]
         assert failed_eq
 
+    def test_corruption_hook_skews_simulate(self):
+        # simulate steps with modes_flow, which relaxes at the skewed rate too
+        state = cosine(build_grid(GridSpec(dim=1, nx=16, nv=8)), amplitude=0.3)
+
+        def final(collision):
+            return simulate(state, Schedule(dt=0.01, t_end=0.1, collision=collision)).final().h
+
+        corrupted = final(CorruptedBGK(rate=1.0, skew=0.5))
+        assert corrupted.tobytes() == final(BGK(1.0 * (1.0 + 0.5))).tobytes()
+        assert not np.array_equal(corrupted, final(BGK(1.0)))
+
     def test_diffusion_sweep(self, grid_accept):
         results = run_suite(grid_accept, FokkerPlanck(), PIndex(1.5), n_states=3)
         assert all(r.passed for r in results)
