@@ -8,11 +8,14 @@ Both collision operators act on v alone, so they commute with the Fourier
 transform in x. `simulate` therefore carries the state as its half-spectrum
 x-modes, where transport is a diagonal phase table and the collision a
 mode flow, both built once per step length. The positivity and mass checks
-still read the physical h after every step.
+still read the physical h after every step. On a grid of SPLIT_VALUES nodal
+values or more, half of each step's transform back to nodes runs on one
+helper thread, which `simulate` joins before it returns.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -23,6 +26,8 @@ import numpy as np
 
 from .operators import BGK, CollisionKind, FokkerPlanck, time_scale, transport_phases
 from .phase_space import (
+    ColumnHelper,
+    Grid,
     GridSpec,
     State,
     build_grid,
@@ -41,6 +46,11 @@ TRAJECTORY_FORMAT_VERSION = 1
 # STEP_MASS_TOL, or when min h falls below STEP_POSITIVITY_FLOOR.
 STEP_MASS_TOL = 1e-9
 STEP_POSITIVITY_FLOOR = -1e-8
+
+# simulate transforms each step's x-modes back to nodes on two threads, half
+# the velocity columns each, when the grid has at least this many nodal
+# values: below about 2**14 the hand-off costs more than the half it saves.
+SPLIT_VALUES = 2**16
 
 
 class SimulationError(RuntimeError):
@@ -108,6 +118,16 @@ def strang_step(state: State, dt: float, collision: CollisionKind) -> State:
     return simulate(state, Schedule(dt=dt, t_end=dt, collision=collision)).final()
 
 
+def _nodes_helper(grid: Grid):
+    """A ColumnHelper when the grid has SPLIT_VALUES nodal values or more
+    and this process may run on two CPUs or more, else a null context."""
+    if grid.nx_total * grid.nv_total < SPLIT_VALUES:
+        return contextlib.nullcontext()
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    return ColumnHelper(grid) if cpus >= 2 else contextlib.nullcontext()
+
+
 def simulate(initial: State, schedule: Schedule) -> Trajectory:
     """Run the schedule, recording snapshots at the requested stride.
 
@@ -127,35 +147,43 @@ def simulate(initial: State, schedule: Schedule) -> Trajectory:
     modes = to_modes(initial.h, grid)
     diffusion = isinstance(schedule.collision, FokkerPlanck)
     table_dt = phases = collide = None
-    for step in range(1, n_steps + 1):
-        target = min(t0 + step * schedule.dt, t0 + schedule.t_end)
-        # every step but the last has the nominal length, so its flows are
-        # built once; the last step ends exactly on t_end with its own
-        dt = schedule.dt if step < n_steps else target - state.time
-        if dt != table_dt:
-            table_dt, phases = dt, transport_phases(grid, 0.5 * dt)
-            collide = schedule.collision.modes_flow(grid, dt)
-        modes = collide(modes * phases)
-        modes *= phases
-        h = to_nodes(modes, grid)
-        if diffusion:
-            # the closing transport half-step can shift a repaired far-tail
-            # column below the floor again by an equally immaterial amount;
-            # the modes are transformed again only when a value was repaired
-            floored = floor_immaterial(h, grid)
-            if floored is not h:
-                h, modes = floored, to_modes(floored, grid)
-        state = State(grid, h, time=target)
-        hmin = float(h.min())
-        if hmin < STEP_POSITIVITY_FLOOR:
-            raise SimulationError(
-                f"positivity violated, min h = {hmin:.3e}", step)
-        mass = integrate_mu(h, grid)
-        if abs(mass - 1.0) > STEP_MASS_TOL:
-            raise SimulationError(
-                f"mass drifted to {mass!r}", step)
-        if step % schedule.snapshot_every == 0 or step == n_steps:
-            snaps.append((state.time, state))
+    with _nodes_helper(grid) as helper:
+        for step in range(1, n_steps + 1):
+            target = min(t0 + step * schedule.dt, t0 + schedule.t_end)
+            # every step but the last has the nominal length, so its flows are
+            # built once; the last step ends exactly on t_end with its own
+            dt = schedule.dt if step < n_steps else target - state.time
+            if dt != table_dt:
+                # a step so long that k.v dt/2 overflows makes NaN phases,
+                # and the checks below refuse the state they give
+                with np.errstate(over="ignore", invalid="ignore"):
+                    table_dt, phases = dt, transport_phases(grid, 0.5 * dt)
+                    collide = schedule.collision.modes_flow(grid, dt)
+            modes = collide(modes * phases)
+            modes *= phases
+            h = to_nodes(modes, grid, helper)
+            if diffusion:
+                # the closing transport half-step can shift a repaired far-tail
+                # column below the floor again by an equally immaterial amount;
+                # the modes are transformed again only when a value was repaired
+                floored = floor_immaterial(h, grid)
+                if floored is not h:
+                    h, modes = floored, to_modes(floored, grid)
+            state = State(grid, h, time=target)
+            hmin = float(h.min())
+            if hmin < STEP_POSITIVITY_FLOOR:
+                raise SimulationError(
+                    f"positivity violated, min h = {hmin:.3e}", step)
+            try:
+                mass = integrate_mu(h, grid)
+            except ValueError:
+                # integrate_mu refuses a field with non-finite entries
+                raise SimulationError("h has non-finite entries", step) from None
+            if abs(mass - 1.0) > STEP_MASS_TOL:
+                raise SimulationError(
+                    f"mass drifted to {mass!r}", step)
+            if step % schedule.snapshot_every == 0 or step == n_steps:
+                snaps.append((state.time, state))
     return Trajectory(snaps, schedule)
 
 

@@ -12,6 +12,7 @@ import contextlib
 import json
 import math
 import os
+import threading
 from dataclasses import dataclass, field
 from json.encoder import c_make_encoder, encode_basestring_ascii
 
@@ -260,12 +261,81 @@ def to_modes(fld: np.ndarray, grid: Grid) -> np.ndarray:
     return modes
 
 
-def to_nodes(modes: np.ndarray, grid: Grid) -> np.ndarray:
-    """Inverse of to_modes: a (..., nx_total, columns) nodal field."""
+def _inverse_x(modes: np.ndarray, grid: Grid, scratch: np.ndarray | None = None,
+               out: np.ndarray | None = None) -> np.ndarray:
+    """to_nodes before its reshape: ifft over the spatial axes but the last,
+    into `scratch` when one is given, then irfft over the last, into `out`
+    when one is given. Each column is transformed on its own, so its bits
+    do not depend on the columns passed with it."""
     for axis in range(-grid.dim - 1, -2):
-        modes = np.fft.ifft(modes, axis=axis)
-    fld = np.fft.irfft(modes, n=grid.spec.nx, axis=-2)
+        modes = np.fft.ifft(modes, axis=axis, out=scratch)
+    return np.fft.irfft(modes, n=grid.spec.nx, axis=-2, out=out)
+
+
+def to_nodes(modes: np.ndarray, grid: Grid, helper: ColumnHelper | None = None) -> np.ndarray:
+    """Inverse of to_modes: a (..., nx_total, columns) nodal field. With a
+    helper, its thread transforms the upper half of the columns while this
+    one transforms the lower half, with the same bits."""
+    if helper is None:
+        fld = _inverse_x(modes, grid)
+    else:
+        fld = np.empty((*modes.shape[:-2], grid.spec.nx, modes.shape[-1]))
+        half = modes.shape[-1] // 2
+        helper.start(_inverse_x, modes[..., half:], grid, helper.scratch[..., half:],
+                     fld[..., half:])
+        try:
+            _inverse_x(modes[..., :half], grid, helper.scratch[..., :half], fld[..., :half])
+        finally:
+            helper.wait()
     return fld.reshape(*fld.shape[:-grid.dim - 1], grid.nx_total, -1)
+
+
+class ColumnHelper:
+    """One thread that runs the upper half of every to_nodes call given it,
+    for the x-modes of a nodal field of `grid`, and the complex scratch
+    that both halves transform the leading spatial axes into. Used as a
+    context manager: the thread is joined on exit."""
+
+    def __init__(self, grid: Grid):
+        x_modes = (*grid.x_shape()[:-1], grid.spec.nx // 2 + 1)
+        self.scratch = np.empty((*x_modes, grid.nv_total), complex)
+        self._task = self._error = None
+        self._go, self._done = threading.Semaphore(0), threading.Semaphore(0)
+        self._thread = threading.Thread(target=self._serve, name="hypoflow-to-nodes",
+                                        daemon=True)
+        self._thread.start()
+
+    def _serve(self) -> None:
+        while True:
+            self._go.acquire()
+            if self._task is None:
+                return
+            fn, args = self._task
+            try:
+                fn(*args)
+            except BaseException as exc:  # wait() raises it on the caller's thread
+                self._error = exc
+            self._done.release()
+
+    def start(self, fn, *args) -> None:
+        """Run fn(*args) on the thread; one task at a time, until wait()."""
+        self._task = (fn, args)
+        self._go.release()
+
+    def wait(self) -> None:
+        """Wait for the task of start(); its exception is raised here."""
+        self._done.acquire()
+        error, self._error = self._error, None
+        if error is not None:
+            raise error
+
+    def __enter__(self) -> ColumnHelper:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._task = None
+        self._go.release()
+        self._thread.join()
 
 
 def grad_x_field(fld: np.ndarray, grid: Grid) -> np.ndarray:

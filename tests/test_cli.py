@@ -147,6 +147,18 @@ class TestSimulate:
         assert header[-1] == "hermite_tail"
         assert float(body[0][-1]) < 1e-13 and float(body[-1][-1]) > 1e-6
 
+    def test_non_finite_step_is_one_line(self, tmp_path, capsys):
+        # k.v dt/2 overflows, so step 1 is NaN: one line, exit 2, no warning
+        text = BASE.format(out=tmp_path / "o").replace("nx = 32", "nx = 16")
+        text = text.replace("nv = 16", "nv = 8").replace("dt = 0.01", "dt = 1e308")
+        cfg = write_config(tmp_path, text.replace("t_end = 5.0", "t_end = 1e308"))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["simulate", cfg]) == 2
+        assert caught == []
+        assert capsys.readouterr().err == \
+            "simulation aborted: step 1: h has non-finite entries\n"
+
 
 class TestCertify:
     def test_large_constant_gives_known_rate(self, tmp_path):

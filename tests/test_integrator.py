@@ -1,5 +1,6 @@
 import json
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from hypoflow import (
     simulate,
     transport_flow,
 )
+from hypoflow import integrator, operators, phase_space
 from hypoflow.functionals import BOLTZMANN, entropy
 from hypoflow.initial import cosine, equilibrium, random_band_limited, velocity_perturbation
 from hypoflow.integrator import strang_step
@@ -393,3 +395,96 @@ def test_fp_trajectory_roundtrip(grid_small, tmp_path):
     save_trajectory(traj, tmp_path / "fp")
     back = load_trajectory(tmp_path / "fp")
     assert isinstance(back.schedule.collision, FokkerPlanck)
+
+
+@pytest.mark.parametrize("collision", [BGK(1.0), FokkerPlanck()], ids=["bgk", "fp"])
+def test_simulate_refuses_non_finite_step(collision):
+    # k.v dt/2 overflows, so the phases and the state after one step are
+    # NaN: a SimulationError at step 1 with no numpy warning
+    s = cosine(build_grid(GridSpec(dim=1, nx=16, nv=8)), 0.3)
+    with pytest.raises(SimulationError) as err:
+        simulate(s, Schedule(dt=1e308, t_end=1e308, collision=collision))
+    assert err.value.step == 1
+    assert "non-finite" in str(err.value)
+
+
+def split_grid():
+    """The smallest 2-D grid whose steps simulate splits over two threads."""
+    grid = build_grid(GridSpec(dim=2, nx=16, nv=16))
+    assert grid.nx_total * grid.nv_total >= integrator.SPLIT_VALUES
+    return grid
+
+
+def cpus(monkeypatch, n):
+    """Make the process appear to be allowed on n CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def record_transform_threads(monkeypatch):
+    """The set of thread idents that run the x-transform of to_nodes."""
+    seen = set()
+    inverse = phase_space._inverse_x
+
+    def recorded(*args, **kwargs):
+        seen.add(threading.get_ident())
+        return inverse(*args, **kwargs)
+
+    monkeypatch.setattr(phase_space, "_inverse_x", recorded)
+    return seen
+
+
+@pytest.mark.parametrize("collision", [BGK(1.0), FokkerPlanck()], ids=["bgk", "fp"])
+def test_split_steps_match_serial_bit_for_bit(collision, monkeypatch):
+    s = random_band_limited(split_grid(), seed=3, amplitude=0.3)
+    sched = Schedule(dt=0.01, t_end=0.1, collision=collision, snapshot_every=3)
+    threads = record_transform_threads(monkeypatch)
+    runs = {}
+    for n in (1, 2):
+        cpus(monkeypatch, n)
+        threads.clear()
+        before = threading.active_count()
+        runs[n] = simulate(s, sched).snapshots
+        assert threading.active_count() == before
+        assert len(threads) == n
+    assert len(runs[2]) == 5
+    assert [t for t, _ in runs[1]] == [t for t, _ in runs[2]]
+    for (_, a), (_, b) in zip(runs[1], runs[2]):
+        assert a.h.tobytes() == b.h.tobytes()
+
+
+def test_one_dim_simulate_starts_no_thread(grid_accept, monkeypatch):
+    cpus(monkeypatch, 2)
+    started = []
+    original = threading.Thread.start
+
+    def start(self):
+        started.append(self)
+        original(self)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    before = threading.active_count()
+    simulate(cosine(grid_accept, 0.3), Schedule(dt=0.01, t_end=0.1, collision=BGK(1.0)))
+    assert started == [] and threading.active_count() == before
+
+
+@pytest.mark.parametrize("collision", [BGK(1.0), FokkerPlanck()], ids=["bgk", "fp"])
+def test_split_steps_call_hypoflow_on_the_calling_thread(collision, monkeypatch):
+    # a traced run keeps one span stack, which holds only if every public
+    # function runs on the thread that called simulate
+    cpus(monkeypatch, 2)
+    threads = record_transform_threads(monkeypatch)
+    calls = {}
+    for module in (phase_space, operators, integrator):
+        for name in ("to_nodes", "to_modes", "integrate_mu", "floor_immaterial", "bgk_relax"):
+            if hasattr(module, name):
+                def recorded(*args, _fn=getattr(module, name), _name=name, **kwargs):
+                    calls.setdefault(_name, set()).add(threading.get_ident())
+                    return _fn(*args, **kwargs)
+                monkeypatch.setattr(module, name, recorded)
+    s = random_band_limited(split_grid(), seed=3, amplitude=0.3)
+    simulate(s, Schedule(dt=0.01, t_end=0.05, collision=collision))
+    assert len(threads) == 2
+    used = {"to_nodes", "to_modes", "integrate_mu",
+            "bgk_relax" if isinstance(collision, BGK) else "floor_immaterial"}
+    assert used <= calls.keys()
+    assert all(idents == {threading.get_ident()} for idents in calls.values()), calls

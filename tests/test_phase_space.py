@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -552,6 +554,33 @@ class TestTwoDimensional:
         v = grid_2d.v_nodes
         h = 1.0 + np.tile(v[:, 0] * v[:, 1], (grid_2d.nx_total, 1))
         assert np.abs(project_pi(h, grid_2d) - 1.0).max() < 1e-12
+
+    def test_split_to_nodes_matches_serial_under_fast_switching(self, grid_2d):
+        # caller and helper share the task, the error and the output: a
+        # switch between any two bytecodes must not lose or mix a column
+        modes = phase_space.to_modes(random_band_limited(grid_2d, seed=1).h, grid_2d)
+        want = phase_space.to_nodes(modes, grid_2d).tobytes()
+        before = threading.active_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with phase_space.ColumnHelper(grid_2d) as helper:
+                got = [phase_space.to_nodes(modes, grid_2d, helper).tobytes()
+                       for _ in range(200)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert threading.active_count() == before
+        assert all(g == want for g in got)
+
+    def test_column_helper_raises_its_task_error_and_serves_on(self, grid_2d):
+        done = []
+        with phase_space.ColumnHelper(grid_2d) as helper:
+            helper.start(divmod, 1, 0)
+            with pytest.raises(ZeroDivisionError):
+                helper.wait()
+            helper.start(done.append, 1)
+            helper.wait()
+        assert done == [1]
 
 
 def phi(n, v):
