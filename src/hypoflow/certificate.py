@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .functionals import FunctionalReport, PIndex, torus_entropy, torus_fisher
+from .functionals import BOLTZMANN, FunctionalReport, PIndex, torus_entropy, torus_fisher
 from .operators import BGK, CollisionKind
 from .phase_space import Grid, write_json
 
@@ -65,7 +65,7 @@ class CertificateParams:
 
     model: str                      # bgk-log | bgk-power | fokker-planck-power
     lam: float | None = None
-    p: float | None = None
+    p: float = 1.0
     A1: float = 0.0
     A2: float = 0.0
     A3: float = 1.0
@@ -120,8 +120,8 @@ def phase_space_ratio(spatial_ratio: float) -> float:
 
 
 def paper_constants_bgk(lam: float, C: float = math.inf, eta: float = 1.0 / 3.0,
-                        p: float | None = None) -> CertificateParams:
-    """Relaxation certificate for the log entropy (p None) or the power
+                        p: float = 1.0) -> CertificateParams:
+    """Relaxation certificate for the log entropy (p = 1) or the power
     entropy with p in (1, 2]; one recipe serves both, and in the power
     case only the functional constant changes with p.
 
@@ -133,15 +133,16 @@ def paper_constants_bgk(lam: float, C: float = math.inf, eta: float = 1.0 / 3.0,
     """
     if not lam > 0:
         raise ValueError(f"relaxation rate must be positive, got {lam}")
-    if p is not None and not (1.0 < p <= 2.0):
-        raise ValueError(f"p must lie in (1, 2], got {p}")
+    if not (1.0 <= p <= 2.0):
+        raise ValueError(f"p must lie in [1, 2], got {p}")
     if not eta > 0:
         raise ValueError(f"eta must be positive, got {eta}")
     if not C > 0:
         raise ValueError(f"C must be positive, got {C}")
     A3 = 1.0
     A2 = lam * A3
-    gain = 1.0 if p is None else 2.0
+    log = p == 1.0
+    gain = 1.0 if log else 2.0
     try:
         A1 = (lam + 2.0 / lam) * A3 / eta
         A4 = (lam * A2 + 2.0 * A3)          # = (lam^2 + 2) A3
@@ -158,7 +159,7 @@ def paper_constants_bgk(lam: float, C: float = math.inf, eta: float = 1.0 / 3.0,
     # trivially-true member of the proof's list, kept in non-reduced form
     pi_x_gap = lam * A1 - (lam * A2 + 2.0 * A3) / (2.0 * eta)
     eps = eps1 = eps2 = None
-    if p is None:
+    if log:
         eps = 1.0 / lam
         # coefficient of the relative spatial Fisher term must stay nonnegative
         fz.add("pi_xx_coefficient", lam * A1 - lam * A2 / eps)
@@ -182,14 +183,14 @@ def paper_constants_bgk(lam: float, C: float = math.inf, eta: float = 1.0 / 3.0,
 
     beta = 2.0 * (lam**2 + 2.0)
     gamma = None
-    if p is None and math.isfinite(C):
+    if log and math.isfinite(C):
         # entropy is dominated by Fisher information with the phase-space
         # ratio constant
         ratio = phase_space_ratio(1.0 / C)
         gamma = ratio * (alpha_pref + 2.0 * beta * ratio)
 
     return CertificateParams(
-        model="bgk-log" if p is None else "bgk-power", lam=lam, p=p,
+        model="bgk-log" if log else "bgk-power", lam=lam, p=p,
         A1=A1, A2=A2, A3=A3, A4=A4, eps=eps, eps1=eps1, eps2=eps2,
         eta=eta, C=C, alpha=0.5, rate=rate,
         prefactor_alpha=alpha_pref, prefactor_beta=beta,
@@ -207,7 +208,7 @@ def paper_constants_fp(C: float, p: float = 1.5) -> CertificateParams:
     """
     if not C > 0:
         raise ValueError(f"C must be positive, got {C}")
-    if p is None or not (1.0 < p <= 2.0):
+    if not (1.0 < p <= 2.0):
         raise ValueError(f"p must lie in (1, 2], got {p}")
     A1 = A2 = A3 = 1.0
     eps = 4.0 * A3
@@ -232,7 +233,7 @@ def paper_constants_fp(C: float, p: float = 1.5) -> CertificateParams:
 
 
 def optimize_rate(lam: float, C: float = math.inf,
-                  p: float | None = None) -> CertificateParams:
+                  p: float = 1.0) -> CertificateParams:
     """The relaxation certificate of `paper_constants_bgk` with the splitter
     eta that maximizes the certified rate.
 
@@ -287,7 +288,7 @@ class ConstantEstimate:
 
 
 def estimate_functional_constant(grid: Grid,
-                                 p: PIndex = PIndex(None)) -> ConstantEstimate:
+                                 p: PIndex = BOLTZMANN) -> ConstantEstimate:
     """The spatial entropy/Fisher ratio constant, times SAFETY.
 
     On the torus the sharp constant of entropy(rho) <= C fisher(rho) is

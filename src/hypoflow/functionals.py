@@ -1,9 +1,8 @@
 """Entropy and Fisher-information diagnostics of a state.
 
-Two entropy families are supported: the logarithmic entropy of the
-density ratio, and the power entropies (h^p - h)/(p(p-1)) for
-p in (1, 2]. The log case is its own code path rather than a p -> 1
-limit, which would cancel catastrophically.
+One entropy family is supported: the power entropies (h^p - h)/(p(p-1))
+for p in [1, 2], whose p = 1 member is the logarithmic entropy h log h of
+the density ratio. Every p takes the same code path.
 
 All weighted gradients use the h^(p-2) convention throughout, and the
 nonlinear entropy variables are differentiated by the pointwise chain
@@ -41,17 +40,17 @@ from .phase_space import (
 
 @dataclass(frozen=True)
 class PIndex:
-    """Entropy selector: None for the logarithmic entropy, else p in (1, 2]."""
+    """Entropy index p in [1, 2]; p = 1 is the logarithmic (Boltzmann) entropy."""
 
-    p: float | None = None
+    p: float = 1.0
 
     def __post_init__(self):
-        if self.p is not None and not (1.0 < self.p <= 2.0):
-            raise ValueError(f"power entropy needs p in (1, 2], got {self.p}")
+        if not (1.0 <= self.p <= 2.0):
+            raise ValueError(f"entropy index needs p in [1, 2], got {self.p}")
 
     @property
     def is_log(self) -> bool:
-        return self.p is None
+        return self.p == 1.0
 
     def label(self) -> str:
         return "log" if self.is_log else repr(self.p)
@@ -64,14 +63,14 @@ class PIndex:
         return PIndex(float(t))
 
 
-BOLTZMANN = PIndex(None)
+BOLTZMANN = PIndex(1.0)
 
 
 def correction_weight(r, p: float):
     """p-1 + (2-p) r - r^(2-p); nonnegative for r >= 0, zero at p = 2.
 
     Weights the extra dissipation terms that exist only for p strictly
-    between 1 and 2.
+    between 1 and 2; it vanishes at p = 1 as well.
     """
     r = np.asarray(r, dtype=float)
     if np.any(r < 0):
@@ -153,13 +152,12 @@ def torus_entropy(rho: np.ndarray, grid: Grid, p: PIndex = BOLTZMANN):
 
 def torus_fisher(rho: np.ndarray, grid: Grid, p: PIndex = BOLTZMANN,
                  grad: np.ndarray | None = None):
-    """Spatial Fisher information of a positive density rho on the torus,
-    weighted rho^(p-2) (1/rho for the log entropy); `grad` is the spatial
-    gradient of rho when the caller has it already."""
+    """Spatial Fisher information, weighted rho^(p-2), of a positive density
+    rho on the torus; `grad` is its spatial gradient if the caller has it."""
     if grad is None:
         grad = grad_x_spatial(rho, grid)
     sq = (grad**2).sum(axis=0)
-    return integrate_x(sq / rho if p.is_log else rho**(p.p - 2.0) * sq, grid)
+    return integrate_x(rho**(p.p - 2.0) * sq, grid)
 
 
 def _composite(state: State, p: PIndex):
@@ -170,7 +168,7 @@ def _composite(state: State, p: PIndex):
     require_bounded_below(pih, "velocity average of h")
     gx = grad_x_field(h, grid)
     gv = grad_v_field(h, grid)
-    ix, iv, im = kernels.fisher(h, gx, gv, wv, -1.0 if p.is_log else p.p - 2.0)
+    ix, iv, im = kernels.fisher(h, gx, gv, wv, p.p - 2.0)
     rep = FunctionalReport(
         time=state.time, p=p.label(),
         entropy=kernels.entropy(h, wv, p.p),
@@ -196,9 +194,9 @@ def build_report(state: State, p: PIndex, model: str = BGK.name) -> FunctionalRe
     - both models: the COMPOSITE_COLUMNS, as composite_report computes them,
       and hermite_tail, the share of the Hermite coefficient norm of h in
       the top two modes per velocity axis;
-    - bgk: fisher_x_projected and projected_entropy_rate, plus fisher_x_ratio
-      and fisher_v_ratio for the log entropy, or cross_dissipation,
-      correction_x, correction_v and fisher_v_scaled for p in (1, 2];
+    - bgk: fisher_x_projected, projected_entropy_rate, cross_dissipation,
+      correction_x, correction_v and fisher_v_scaled; at p = 1 the correction
+      weight vanishes and the other two are fisher_x_ratio and fisher_v_ratio;
     - fokker-planck with p in (1, 2]: hess_xv, hess_vv, quartic_xv, quartic_v.
     """
     if model not in (BGK.name, FokkerPlanck.name):
@@ -215,20 +213,18 @@ def build_report(state: State, p: PIndex, model: str = BGK.name) -> FunctionalRe
         div_u = sum(g[i, ..., 1 + i] for i in range(grid.dim))
         # exact d/dt of entropy_projected, no differencing: the entropy
         # variable of pi h paired with minus the divergence of u
-        entropy_var = np.log(pih) if p.is_log else pih**(p.p - 1.0) / (p.p - 1.0)
-        rep.projected_entropy_rate = -integrate_x(entropy_var * div_u, grid)
+        rep.projected_entropy_rate = -integrate_x(kernels.entropy_variable(pih, p.p) * div_u, grid)
         rep.fisher_x_projected = torus_fisher(pih, grid, p, grad=gpi)
+        ratio = pih[..., None] / h
+        cross = kernels.cross_dissipation(h, gx, gpi, pih, wv, p.p)
+        scaled = kernels.weighted_fisher(h, gv, wv, p.p - 2.0, ratio**(2.0 - p.p))
         if p.is_log:
-            rep.fisher_x_ratio = kernels.pi_ratio_x(h, gx, gpi, pih, wv)
-            rep.fisher_v_ratio = kernels.weighted_fisher(h, gv, wv, -1.0, pih[..., None] / h)
+            rep.fisher_x_ratio, rep.fisher_v_ratio = cross, scaled
         else:
-            rep.cross_dissipation = kernels.cross_dissipation(h, gx, gpi, pih, wv, p.p)
-            ratio = pih[..., None] / h
+            rep.cross_dissipation, rep.fisher_v_scaled = cross, scaled
             fac = correction_weight(ratio, p.p)
             rep.correction_x = kernels.weighted_fisher(h, gx, wv, p.p - 2.0, fac)
             rep.correction_v = kernels.weighted_fisher(h, gv, wv, p.p - 2.0, fac)
-            rep.fisher_v_scaled = kernels.weighted_fisher(h, gv, wv, p.p - 2.0,
-                                                          ratio**(2.0 - p.p))
     elif not p.is_log:
         # hess[i, j]: d/dv_i of the j-th gradient component
         hess_vx = np.stack([grad_v_field(g, grid) for g in gx], axis=1)

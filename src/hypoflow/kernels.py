@@ -24,19 +24,30 @@ def _quadrature(nodal, wv):
     return float(total) if total.ndim == 0 else total
 
 
-def convex_entropy_density(u, p: float | None):
-    """Pointwise convex entropy integrand; p=None selects the log entropy.
+def entropy_variable(u, p: float):
+    """(u^(p-1) - 1)/(p-1), and log u at p = 1, as expm1((p-1) log u)/(p-1),
+    which stays accurate to round-off as p -> 1."""
+    out = np.log(u)
+    if p != 1.0:
+        out *= p - 1.0
+        np.expm1(out, out=out)
+        out /= p - 1.0
+    return out
 
-    u log u - u + 1 and (u^p - 1 - p(u - 1))/(p(p-1)) have the same
-    integrals as u log u and (u^p - u)/(p(p-1)) under unit mass, but are
-    pointwise nonnegative, so near-equilibrium roundoff cannot flip signs.
-    """
-    if p is None:
-        return u * np.log(u) - u + 1.0
-    return (u**p - 1.0 - p * (u - 1.0)) / (p * (p - 1.0))
+
+def convex_entropy_density(u, p: float):
+    """(u^p - 1 - p(u-1))/(p(p-1)), u log u - u + 1 at p = 1, as (u E - (u-1))/p
+    with E the entropy variable. It has the integral of (u^p - u)/(p(p-1))
+    under unit mass but is pointwise nonnegative, and u - 1 is exact near
+    u = 1, so near-equilibrium round-off neither flips signs nor cancels."""
+    out = entropy_variable(u, p)
+    out *= u
+    out -= u - 1.0
+    out /= p
+    return out
 
 
-def entropy(h, wv, p: float | None):
+def entropy(h, wv, p: float):
     """Quadrature of the convex entropy integrand of h."""
     return _quadrature(convex_entropy_density(h, p), wv)
 
@@ -57,18 +68,10 @@ def weighted_fisher(h, g, wv, e: float, fac):
     return _quadrature(w * g2, wv)
 
 
-def pi_ratio_x(h, gx, gpi, pih, wv):
-    """|grad_x(pi h) - (pi h / h) grad_x h|^2 / pi h, the relative spatial
-    Fisher information of h against its velocity average."""
-    acc = np.zeros_like(h)
-    for i in range(gx.shape[0]):
-        diff = gpi[i][..., None] - (pih[..., None] / h) * gx[i]
-        acc += diff * diff
-    return _quadrature(acc / pih[..., None], wv)
-
-
 def cross_dissipation(h, gx, gpi, pih, wv, p: float):
-    """| (pi h)^(p-2) grad(pi h) - h^(p-2) grad h |^2 (pi h)^(2-p)."""
+    """| (pi h)^(p-2) grad(pi h) - h^(p-2) grad h |^2 (pi h)^(2-p); at p = 1
+    the relative spatial Fisher information of h against its velocity
+    average."""
     acc = np.zeros_like(h)
     wpi = pih**(p - 2.0)
     wh = h**(p - 2.0)
@@ -88,7 +91,7 @@ def quartic(h, ga, gb, wv, p: float):
 def hessian_norm(h, hess, ga, gb, wv, p: float):
     """Frobenius norm^2 of h^(p-2) hess + (p-2) h^(p-3) ga (x) gb,
     weighted by h^(2-p): the squared second derivative of the entropy
-    variable h^(p-1)/(p-1), expanded by the chain rule."""
+    variable, expanded by the chain rule."""
     d = ga.shape[0]
     w1 = h**(p - 2.0)
     w2 = (p - 2.0) * h**(p - 3.0)

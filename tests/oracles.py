@@ -167,24 +167,52 @@ def normalize_exponential(field: AnalyticField, x, v) -> AnalyticField:
     return AnalyticField(field.terms, exponential=True, norm=z)
 
 
-def oracle_entropy(field: AnalyticField, x, v, p: float | None) -> float:
+def oracle_entropy(field: AnalyticField, x, v, p: float) -> float:
+    """Convex entropy integral; p = 1 is the log entropy, in its own closed form."""
     h = field.h(x, v)
-    if p is None:
+    if p == 1.0:
         vals = h * np.log(h) - h + 1.0
     else:
         vals = (h**p - 1.0 - p * (h - 1.0)) / (p * (p - 1.0))
     return dense_integral(vals, x, v)
 
 
-def oracle_fisher(field: AnalyticField, x, v, p: float | None):
+def oracle_fisher(field: AnalyticField, x, v, p: float):
     h = field.h(x, v)
     hx = field.hx(x, v)
     hv = field.hv(x, v)
-    w = 1.0 / h if p is None else h**(p - 2.0)
+    w = 1.0 / h if p == 1.0 else h**(p - 2.0)
     ix = dense_integral(w * hx * hx, x, v)
     iv = dense_integral(w * hv * hv, x, v)
     im = dense_integral(w * hx * hv, x, v)
     return ix, iv, im
+
+
+def torus_constant_ratio(x1, period: float, p: float) -> float:
+    """Entropy / Fisher of rho = 1 + 1e-4 cos(2 pi x1 / period) at the nodes
+    x1 (one per spatial node), both as node means.
+
+    The convex entropy density is summed as its power series in
+    delta = rho - 1, which rounds only at the size of each term:
+    sum_{k>=2} c_k delta^k with c_k = prod_{j<k}(p - j) / (k! p (p - 1)),
+    and c_k = (-1)^k / (k (k - 1)) for the log entropy p = 1. Six terms
+    leave a remainder of order delta^6 = 1e-24 relative to the sum. The
+    Fisher density rho^(p-2) |rho'|^2 takes the analytic derivative.
+    """
+    amplitude, k = 1e-4, 2.0 * math.pi / period
+    rho = 1.0 + amplitude * np.cos(k * x1)
+    delta = rho - 1.0
+    series = np.zeros_like(delta)
+    for order in range(7, 1, -1):  # Horner, highest order first
+        if p == 1.0:
+            c = (-1.0) ** order / (order * (order - 1))
+        else:
+            c = math.prod(p - j for j in range(order)) / (
+                math.factorial(order) * p * (p - 1.0))
+        series = series * delta + c
+    entropy = (series * delta * delta).mean()
+    fisher = (rho ** (p - 2.0) * (amplitude * k * np.sin(k * x1)) ** 2).mean()
+    return float(entropy / fisher)
 
 
 def oracle_projection(field: AnalyticField, x, v):

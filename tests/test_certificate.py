@@ -7,7 +7,9 @@ from hypoflow import (
     BGK,
     BOLTZMANN,
     FokkerPlanck,
+    GridSpec,
     PIndex,
+    build_grid,
     build_report,
     certify,
     estimate_functional_constant,
@@ -19,6 +21,8 @@ from hypoflow import (
 )
 from hypoflow.certificate import phase_space_ratio
 from hypoflow.initial import random_band_limited
+
+import oracles
 
 
 def _trial_density(grid, coefs, modes):
@@ -78,7 +82,7 @@ class TestRelaxationLogRecipe:
         with pytest.raises(ValueError):
             paper_constants_bgk(1.0, eta=0.0)
         # finite, but 2 / lam, lam**2 or eta * lam leaves the float range
-        for lam, p in ((1e-320, None), (1e308, None), (1e308, 1.5)):
+        for lam, p in ((1e-320, 1.0), (1e308, 1.0), (1e308, 1.5)):
             with pytest.raises(ValueError, match="lambda"):
                 paper_constants_bgk(lam, p=p)
             with pytest.raises(ValueError, match="lambda"):
@@ -115,8 +119,11 @@ class TestRelaxationPowerRecipe:
         assert c.eps1 == c.eps2 == 1.0
 
     def test_rejects_bad_p(self):
+        # p = 1 is the log entropy, which takes the log recipe
+        assert paper_constants_bgk(1.0, p=1.0).model == "bgk-log"
+        assert paper_constants_bgk(1.0, p=1.0) == paper_constants_bgk(1.0)
         with pytest.raises(ValueError):
-            paper_constants_bgk(1.0, p=1.0)
+            paper_constants_bgk(1.0, p=0.999)
         with pytest.raises(ValueError):
             paper_constants_bgk(1.0, p=2.2)
 
@@ -244,6 +251,17 @@ class TestConstantEstimator:
         assert est.raw_ratio == pytest.approx(expect, rel=1e-6)
         assert est.value == pytest.approx(1.1 * expect, rel=1e-3)
         assert est.coercivity == pytest.approx(1.0 / est.value, rel=1e-14)
+
+    @pytest.mark.parametrize("p", [BOLTZMANN, PIndex(1.5), PIndex(2.0)],
+                             ids=PIndex.label)
+    @pytest.mark.parametrize("dim,nx", [(1, 32), (1, 64), (2, 16)])
+    def test_raw_ratio_matches_series_oracle(self, dim, nx, p):
+        # near rho = 1 the power series in rho - 1 does not cancel, so it
+        # pins the grid's convex density to round-off
+        grid = build_grid(GridSpec(dim=dim, nx=nx, nv=8))
+        want = oracles.torus_constant_ratio(grid.x_nodes[:, 0], grid.spec.period, p.p)
+        got = estimate_functional_constant(grid, p).raw_ratio
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_holdout_bound(self, grid_small, grid_2d):
         # the lowest harmonic at vanishing amplitude is the sharp case: no

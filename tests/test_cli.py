@@ -454,6 +454,8 @@ def _one_config_error_line(capsys):
     ("verify", "lambda = 1.0", "lambda = fast"),
     ("verify", "lambda = 1.0", "lambda = nan"),
     ("verify", "p = boltzmann", "p = 3"),
+    # p = 1 is the log entropy, and nothing lies below it
+    ("verify", "p = boltzmann", "p = 0.999"),
     ("verify", "n_states = 2", "n_states = many"),
     ("verify", "n_states = 2", "n_states = 0"),
     # a skew of -1 or below stops or reverses the relaxation flow
@@ -480,6 +482,8 @@ def _one_config_error_line(capsys):
     pytest.param("certify", BGK_MODEL, FP_MODEL.replace("fokker-planck", "fp"),
                  id="certify-kind-fp"),
     pytest.param("certify", "p = boltzmann", "p = none", id="certify-p-none"),
+    # the velocity-diffusion model is analyzed for p in (1, 2] only
+    pytest.param("certify", BGK_MODEL, FP_MODEL.replace("1.5", "1"), id="certify-fp-p-1"),
     # numpy's generator takes no negative seed, and exp(1000 g) overflows
     ("verify", "n_states = 2", "n_states = 2\nseed = -1"),
     ("verify", "n_states = 2", "n_states = 2\namplitude = 1000"),

@@ -57,15 +57,18 @@ def state_exp(grid_accept, field_exp):
 
 class TestPIndex:
     def test_rejects_out_of_range(self):
+        # p = 1 is the log entropy; below it and above 2 nothing is defined
+        assert PIndex(1.0) == BOLTZMANN
         with pytest.raises(ValueError):
-            PIndex(1.0)
+            PIndex(0.999)
         with pytest.raises(ValueError):
             PIndex(2.5)
 
     def test_parse(self):
-        assert PIndex.parse("boltzmann").is_log
-        assert PIndex.parse("log").is_log
+        for text in ("boltzmann", "log", "1", "1.0"):
+            assert PIndex.parse(text) == BOLTZMANN and PIndex.parse(text).is_log
         assert PIndex.parse("1.5").p == 1.5
+        assert not PIndex(1.0 + 1e-10).is_log
 
 
 class TestEntropy:
@@ -96,9 +99,8 @@ class TestEntropy:
 
     def test_exponential_field_vs_oracle(self, state_exp, field_exp, dense_xy):
         x, v = dense_xy
-        for p in (None, 1.5, 2.0):
-            pi = BOLTZMANN if p is None else PIndex(p)
-            mine = entropy(state_exp, pi)
+        for p in (1.0, 1.5, 2.0):
+            mine = entropy(state_exp, PIndex(p))
             want = oracles.oracle_entropy(field_exp, x, v, p)
             assert mine == pytest.approx(want, rel=1e-8, abs=1e-10)
 
@@ -129,9 +131,8 @@ class TestFisher:
 
     def test_exponential_field_vs_oracle(self, state_exp, field_exp, dense_xy):
         x, v = dense_xy
-        for p in (None, 1.5):
-            pi = BOLTZMANN if p is None else PIndex(p)
-            mine = fisher(build_report(state_exp, pi))
+        for p in (1.0, 1.5):
+            mine = fisher(build_report(state_exp, PIndex(p)))
             want = oracles.oracle_fisher(field_exp, x, v, p)
             for a, b in zip(mine, want):
                 assert a == pytest.approx(b, rel=1e-7, abs=1e-9)
@@ -314,14 +315,24 @@ class TestReportInvariants:
             assert lhs == pytest.approx(gap, rel=1e-8, abs=1e-10)
 
     def test_p_to_one_continuity(self, grid_accept):
+        # the log entropy is the p = 1 member of the power family: every
+        # shared column of p = 1 + gap is within 10 gap of its log value
         s = random_band_limited(grid_accept, seed=3)
-        h_log = entropy(s, BOLTZMANN)
-        h_near = entropy(s, PIndex(1.001))
-        assert abs(h_near - h_log) / h_log < 0.01
-        f_log = fisher(build_report(s, BOLTZMANN))
-        f_near = fisher(build_report(s, PIndex(1.001)))
-        for a, b in zip(f_log, f_near):
-            assert abs(a - b) / max(abs(a), 1e-12) < 0.01
+        log = build_report(s, BOLTZMANN)
+        pairs = [(c, c) for c in ("entropy", "entropy_projected", "fisher_x", "fisher_v",
+                                  "fisher_mixed", "fisher_x_projected",
+                                  "projected_entropy_rate")]
+        pairs += [("cross_dissipation", "fisher_x_ratio"),
+                  ("fisher_v_scaled", "fisher_v_ratio")]
+        for gap in (1e-6, 1e-8, 1e-10):
+            near = build_report(s, PIndex(1.0 + gap))
+            for power_col, log_col in pairs:
+                a, b = getattr(near, power_col), getattr(log, log_col)
+                assert abs(a - b) <= 10.0 * gap * abs(b), (gap, power_col, a, b)
+            # the correction terms carry a weight that vanishes at p = 1
+            for c, scale in (("correction_x", log.fisher_x), ("correction_v", log.fisher_v)):
+                assert abs(getattr(near, c)) <= 10.0 * gap * scale, (gap, c, getattr(near, c))
+                assert getattr(log, c) is None
 
 
 class TestFokkerPlanckReport:

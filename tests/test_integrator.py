@@ -122,6 +122,23 @@ def test_simulate_hits_final_time_with_short_step(grid_small):
     assert traj.times[-1] == pytest.approx(0.1, abs=1e-12)
 
 
+@pytest.mark.parametrize("collision", [BGK(1.0), FokkerPlanck()], ids=["bgk", "fp"])
+@pytest.mark.parametrize("t_end,tables", [(0.5, 1), (0.495, 2), (0.005, 1)])
+def test_last_step_rebuilds_flows_only_beyond_round_off(grid_small, monkeypatch,
+                                                        collision, t_end, tables):
+    # at t_end = 0.5 the last step is 0.010000000000000009 long, within
+    # round-off of dt, so the step's tables are reused; a truly short last
+    # step gets its own
+    built = []
+    real = integrator.transport_phases
+    monkeypatch.setattr(integrator, "transport_phases",
+                        lambda grid, t: built.append(t) or real(grid, t))
+    traj = simulate(cosine(grid_small, 0.3),
+                    Schedule(dt=0.01, t_end=t_end, collision=collision))
+    assert len(built) == tables
+    assert traj.times[-1] == t_end
+
+
 def test_simulate_conserves_mass(grid_small):
     s = cosine(grid_small, 0.5)
     sched = Schedule(dt=0.01, t_end=5.0, collision=BGK(1.0), snapshot_every=50)
