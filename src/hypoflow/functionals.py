@@ -4,10 +4,11 @@ One entropy family is supported: the power entropies (h^p - h)/(p(p-1))
 for p in [1, 2], whose p = 1 member is the logarithmic entropy h log h of
 the density ratio. Every p takes the same code path.
 
-All weighted gradients use the h^(p-2) convention throughout, and the
-nonlinear entropy variables are differentiated by the pointwise chain
-rule against the spectral gradient of h itself. That keeps the algebraic
-identities between the reported quantities exact at quadrature level.
+Every weighted gradient takes the weight h^(p-2), which `_composite`
+computes once per report, and the nonlinear entropy variables are
+differentiated by the pointwise chain rule against the spectral gradient
+of h itself. That keeps the algebraic identities between the reported
+quantities exact at quadrature level.
 
 A state that stacks members on leading axes of h gets one report whose
 numeric columns hold one value per member, each bit for bit the value
@@ -161,21 +162,22 @@ def torus_fisher(rho: np.ndarray, grid: Grid, p: PIndex = BOLTZMANN,
 
 
 def _composite(state: State, p: PIndex):
-    """composite_report of `state`, with the pi h and the gradients it read."""
+    """composite_report of `state`, with w = h^(p-2), pi h and the gradients it read."""
     grid, h, wv = state.grid, state.h, state.grid.v_weights
     require_bounded_below(h)
     pih = project_pi(h, grid)
     require_bounded_below(pih, "velocity average of h")
     gx = grad_x_field(h, grid)
     gv = grad_v_field(h, grid)
-    ix, iv, im = kernels.fisher(h, gx, gv, wv, p.p - 2.0)
+    w = h**(p.p - 2.0)
+    ix, iv, im = kernels.fisher(w, gx, gv, wv)
     rep = FunctionalReport(
         time=state.time, p=p.label(),
         entropy=kernels.entropy(h, wv, p.p),
         entropy_projected=torus_entropy(pih, grid, p),
         fisher_x=ix, fisher_v=iv, fisher_mixed=im,
     )
-    return rep, pih, gx, gv
+    return rep, w, pih, gx, gv
 
 
 def composite_report(state: State, p: PIndex) -> FunctionalReport:
@@ -201,7 +203,7 @@ def build_report(state: State, p: PIndex, model: str = BGK.name) -> FunctionalRe
     """
     if model not in (BGK.name, FokkerPlanck.name):
         raise ValueError(f"unknown model {model!r}")
-    rep, pih, gx, gv = _composite(state, p)
+    rep, w, pih, gx, gv = _composite(state, p)
     grid, h, wv = state.grid, state.h, state.grid.v_weights
     rep.hermite_tail = hermite_tail_fraction(h, grid)
     if model == BGK.name:
@@ -216,23 +218,21 @@ def build_report(state: State, p: PIndex, model: str = BGK.name) -> FunctionalRe
         rep.projected_entropy_rate = -integrate_x(kernels.entropy_variable(pih, p.p) * div_u, grid)
         rep.fisher_x_projected = torus_fisher(pih, grid, p, grad=gpi)
         ratio = pih[..., None] / h
-        cross = kernels.cross_dissipation(h, gx, gpi, pih, wv, p.p)
-        scaled = kernels.weighted_fisher(h, gv, wv, p.p - 2.0, ratio**(2.0 - p.p))
+        cross = kernels.cross_dissipation(w, gx, gpi, pih, wv, p.p)
+        scaled = kernels.weighted_fisher(w * ratio**(2.0 - p.p), gv, wv)
         if p.is_log:
             rep.fisher_x_ratio, rep.fisher_v_ratio = cross, scaled
         else:
             rep.cross_dissipation, rep.fisher_v_scaled = cross, scaled
-            fac = correction_weight(ratio, p.p)
-            rep.correction_x = kernels.weighted_fisher(h, gx, wv, p.p - 2.0, fac)
-            rep.correction_v = kernels.weighted_fisher(h, gv, wv, p.p - 2.0, fac)
+            wc = w * correction_weight(ratio, p.p)
+            rep.correction_x = kernels.weighted_fisher(wc, gx, wv)
+            rep.correction_v = kernels.weighted_fisher(wc, gv, wv)
     elif not p.is_log:
         # hess[i, j]: d/dv_i of the j-th gradient component
-        hess_vx = np.stack([grad_v_field(g, grid) for g in gx], axis=1)
-        hess_vv = np.stack([grad_v_field(g, grid) for g in gv], axis=1)
-        rep.hess_xv = kernels.hessian_norm(h, hess_vx, gv, gx, wv, p.p)
-        rep.hess_vv = kernels.hessian_norm(h, hess_vv, gv, gv, wv, p.p)
-        rep.quartic_xv = kernels.quartic(h, gv, gx, wv, p.p)
-        rep.quartic_v = kernels.quartic(h, gv, gv, wv, p.p)
+        rep.hess_xv = kernels.hessian_norm(w, h, grad_v_field(gx, grid), gv, gx, wv, p.p)
+        rep.hess_vv = kernels.hessian_norm(w, h, grad_v_field(gv, grid), gv, gv, wv, p.p)
+        rep.quartic_xv = kernels.quartic(w, h, gv, gx, wv)
+        rep.quartic_v = kernels.quartic(w, h, gv, gv, wv)
     return rep
 
 

@@ -5,7 +5,8 @@ pointwise expression in the density and its gradients, vectorized in
 numpy. A density h of shape (..., nx_total, nv_total) stacks states on its
 leading axes, with gradients of shape (dim, ...) of h's shape and velocity
 averages of shape h.shape[:-1]; each reduction returns a float for one
-state and one value per member for a stack.
+state and one value per member for a stack. Each weighted reduction takes
+the weight w = h^(p-2) that `functionals.build_report` computes once.
 """
 
 from __future__ import annotations
@@ -52,52 +53,49 @@ def entropy(h, wv, p: float):
     return _quadrature(convex_entropy_density(h, p), wv)
 
 
-def fisher(h, gx, gv, wv, e: float):
-    """Weighted squares and cross term of the two gradients; weight h**e."""
-    w = h**e
+def fisher(w, gx, gv, wv):
+    """Weighted squares and cross term of the two gradients."""
     gx2 = (gx * gx).sum(axis=0)
     gv2 = (gv * gv).sum(axis=0)
     mix = (gx * gv).sum(axis=0)
     return _quadrature(w * gx2, wv), _quadrature(w * gv2, wv), _quadrature(w * mix, wv)
 
 
-def weighted_fisher(h, g, wv, e: float, fac):
-    """Quadrature of h**e |g|^2 fac for a pointwise factor field fac."""
-    w = h**e * fac
+def weighted_fisher(w, g, wv):
+    """Quadrature of w |g|^2 for a pointwise weight field w."""
     g2 = (g * g).sum(axis=0)
     return _quadrature(w * g2, wv)
 
 
-def cross_dissipation(h, gx, gpi, pih, wv, p: float):
+def cross_dissipation(w, gx, gpi, pih, wv, p: float):
     """| (pi h)^(p-2) grad(pi h) - h^(p-2) grad h |^2 (pi h)^(2-p); at p = 1
     the relative spatial Fisher information of h against its velocity
     average."""
-    acc = np.zeros_like(h)
+    acc = np.zeros_like(w)
     wpi = pih**(p - 2.0)
-    wh = h**(p - 2.0)
     for i in range(gx.shape[0]):
-        diff = wpi[..., None] * gpi[i][..., None] - wh * gx[i]
+        diff = wpi[..., None] * gpi[i][..., None] - w * gx[i]
         acc += diff * diff
     return _quadrature(acc * pih[..., None]**(2.0 - p), wv)
 
 
-def quartic(h, ga, gb, wv, p: float):
-    """Quadrature of h^(p-4) |ga|^2 |gb|^2."""
+def quartic(w, h, ga, gb, wv):
+    """Quadrature of h^(p-4) |ga|^2 |gb|^2, with h^(p-4) = w/(h h)."""
     ga2 = (ga * ga).sum(axis=0)
     gb2 = (gb * gb).sum(axis=0)
-    return _quadrature(h**(p - 4.0) * ga2 * gb2, wv)
+    return _quadrature(w / (h * h) * ga2 * gb2, wv)
 
 
-def hessian_norm(h, hess, ga, gb, wv, p: float):
+def hessian_norm(w, h, hess, ga, gb, wv, p: float):
     """Frobenius norm^2 of h^(p-2) hess + (p-2) h^(p-3) ga (x) gb,
     weighted by h^(2-p): the squared second derivative of the entropy
-    variable, expanded by the chain rule."""
+    variable, expanded by the chain rule, with h^(p-3) = w/h and
+    h^(2-p) = 1/w."""
     d = ga.shape[0]
-    w1 = h**(p - 2.0)
-    w2 = (p - 2.0) * h**(p - 3.0)
-    acc = np.zeros_like(h)
+    w2 = (p - 2.0) * (w / h)
+    acc = np.zeros_like(w)
     for i in range(d):
         for j in range(d):
-            t = w1 * hess[i, j] + w2 * ga[i] * gb[j]
+            t = w * hess[i, j] + w2 * ga[i] * gb[j]
             acc += t * t
-    return _quadrature(acc * h**(2.0 - p), wv)
+    return _quadrature(acc / w, wv)

@@ -58,11 +58,13 @@ def hermite_series(coef: np.ndarray, grid) -> np.ndarray:
 # with spatial factors cos/sin(2 pi m x) and velocity factors from a small
 # polynomial family. Everything (values, gradients) evaluates analytically.
 
-_VFUNCS = {
-    0: (lambda v: np.ones_like(v), lambda v: np.zeros_like(v)),
-    1: (lambda v: v, lambda v: np.ones_like(v)),
-    2: (lambda v: (v * v - 1.0) / np.sqrt(2.0), lambda v: 2.0 * v / np.sqrt(2.0)),
-    3: (lambda v: v * np.exp(-v * v / 8.0), lambda v: (1.0 - v * v / 4.0) * np.exp(-v * v / 8.0)),
+_VFUNCS = {  # (f, f', f'') of each velocity factor
+    0: (lambda v: np.ones_like(v), lambda v: np.zeros_like(v), lambda v: np.zeros_like(v)),
+    1: (lambda v: v, lambda v: np.ones_like(v), lambda v: np.zeros_like(v)),
+    2: (lambda v: (v * v - 1.0) / np.sqrt(2.0), lambda v: 2.0 * v / np.sqrt(2.0),
+        lambda v: np.full_like(v, 2.0 / np.sqrt(2.0))),
+    3: (lambda v: v * np.exp(-v * v / 8.0), lambda v: (1.0 - v * v / 4.0) * np.exp(-v * v / 8.0),
+        lambda v: (v**3 / 16.0 - 0.75 * v) * np.exp(-v * v / 8.0)),
 }
 
 
@@ -82,48 +84,33 @@ class AnalyticField:
     exponential: bool = False
     norm: float = 1.0
 
-    def g(self, x, v):
+    def _sum(self, x, v, dx: int, dv: int):
+        """The exponent (or perturbation) g, differentiated dx <= 1 times in
+        x and dv <= 2 times in v."""
         x = np.asarray(x)[:, None]
         v = np.asarray(v)[None, :]
         out = np.zeros((x.shape[0], v.shape[1]))
         for t in self.terms:
+            w = 2.0 * np.pi * t.m
             if t.m == 0:
+                if dx:
+                    continue
                 sx = np.ones_like(x)
             elif t.phase == "cos":
-                sx = np.cos(2.0 * np.pi * t.m * x)
+                sx = -w * np.sin(w * x) if dx else np.cos(w * x)
             else:
-                sx = np.sin(2.0 * np.pi * t.m * x)
-            out += t.coef * sx * _VFUNCS[t.vkind][0](v)
+                sx = w * np.cos(w * x) if dx else np.sin(w * x)
+            out += t.coef * sx * _VFUNCS[t.vkind][dv](v)
         return out
+
+    def g(self, x, v):
+        return self._sum(x, v, 0, 0)
 
     def gx(self, x, v):
-        x = np.asarray(x)[:, None]
-        v = np.asarray(v)[None, :]
-        out = np.zeros((x.shape[0], v.shape[1]))
-        for t in self.terms:
-            if t.m == 0:
-                continue
-            w = 2.0 * np.pi * t.m
-            if t.phase == "cos":
-                sx = -w * np.sin(w * x)
-            else:
-                sx = w * np.cos(w * x)
-            out += t.coef * sx * _VFUNCS[t.vkind][0](v)
-        return out
+        return self._sum(x, v, 1, 0)
 
     def gv(self, x, v):
-        x = np.asarray(x)[:, None]
-        v = np.asarray(v)[None, :]
-        out = np.zeros((x.shape[0], v.shape[1]))
-        for t in self.terms:
-            if t.m == 0:
-                sx = np.ones_like(x)
-            elif t.phase == "cos":
-                sx = np.cos(2.0 * np.pi * t.m * x)
-            else:
-                sx = np.sin(2.0 * np.pi * t.m * x)
-            out += t.coef * sx * _VFUNCS[t.vkind][1](v)
-        return out
+        return self._sum(x, v, 0, 1)
 
     def h(self, x, v):
         if self.exponential:
@@ -140,6 +127,18 @@ class AnalyticField:
             return self.h(x, v) * self.gv(x, v)
         return self.gv(x, v)
 
+    def hxv(self, x, v):
+        gxv = self._sum(x, v, 1, 1)
+        if self.exponential:
+            return self.h(x, v) * (gxv + self.gx(x, v) * self.gv(x, v))
+        return gxv
+
+    def hvv(self, x, v):
+        gvv = self._sum(x, v, 0, 2)
+        if self.exponential:
+            return self.h(x, v) * (gvv + self.gv(x, v) ** 2)
+        return gvv
+
 
 def dense_nodes(nx: int = 512, nv: int = 2401, vmax: float = 12.0):
     x = np.arange(nx) / nx
@@ -147,17 +146,21 @@ def dense_nodes(nx: int = 512, nv: int = 2401, vmax: float = 12.0):
     return x, v
 
 
-def dense_integral(values: np.ndarray, x: np.ndarray, v: np.ndarray) -> float:
-    """Mean over the torus x Gaussian-weighted Simpson in v."""
+def _v_quadrature(values, v):
+    """Gaussian-weighted Simpson integral in v, per x-node."""
     weight = np.exp(-v * v / 2.0) / SQRT2PI
-    integrand = values * weight[None, :]
-    # Simpson in v (odd point count), plain mean in x (periodic trapezoid)
     n = v.size
     w = np.ones(n)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
     dv = (v[-1] - v[0]) / (n - 1)
-    return float(np.mean(integrand @ w) * (dv / 3.0))
+    return (values * weight[None, :]) @ w * (dv / 3.0)
+
+
+def dense_integral(values: np.ndarray, x: np.ndarray, v: np.ndarray) -> float:
+    """Mean over the torus x Gaussian-weighted Simpson in v."""
+    # plain mean in x (periodic trapezoid), Simpson in v (odd point count)
+    return float(np.mean(_v_quadrature(values, v)))
 
 
 def normalize_exponential(field: AnalyticField, x, v) -> AnalyticField:
@@ -218,15 +221,7 @@ def torus_constant_ratio(x1, period: float, p: float) -> float:
 def oracle_projection(field: AnalyticField, x, v):
     """Velocity average and first moment by dense v-quadrature."""
     h = field.h(x, v)
-    weight = np.exp(-v * v / 2.0) / SQRT2PI
-    n = v.size
-    w = np.ones(n)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    dv = (v[-1] - v[0]) / (n - 1)
-    pih = (h * weight[None, :]) @ w * (dv / 3.0)
-    u = (h * (v * weight)[None, :]) @ w * (dv / 3.0)
-    return pih, u
+    return _v_quadrature(h, v), _v_quadrature(h * v[None, :], v)
 
 
 def oracle_correction_terms(field: AnalyticField, x, v, p: float):
@@ -241,6 +236,32 @@ def oracle_correction_terms(field: AnalyticField, x, v, p: float):
     cv = dense_integral(w * hv * hv * fp, x, v)
     vs = dense_integral(w * hv * hv * ratio**(2.0 - p), x, v)
     return cx, cv, vs
+
+
+def oracle_cross_dissipation(field: AnalyticField, x, v, p: float) -> float:
+    """|(pi h)^(p-2) d_x pi h - h^(p-2) h_x|^2 (pi h)^(2-p), with pi h and its
+    x-derivative by dense v-quadrature of h and h_x."""
+    h = field.h(x, v)
+    hx = field.hx(x, v)
+    pih = _v_quadrature(h, v)[:, None]
+    pihx = _v_quadrature(hx, v)[:, None]
+    diff = pih**(p - 2.0) * pihx - h**(p - 2.0) * hx
+    return dense_integral(diff * diff * pih**(2.0 - p), x, v)
+
+
+def oracle_second_order(field: AnalyticField, x, v, p: float):
+    """hess_xv, hess_vv, quartic_xv and quartic_v of a 1-D field: the squared
+    d_v d_x and d_v d_v of the entropy variable h^(p-1)/(p-1), weighted
+    h^(2-p), and h^(p-4) h_v^2 h_x^2 and h^(p-4) h_v^4."""
+    h = field.h(x, v)
+    hx = field.hx(x, v)
+    hv = field.hv(x, v)
+    t_xv = h**(p - 2.0) * field.hxv(x, v) + (p - 2.0) * h**(p - 3.0) * hv * hx
+    t_vv = h**(p - 2.0) * field.hvv(x, v) + (p - 2.0) * h**(p - 3.0) * hv * hv
+    return (dense_integral(t_xv * t_xv * h**(2.0 - p), x, v),
+            dense_integral(t_vv * t_vv * h**(2.0 - p), x, v),
+            dense_integral(h**(p - 4.0) * hv * hv * hx * hx, x, v),
+            dense_integral(h**(p - 4.0) * hv**4, x, v))
 
 
 # --- reference random draw ---------------------------------------------------

@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 
 from hypoflow import (
     BOLTZMANN,
+    GridSpec,
     PIndex,
     State,
+    build_grid,
     build_report,
     correction_weight,
     entropy,
@@ -200,6 +202,14 @@ class TestCorrectionTerms:
         for a, b in zip(mine, want):
             assert a == pytest.approx(b, rel=1e-6, abs=1e-8)
 
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+    def test_cross_dissipation_vs_oracle(self, state_exp, field_exp, dense_xy, p):
+        # at p = 1 the column is fisher_x_ratio
+        rep = build_report(state_exp, PIndex(p))
+        mine = rep.fisher_x_ratio if p == 1.0 else rep.cross_dissipation
+        want = oracles.oracle_cross_dissipation(field_exp, *dense_xy, p)
+        assert mine == pytest.approx(want, rel=1e-10)
+
     def test_nonnegative_on_random_states(self, grid_small):
         for seed in range(20):
             s = random_band_limited(grid_small, seed)
@@ -265,6 +275,19 @@ class TestSecondOrderTerms:
         inner = np.abs(grid.v_nodes[:, 0]) < 6.0
         assert np.abs(lhs[:, inner] - rhs[:, inner]).max() < 1e-9
         assert (np.abs(lhs - rhs) * grid.v_weights[None, :]).max() < 1e-12
+
+    @pytest.mark.parametrize("nv", [32, pytest.param(64, marks=pytest.mark.xfail(
+        strict=True, reason="the v-second-order columns blow up in the far velocity "
+                            "tail at nv = 64 (ROADMAP item 10)"))])
+    @pytest.mark.parametrize("p", [1.5, 2.0])
+    def test_vs_oracle(self, field_exp, dense_xy, nv, p):
+        grid = build_grid(GridSpec(dim=1, nx=64, nv=nv))
+        s = State(grid, field_exp.h(grid.x_nodes[:, 0], grid.v_nodes[:, 0]))
+        rep = build_report(s, PIndex(p), model="fokker-planck")
+        mine = rep.hess_xv, rep.hess_vv, rep.quartic_xv, rep.quartic_v
+        want = oracles.oracle_second_order(field_exp, *dense_xy, p)
+        for col, a, b in zip(("hess_xv", "hess_vv", "quartic_xv", "quartic_v"), mine, want):
+            assert a == pytest.approx(b, rel=1e-5), (col, a, b)
 
     def test_quartic_signs(self, grid_small):
         for seed in range(10):
