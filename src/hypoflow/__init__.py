@@ -44,8 +44,7 @@ from .operators import (
     CollisionKind,
     FokkerPlanck,
     Transport,
-    bgk_flow,
-    fokker_planck_flow,
+    collision_flow,
     transport_flow,
 )
 from .phase_space import (

@@ -6,10 +6,12 @@ discretization error and the scheme is second order.
 
 Both collision operators act on v alone, so they commute with the Fourier
 transform in x. `simulate` therefore carries the state as its half-spectrum
-x-modes, where transport is a diagonal phase table and the collision a
-mode flow, both built once per step length. The positivity and mass checks
+x-modes, where transport is a diagonal phase table and the collision its
+`velocity_flow`, both built once per step length. Diffusion floors the
+nodal values after the collision and again at the end of the step, as
+`collision_flow` does on a nodal state. The positivity and mass checks
 still read the physical h after every step. On a grid of SPLIT_VALUES nodal
-values or more, half of each step's transform back to nodes runs on one
+values or more, half of each step's transforms back to nodes runs on one
 helper thread, which `simulate` joins before it returns.
 """
 
@@ -128,6 +130,14 @@ def _nodes_helper(grid: Grid):
     return ColumnHelper(grid) if cpus >= 2 else contextlib.nullcontext()
 
 
+def _floored(modes: np.ndarray, grid: Grid, helper) -> tuple[np.ndarray, np.ndarray]:
+    """The nodal values of `modes` through floor_immaterial, and their modes:
+    transformed again only when the floor repaired a value."""
+    h = to_nodes(modes, grid, helper)
+    floored = floor_immaterial(h, grid)
+    return (modes, h) if floored is h else (to_modes(floored, grid), floored)
+
+
 def simulate(initial: State, schedule: Schedule) -> Trajectory:
     """Run the schedule, recording snapshots at the requested stride.
 
@@ -159,17 +169,18 @@ def simulate(initial: State, schedule: Schedule) -> Trajectory:
                 # and the checks below refuse the state they give
                 with np.errstate(over="ignore", invalid="ignore"):
                     table_dt, phases = dt, transport_phases(grid, 0.5 * dt)
-                    collide = schedule.collision.modes_flow(grid, dt)
+                    collide = schedule.collision.velocity_flow(grid, dt)
             modes = collide(modes * phases)
+            if diffusion:
+                # the floor of collision_flow, where the nodal flow has it
+                modes = _floored(modes, grid, helper)[0]
             modes *= phases
-            h = to_nodes(modes, grid, helper)
             if diffusion:
                 # the closing transport half-step can shift a repaired far-tail
-                # column below the floor again by an equally immaterial amount;
-                # the modes are transformed again only when a value was repaired
-                floored = floor_immaterial(h, grid)
-                if floored is not h:
-                    h, modes = floored, to_modes(floored, grid)
+                # column below the floor again by an equally immaterial amount
+                modes, h = _floored(modes, grid, helper)
+            else:
+                h = to_nodes(modes, grid, helper)
             state = State(grid, h, time=target)
             hmin = float(h.min())
             if hmin < STEP_POSITIVITY_FLOOR:

@@ -7,9 +7,11 @@ None of the flows carries time-stepping error, so operator splitting is
 the only discretization of the composed dynamics.
 
 The collision flows act on v alone and so commute with the Fourier
-transform in x: each collision kind also builds its flow of one step
-length on the half-spectrum x-modes of `phase_space.to_modes`
-(`modes_flow`), on which transport is the diagonal table of
+transform in x: each collision kind builds one `velocity_flow` of a given
+length over the last (velocity) axis, which flows nodal values and the
+half-spectrum x-modes of `phase_space.to_modes` alike. `collision_flow`
+makes it the nodal flow that the verifier differentiates, and `simulate`
+steps the x-modes with it, on which transport is the diagonal table of
 `transport_phases`.
 
 Each flow acts on a state that stacks members on leading axes of h in one
@@ -33,8 +35,9 @@ from .phase_space import (
     to_nodes,
 )
 
-# a collision flow of one step length on the x-modes of to_modes
-ModesFlow = Callable[[np.ndarray], np.ndarray]
+# a collision flow of one length over the last (velocity) axis of nodal
+# values or of the x-modes of to_modes
+VelocityFlow = Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -50,9 +53,9 @@ class BGK:
             raise ValueError(f"relaxation rate must be positive, got {self.rate}")
 
     def flow(self, state: State, t: float) -> State:
-        return bgk_flow(state, self.rate, t)
+        return collision_flow(self, state, t)
 
-    def modes_flow(self, grid: Grid, t: float) -> ModesFlow:
+    def velocity_flow(self, grid: Grid, t: float) -> VelocityFlow:
         return functools.partial(bgk_relax, grid=grid, rate=self.rate, t=t)
 
 
@@ -63,13 +66,11 @@ class FokkerPlanck:
     name: ClassVar[str] = "fokker-planck"
 
     def flow(self, state: State, t: float) -> State:
-        return fokker_planck_flow(state, t)
+        return collision_flow(self, state, t)
 
-    def modes_flow(self, grid: Grid, t: float) -> ModesFlow:
-        # the modes are complex: a complex propagator spares matmul a cast
-        # of the matrix on every step
-        propagator = fokker_planck_propagator(grid, t).astype(complex)
-        return functools.partial(fokker_planck_modes_flow, grid=grid, propagator=propagator)
+    def velocity_flow(self, grid: Grid, t: float) -> VelocityFlow:
+        return functools.partial(fokker_planck_diffuse, grid=grid,
+                                 propagator=fokker_planck_propagator(grid, t))
 
 
 @dataclass(frozen=True)
@@ -81,6 +82,25 @@ class Transport:
 
 
 CollisionKind = BGK | FokkerPlanck
+
+
+def collision_flow(collision: CollisionKind, state: State, t: float) -> State:
+    """The collision's `velocity_flow` of time t applied to h; diffusion
+    then floors the flowed h through floor_immaterial.
+
+    Streaming chirps spatial harmonics toward ever-higher velocity
+    frequencies; while a filament transits the top of the Hermite band its
+    (physically correct, tiny) band-edge coefficients reconstruct to large
+    negative values at the far-tail abscissae, which carry ~1e-22 of the
+    measure. The floor repairs such excursions and errors when positivity
+    is lost by a measurable amount.
+    """
+    if t == 0.0:
+        return state
+    h = collision.velocity_flow(state.grid, t)(state.h)
+    if isinstance(collision, FokkerPlanck):
+        h = floor_immaterial(h, state.grid)
+    return state.replace(h, time=state.time + t)
 
 
 def time_scale(generator: Transport | CollisionKind) -> float:
@@ -122,14 +142,6 @@ def bgk_relax(values: np.ndarray, grid: Grid, rate: float, t: float) -> np.ndarr
     return decay * values + (1.0 - decay) * (values @ grid.v_weights)[..., None]
 
 
-def bgk_flow(state: State, rate: float, t: float) -> State:
-    """Exponential mixing toward the velocity average; positivity-preserving."""
-    h = bgk_relax(state.h, state.grid, rate, t)
-    if t == 0.0:
-        return state
-    return state.replace(h, time=state.time + t)
-
-
 def fokker_planck_propagator(grid: Grid, t: float) -> np.ndarray:
     """(nv, nv) nodal matrix of the Ornstein-Uhlenbeck flow of time t along
     one velocity axis.
@@ -146,9 +158,9 @@ def fokker_planck_propagator(grid: Grid, t: float) -> np.ndarray:
     return (ortho.T * decay) @ ortho / sqw[:, None] * sqw[None, :]
 
 
-def _diffuse(fld: np.ndarray, grid: Grid, propagator: np.ndarray) -> np.ndarray:
-    """`propagator` along every velocity axis of a field whose last axis
-    holds the velocity nodes: nodal values or x-modes.
+def fokker_planck_diffuse(fld: np.ndarray, grid: Grid, propagator: np.ndarray) -> np.ndarray:
+    """A step's `fokker_planck_propagator` along every velocity axis of
+    nodal values or x-modes, whose last axis holds the velocity nodes.
 
     Along each axis it acts on the fluctuation about the velocity average,
     which the flow fixes, and adds the average back. So a v-constant column
@@ -164,36 +176,3 @@ def _diffuse(fld: np.ndarray, grid: Grid, propagator: np.ndarray) -> np.ndarray:
         tens += mean
         fld = tens.swapaxes(axis + 1, -1).reshape(fld.shape)
     return fld
-
-
-def fokker_planck_modes_flow(modes: np.ndarray, grid: Grid,
-                             propagator: np.ndarray) -> np.ndarray:
-    """fokker_planck_flow on spatial Fourier modes, given the step's
-    `fokker_planck_propagator`.
-
-    The flowed modes are floored in nodal values, so the positivity floor
-    and its PositivityError act exactly as on a nodal state; the modes are
-    transformed again only when the floor repaired a value.
-    """
-    modes = _diffuse(modes, grid, propagator)
-    h = to_nodes(modes, grid)
-    floored = floor_immaterial(h, grid)
-    return modes if floored is h else to_modes(floored, grid)
-
-
-def fokker_planck_flow(state: State, t: float) -> State:
-    """Hermite-coefficient decay exp(-|n| t) per spatial node: the nodal
-    matrix `fokker_planck_propagator` along every velocity axis.
-
-    Streaming chirps spatial harmonics toward ever-higher velocity
-    frequencies; while a filament transits the top of the Hermite band its
-    (physically correct, tiny) band-edge coefficients reconstruct to large
-    negative values at the far-tail abscissae, which carry ~1e-22 of the
-    measure. The flow floors such excursions through floor_immaterial and
-    errors when positivity is lost by a measurable amount.
-    """
-    if t == 0.0:
-        return state
-    grid = state.grid
-    h = _diffuse(state.h, grid, fokker_planck_propagator(grid, t))
-    return state.replace(floor_immaterial(h, grid), time=state.time + t)

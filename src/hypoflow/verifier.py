@@ -23,7 +23,7 @@ from .certificate import estimate_functional_constant
 from .functionals import FunctionalReport, PIndex, build_report, composite_report
 from .initial import random_band_limited
 from .integrator import Trajectory
-from .operators import BGK, CollisionKind, ModesFlow, Transport, time_scale
+from .operators import BGK, CollisionKind, Transport, VelocityFlow, time_scale
 from .phase_space import Grid, State, write_json
 
 Generator = Transport | CollisionKind
@@ -92,8 +92,8 @@ class DecayFit:
 
 @dataclass(frozen=True)
 class CorruptedBGK(BGK):
-    """Test hook: both its flows, `flow` and the `modes_flow` that
-    `simulate` steps with, relax at rate * (1 + skew), not at its .rate.
+    """Test hook: its `velocity_flow`, which both `flow` and `simulate`
+    step with, relaxes at rate * (1 + skew), not at its .rate.
 
     Predictions still use .rate, so with any nonzero skew every equality
     row of the derivative table must fail; used to prove the verifier can
@@ -107,11 +107,8 @@ class CorruptedBGK(BGK):
         if not self.skew > -1.0:
             raise ValueError(f"skew must exceed -1, got {self.skew}")
 
-    def flow(self, state: State, t: float) -> State:
-        return BGK(self.rate * (1.0 + self.skew)).flow(state, t)
-
-    def modes_flow(self, grid: Grid, t: float) -> ModesFlow:
-        return BGK(self.rate * (1.0 + self.skew)).modes_flow(grid, t)
+    def velocity_flow(self, grid: Grid, t: float) -> VelocityFlow:
+        return BGK(self.rate * (1.0 + self.skew)).velocity_flow(grid, t)
 
 
 def default_probe_step(generator: Generator) -> float:

@@ -13,7 +13,6 @@ from hypoflow import (
     Schedule,
     SimulationError,
     State,
-    bgk_flow,
     build_grid,
     integrate_mu,
     load_trajectory,
@@ -81,7 +80,7 @@ def test_strang_equals_bgk_on_velocity_only_data(grid_small):
     s = velocity_perturbation(grid_small, 0.3)
     dt = 0.05
     stepped = one_step(s, dt, BGK(1.2))
-    exact = bgk_flow(s, 1.2, dt)
+    exact = BGK(1.2).flow(s, dt)
     assert np.abs(stepped.h - exact.h).max() < 1e-12
     assert stepped.time == pytest.approx(dt, abs=1e-15)
 
@@ -197,9 +196,9 @@ def test_simulate_checks_positivity_between_snapshots():
 class LeakyBGK(BGK):
     """Relaxation that gains a relative 1e-6 of mass on every flow."""
 
-    def modes_flow(self, grid, t):
-        relax = super().modes_flow(grid, t)
-        return lambda modes: relax(modes) * (1.0 + 1e-6)
+    def velocity_flow(self, grid, t):
+        relax = super().velocity_flow(grid, t)
+        return lambda values: relax(values) * (1.0 + 1e-6)
 
 
 def test_simulate_checks_mass_every_step(grid_small):
@@ -209,6 +208,13 @@ def test_simulate_checks_mass_every_step(grid_small):
         simulate(cosine(grid_small, 0.3), schedule)
     assert err.value.step == 1
     assert "mass" in str(err.value)
+
+
+def test_leaky_flow_gains_its_leak(grid_small):
+    # flow steps with the one overridden velocity_flow, as simulate does
+    s = cosine(grid_small, 0.3)
+    mass = integrate_mu(LeakyBGK(1.0).flow(s, 0.01).h, grid_small)
+    assert mass / integrate_mu(s.h, grid_small) - 1.0 == pytest.approx(1e-6, rel=1e-6)
 
 
 @pytest.mark.parametrize("collision", [BGK(1.3), FokkerPlanck()], ids=["bgk", "fp"])
@@ -235,25 +241,21 @@ def test_simulate_matches_physical_strang_through_floor_repairs(grid_accept, mon
     # floored h. Far-tail nodal values carry transform round-off times
     # 1/sqrt(w) (about 1e-7 at nv=32), so h is compared in the sqrt-weight
     # frame where the Hermite transform is orthogonal.
-    # Both floors repair: the mid-step one of the diffusion flow and the
-    # closing one after the second transport half-step.
-    import hypoflow.integrator as integrator
-    import hypoflow.operators as operators
-    repairs = {operators: 0, integrator: 0}
+    # Each step floors twice, after the collision and after the closing
+    # transport half-step, and both floors repair.
+    repaired = []
 
-    def counting_floor(module):
-        def floor(h, grid):
-            out = floor_immaterial(h, grid)
-            repairs[module] += out is not h
-            return out
-        return floor
+    def floor(h, grid):
+        out = floor_immaterial(h, grid)
+        repaired.append(out is not h)
+        return out
 
-    for module in repairs:
-        monkeypatch.setattr(module, "floor_immaterial", counting_floor(module))
+    monkeypatch.setattr(integrator, "floor_immaterial", floor)
     s = cosine(grid_accept, 0.4, 0.2)
     sched = Schedule(dt=0.03, t_end=1.0, collision=FokkerPlanck(), snapshot_every=4)
     got = simulate(s, sched).snapshots
-    assert repairs[operators] > 0 and repairs[integrator] > 0, repairs
+    assert len(repaired) == 2 * 34  # 34 steps, the last one shortened
+    assert any(repaired[0::2]) and any(repaired[1::2]), repaired
     want = physical_strang(s, sched)
     assert [t for t, _ in got] == [t for t, _ in want]
     sqrt_w = np.sqrt(grid_accept.v_weights)

@@ -7,9 +7,7 @@ from hypoflow import (
     GridSpec,
     State,
     Transport,
-    bgk_flow,
     build_grid,
-    fokker_planck_flow,
     integrate_mu,
     project_pi,
     random_band_limited,
@@ -18,7 +16,7 @@ from hypoflow import (
 from hypoflow.functionals import BOLTZMANN, entropy
 from hypoflow.initial import equilibrium, velocity_perturbation
 from hypoflow.operators import fokker_planck_propagator
-from hypoflow.phase_space import PositivityError, hermite_coefficients
+from hypoflow.phase_space import PositivityError, floor_immaterial, hermite_coefficients
 
 import oracles
 
@@ -72,46 +70,46 @@ class TestTransport:
 class TestBGK:
     def test_zero_time_identity(self, grid_small):
         s = band_limited_state(grid_small)
-        assert bgk_flow(s, 1.0, 0.0) is s
+        assert BGK(1.0).flow(s, 0.0) is s
 
     def test_requires_positive_rate(self, grid_small):
         with pytest.raises(ValueError):
-            bgk_flow(band_limited_state(grid_small), -1.0, 0.1)
+            BGK(-1.0).flow(band_limited_state(grid_small), 0.1)
 
     def test_requires_forward_time(self, grid_small):
         with pytest.raises(ValueError):
-            bgk_flow(band_limited_state(grid_small), 1.0, -0.1)
+            BGK(1.0).flow(band_limited_state(grid_small), -0.1)
 
     def test_contraction_to_average(self, grid_small):
         s = band_limited_state(grid_small)
         pih = project_pi(s.h, grid_small)
         lam, T = 0.7, 5.0
-        out = bgk_flow(s, lam, T)
+        out = BGK(lam).flow(s, T)
         gap0 = np.abs(s.h - pih[:, None]).max()
         gapT = np.abs(out.h - pih[:, None]).max()
         assert gapT <= np.exp(-lam * T) * gap0 + 1e-12
 
     def test_average_invariant(self, grid_small):
         s = band_limited_state(grid_small)
-        out = bgk_flow(s, 2.0, 0.4)
+        out = BGK(2.0).flow(s, 0.4)
         assert np.abs(project_pi(out.h, grid_small) - project_pi(s.h, grid_small)).max() < 1e-13
 
     def test_closed_form_velocity_only(self, grid_small):
         s = velocity_perturbation(grid_small, 0.3)
-        out = bgk_flow(s, 1.0, 0.7)
+        out = BGK(1.0).flow(s, 0.7)
         expect = 1.0 + np.exp(-0.7) * (s.h - 1.0)
         assert np.abs(out.h - expect).max() < 1e-12
 
     def test_positivity(self, grid_small):
         s = band_limited_state(grid_small, a=0.6)
-        out = bgk_flow(s, 1.0, 0.3)
+        out = BGK(1.0).flow(s, 0.3)
         assert out.h.min() >= s.h.min() - 1e-12
 
 
 class TestFokkerPlanck:
     def test_equilibrium_fixed(self, grid_small, grid_accept):
         s = equilibrium(grid_small)
-        out = fokker_planck_flow(s, 1.3)
+        out = FokkerPlanck().flow(s, 1.3)
         assert np.abs(out.h - 1.0).max() < 1e-12
         # an x-profile constant in v stays fixed in nodal values over many
         # short steps, even at the acceptance grid's far-tail nodes (weight
@@ -122,14 +120,14 @@ class TestFokkerPlanck:
         s = State(grid_accept, np.repeat(c[:, None], grid_accept.nv_total, axis=1))
         out = s
         for _ in range(50):
-            out = fokker_planck_flow(out, 0.01)
+            out = FokkerPlanck().flow(out, 0.01)
         assert np.abs(out.h - s.h).max() < 1e-13
 
     def test_first_mode_decay(self, grid_small):
         v = grid_small.v_nodes[:, 0]
         a, t = 0.3, 0.9
         s = State(grid_small, 1.0 + a * np.tile(v, (grid_small.nx_total, 1)))
-        out = fokker_planck_flow(s, t)
+        out = FokkerPlanck().flow(s, t)
         expect = 1.0 + a * np.exp(-t) * v[None, :]
         assert np.abs(out.h - expect).max() < 1e-10
 
@@ -137,24 +135,24 @@ class TestFokkerPlanck:
         v = grid_small.v_nodes[:, 0]
         a, t = 0.2, 0.9
         s = State(grid_small, 1.0 + a * np.tile(v * v - 1.0, (grid_small.nx_total, 1)))
-        out = fokker_planck_flow(s, t)
+        out = FokkerPlanck().flow(s, t)
         expect = 1.0 + a * np.exp(-2.0 * t) * (v * v - 1.0)[None, :]
         assert np.abs(out.h - expect).max() < 1e-10
 
     def test_semigroup(self, grid_small):
         s = band_limited_state(grid_small)
-        one = fokker_planck_flow(s, 0.5)
-        two = fokker_planck_flow(fokker_planck_flow(s, 0.2), 0.3)
+        one = FokkerPlanck().flow(s, 0.5)
+        two = FokkerPlanck().flow(FokkerPlanck().flow(s, 0.2), 0.3)
         assert np.abs(one.h - two.h).max() < 1e-11
 
     def test_mass_preserved(self, grid_small):
         s = band_limited_state(grid_small)
-        out = fokker_planck_flow(s, 0.7)
+        out = FokkerPlanck().flow(s, 0.7)
         assert abs(integrate_mu(out.h, grid_small) - 1.0) < 1e-12
 
     def test_requires_forward_time(self, grid_small):
         with pytest.raises(ValueError):
-            fokker_planck_flow(band_limited_state(grid_small), -0.1)
+            FokkerPlanck().flow(band_limited_state(grid_small), -0.1)
 
     def test_measurable_positivity_loss_raises(self, grid_small):
         # a state that is mostly negative is irreparable
@@ -162,7 +160,7 @@ class TestFokkerPlanck:
         h[:, :2] = 10.0
         s = State(grid_small, h / integrate_mu(h, grid_small), time=0.0)
         with pytest.raises(PositivityError):
-            fokker_planck_flow(s, 0.1)
+            FokkerPlanck().flow(s, 0.1)
 
 
 def coefficient_decay(h, grid, t):
@@ -187,7 +185,7 @@ def test_propagator_matches_coefficient_decay(dim, nv):
             tens = h.reshape(-1, *grid.v_shape())
             for axis in range(dim):
                 tens = np.moveaxis(np.tensordot(tens, prop, axes=([axis + 1], [1])), -1, axis + 1)
-            flowed = fokker_planck_flow(State(grid, h), t).h
+            flowed = FokkerPlanck().flow(State(grid, h), t).h
             for got in (tens.reshape(h.shape), flowed):
                 assert (np.abs(got - want) * sqrt_w).max() < 1e-13
 
@@ -199,10 +197,12 @@ class TestGeneratorObjects:
 
     def test_flow_dispatch(self, grid_small):
         s = band_limited_state(grid_small)
-        assert np.array_equal(BGK(1.0).flow(s, 0.2).h, bgk_flow(s, 1.0, 0.2).h)
         assert np.array_equal(Transport().flow(s, 0.2).h, transport_flow(s, 0.2).h)
-        assert np.array_equal(FokkerPlanck().flow(s, 0.2).h,
-                              fokker_planck_flow(s, 0.2).h)
+        # a collision's flow is its velocity_flow on h, floored for diffusion
+        relaxed = BGK(1.0).velocity_flow(grid_small, 0.2)(s.h)
+        assert BGK(1.0).flow(s, 0.2).h.tobytes() == relaxed.tobytes()
+        diffused = floor_immaterial(FokkerPlanck().velocity_flow(grid_small, 0.2)(s.h), grid_small)
+        assert FokkerPlanck().flow(s, 0.2).h.tobytes() == diffused.tobytes()
 
     def test_equilibrium_fixed_by_all(self, grid_small):
         s = equilibrium(grid_small)
@@ -234,7 +234,7 @@ class TestTwoDimensionalFlows:
         v = grid_2d.v_nodes
         a, t = 0.02, 0.4  # amplitude keeps h positive at the corner nodes
         s = State(grid_2d, 1.0 + a * np.tile(v[:, 0] * v[:, 1], (grid_2d.nx_total, 1)))
-        out = fokker_planck_flow(s, t)
+        out = FokkerPlanck().flow(s, t)
         expect = 1.0 + a * np.exp(-2.0 * t) * (v[:, 0] * v[:, 1])[None, :]
         assert np.abs(out.h - expect).max() < 1e-10
 

@@ -291,7 +291,7 @@ class TestSuite:
         assert failed_eq
 
     def test_corruption_hook_skews_simulate(self):
-        # simulate steps with modes_flow, which relaxes at the skewed rate too
+        # flow and simulate both step with velocity_flow, the hook's one override
         state = cosine(build_grid(GridSpec(dim=1, nx=16, nv=8)), amplitude=0.3)
 
         def final(collision):
@@ -300,6 +300,8 @@ class TestSuite:
         corrupted = final(CorruptedBGK(rate=1.0, skew=0.5))
         assert corrupted.tobytes() == final(BGK(1.0 * (1.0 + 0.5))).tobytes()
         assert not np.array_equal(corrupted, final(BGK(1.0)))
+        flowed = CorruptedBGK(rate=1.0, skew=0.5).flow(state, 0.1).h
+        assert flowed.tobytes() == BGK(1.5).flow(state, 0.1).h.tobytes()
 
     def test_diffusion_sweep(self, grid_accept):
         results = run_suite(grid_accept, FokkerPlanck(), PIndex(1.5), n_states=3)
