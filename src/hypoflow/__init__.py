@@ -46,6 +46,7 @@ from .operators import (
     Transport,
     collision_flow,
     transport_flow,
+    transport_generator,
 )
 from .phase_space import (
     Grid,
@@ -67,5 +68,4 @@ from .verifier import (
     fit_decay,
     report_derivatives,
     run_suite,
-    semigroup_derivative,
 )

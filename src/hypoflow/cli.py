@@ -22,9 +22,10 @@ import warnings
 from . import __version__
 from .certificate import certify, estimate_functional_constant
 from .functionals import (
-    FunctionalReport,
+    DIAGNOSTIC_COLUMNS,
     PIndex,
     build_report,
+    composite_report,
     write_report_csv,
     write_report_json,
 )
@@ -413,9 +414,9 @@ def cmd_fit_decay(args) -> int:
     if len(traj.snapshots) < 2:
         raise ConfigError(f"the fit window [{t_lo}, {t_hi}] holds fewer than two snapshots")
     name = cfg.get("fit", "functional", fallback="entropy").strip()
-    if name != "composite" and name not in FunctionalReport.diagnostics():
+    if name != "composite" and name not in DIAGNOSTIC_COLUMNS:
         raise ConfigError(f"functional {name!r} is neither composite nor one of "
-                          f"{', '.join(FunctionalReport.diagnostics())}")
+                          f"{', '.join(DIAGNOSTIC_COLUMNS)}")
 
     model = collision.name
     grid = traj.snapshots[0][1].grid
@@ -423,7 +424,8 @@ def cmd_fit_decay(args) -> int:
         cert = _certificate_from_config(cfg, grid, collision, p)
 
         def functional(state):
-            return cert.functional(build_report(state, p, model=model))
+            # the composite reads only the composite columns
+            return cert.functional(composite_report(state, p))
     else:
         def functional(state):
             rep = build_report(state, p, model=model)

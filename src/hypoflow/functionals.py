@@ -4,11 +4,13 @@ One entropy family is supported: the power entropies (h^p - h)/(p(p-1))
 for p in [1, 2], whose p = 1 member is the logarithmic entropy h log h of
 the density ratio. Every p takes the same code path.
 
-Every weighted gradient takes the weight h^(p-2), which `_composite`
-computes once per report, and the nonlinear entropy variables are
-differentiated by the pointwise chain rule against the spectral gradient
-of h itself. That keeps the algebraic identities between the reported
-quantities exact at quadrature level.
+Every column reads one `ReportBasis`: the weight h^(p-2), pi h and the
+spectral gradients of h, each computed once per report. The nonlinear
+entropy variables are differentiated by the pointwise chain rule against
+the spectral gradient of h itself. That keeps the algebraic identities
+between the reported quantities exact at quadrature level.
+`composite_rates` differentiates the composite columns along a tangent of
+h by the product rule on the same basis, exact to round-off.
 
 A state that stacks members on leading axes of h gets one report whose
 numeric columns hold one value per member, each bit for bit the value
@@ -106,22 +108,18 @@ class FunctionalReport:
     quartic_v: float | None = None
     hermite_tail: float | None = None
 
-    @staticmethod
-    def columns() -> list[str]:
-        return [f.name for f in fields(FunctionalReport)]
-
-    @staticmethod
-    def diagnostics() -> list[str]:
-        """The numeric columns that measure the state: all but time and p."""
-        return [c for c in FunctionalReport.columns() if c not in ("time", "p")]
-
     def member(self, index) -> "FunctionalReport":
         """The report of one member of a stacked state's report, every
         numeric column a Python float."""
         return FunctionalReport(time=self.time, p=self.p, **{
             c: None if getattr(self, c) is None else float(getattr(self, c)[index])
-            for c in FunctionalReport.diagnostics()})
+            for c in DIAGNOSTIC_COLUMNS})
 
+
+# The columns of a report, and its numeric columns that measure the state:
+# all but time and p.
+REPORT_COLUMNS = tuple(f.name for f in fields(FunctionalReport))
+DIAGNOSTIC_COLUMNS = tuple(c for c in REPORT_COLUMNS if c not in ("time", "p"))
 
 # The columns of the composite functional A1 Ix + A2 Im + A3 Iv + A4 H.
 COMPOSITE_COLUMNS = ("entropy", "entropy_projected", "fisher_x", "fisher_v",
@@ -161,35 +159,80 @@ def torus_fisher(rho: np.ndarray, grid: Grid, p: PIndex = BOLTZMANN,
     return integrate_x(rho**(p.p - 2.0) * sq, grid)
 
 
-def _composite(state: State, p: PIndex):
-    """composite_report of `state`, with w = h^(p-2), pi h and the gradients it read."""
-    grid, h, wv = state.grid, state.h, state.grid.v_weights
+@dataclass(frozen=True, eq=False)
+class ReportBasis:
+    """What every report column of a state reads, each computed once: the
+    weight w = h^(p-2), pi h, and the x- and v-gradients of h."""
+
+    state: State
+    p: PIndex
+    w: np.ndarray
+    pih: np.ndarray
+    gx: np.ndarray
+    gv: np.ndarray
+
+
+def report_basis(state: State, p: PIndex) -> ReportBasis:
+    """The basis of the reports of `state`; a PositivityError if h or its
+    velocity average is below the floor of the weighted integrands."""
+    grid, h = state.grid, state.h
     require_bounded_below(h)
     pih = project_pi(h, grid)
     require_bounded_below(pih, "velocity average of h")
-    gx = grad_x_field(h, grid)
-    gv = grad_v_field(h, grid)
-    w = h**(p.p - 2.0)
-    ix, iv, im = kernels.fisher(w, gx, gv, wv)
-    rep = FunctionalReport(
+    return ReportBasis(state, p, w=h**(p.p - 2.0), pih=pih,
+                       gx=grad_x_field(h, grid), gv=grad_v_field(h, grid))
+
+
+def _composite(basis: ReportBasis) -> FunctionalReport:
+    state, p = basis.state, basis.p
+    wv = state.grid.v_weights
+    ix, iv, im = kernels.fisher(basis.w, basis.gx, basis.gv, wv)
+    return FunctionalReport(
         time=state.time, p=p.label(),
-        entropy=kernels.entropy(h, wv, p.p),
-        entropy_projected=torus_entropy(pih, grid, p),
+        entropy=kernels.entropy(state.h, wv, p.p),
+        entropy_projected=torus_entropy(basis.pih, state.grid, p),
         fisher_x=ix, fisher_v=iv, fisher_mixed=im,
     )
-    return rep, w, pih, gx, gv
 
 
 def composite_report(state: State, p: PIndex) -> FunctionalReport:
     """The COMPOSITE_COLUMNS of `state`, bit for bit as build_report gives
     them, every other column None: all that A1 Ix + A2 Im + A3 Iv + A4 H reads,
     with H = entropy_projected (BGK) or entropy (Fokker-Planck)."""
-    return _composite(state, p)[0]
+    return _composite(report_basis(state, p))
 
 
-def build_report(state: State, p: PIndex, model: str = BGK.name) -> FunctionalReport:
+def composite_rates(basis: ReportBasis, g: np.ndarray, grad_x_g: np.ndarray) -> dict:
+    """d/dt of the COMPOSITE_COLUMNS, by column name, along a tangent g of
+    the basis's h whose x-gradient is given: the product rule on the basis,
+    exact to round-off.
+
+    The entropy rate is the quadrature of E(h) g, and the projected one the
+    x-integral of E(pi h) pi g, E the entropy variable. With B the form of
+    `kernels.fisher_form` and w' = (p-2) w / h, the three Fisher rates are
+    B(w' g; grad h, grad h) + B(w; grad h, grad g) + B(w; grad g, grad h).
+    """
+    state, p = basis.state, basis.p
+    grid, h, wv = state.grid, state.h, state.grid.v_weights
+    # each term is reduced before the next one's fields are built
+    rates = dict(
+        entropy=kernels.entropy_rate(h, g, wv, p.p),
+        entropy_projected=integrate_x(
+            kernels.entropy_variable(basis.pih, p.p) * project_pi(g, grid), grid))
+    own = kernels.fisher((p.p - 2.0) * basis.w / h * g, basis.gx, basis.gv, wv)
+    grad_v_g = grad_v_field(g, grid)
+    hg = kernels.fisher_form(basis.w, basis.gx, basis.gv, grad_x_g, grad_v_g, wv)
+    gh = kernels.fisher_form(basis.w, grad_x_g, grad_v_g, basis.gx, basis.gv, wv)
+    rates["fisher_x"], rates["fisher_v"], rates["fisher_mixed"] = (
+        a + b + c for a, b, c in zip(own, hg, gh))
+    return rates
+
+
+def build_report(state: State, p: PIndex, model: str = BGK.name,
+                 basis: ReportBasis | None = None) -> FunctionalReport:
     """Every diagnostic of one snapshot, or of each member of a stacked
-    state, in one pass over one set of gradients.
+    state, in one pass over one set of gradients: `basis`, which is
+    report_basis(state, p) if the caller has it.
 
     model is the name of BGK or FokkerPlanck; with p it decides which columns exist
     (every other column is None):
@@ -203,7 +246,10 @@ def build_report(state: State, p: PIndex, model: str = BGK.name) -> FunctionalRe
     """
     if model not in (BGK.name, FokkerPlanck.name):
         raise ValueError(f"unknown model {model!r}")
-    rep, w, pih, gx, gv = _composite(state, p)
+    if basis is None:
+        basis = report_basis(state, p)
+    rep = _composite(basis)
+    w, pih, gx, gv = basis.w, basis.pih, basis.gx, basis.gv
     grid, h, wv = state.grid, state.h, state.grid.v_weights
     rep.hermite_tail = hermite_tail_fraction(h, grid)
     if model == BGK.name:
@@ -238,13 +284,12 @@ def build_report(state: State, p: PIndex, model: str = BGK.name) -> FunctionalRe
 
 def write_report_csv(reports: list[FunctionalReport], path) -> None:
     """One row per snapshot; absent quantities are empty cells."""
-    cols = FunctionalReport.columns()
     with open_fresh(path, newline="") as f:
         writer = csv.writer(f)
-        writer.writerow(cols)
+        writer.writerow(REPORT_COLUMNS)
         for rep in reports:
             row = []
-            for c in cols:
+            for c in REPORT_COLUMNS:
                 val = getattr(rep, c)
                 if val is None:
                     row.append("")
@@ -256,7 +301,7 @@ def write_report_csv(reports: list[FunctionalReport], path) -> None:
 
 
 def write_report_json(reports: list[FunctionalReport], path) -> None:
-    data = [{c: getattr(rep, c) for c in FunctionalReport.columns()}
+    data = [{c: getattr(rep, c) for c in REPORT_COLUMNS}
             for rep in reports]
     write_json(path, data)
 

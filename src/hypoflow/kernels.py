@@ -6,7 +6,7 @@ numpy. A density h of shape (..., nx_total, nv_total) stacks states on its
 leading axes, with gradients of shape (dim, ...) of h's shape and velocity
 averages of shape h.shape[:-1]; each reduction returns a float for one
 state and one value per member for a stack. Each weighted reduction takes
-the weight w = h^(p-2) that `functionals.build_report` computes once.
+the weight w = h^(p-2) that `functionals.report_basis` computes once.
 """
 
 from __future__ import annotations
@@ -53,12 +53,34 @@ def entropy(h, wv, p: float):
     return _quadrature(convex_entropy_density(h, p), wv)
 
 
+def entropy_rate(h, g, wv, p: float):
+    """Quadrature of E(h) g, E the entropy variable: the derivative of
+    `entropy` along a tangent g of h."""
+    return _quadrature(entropy_variable(h, p) * g, wv)
+
+
+def _weighted_dot(w, a, b):
+    """w sum_i a_i b_i over the leading (gradient) axis, the bits of
+    w * (a * b).sum(axis=0), built in one array."""
+    out = a[0] * b[0]
+    for i in range(1, a.shape[0]):
+        out += a[i] * b[i]
+    out *= w
+    return out
+
+
+def fisher_form(w, ax, av, bx, bv, wv):
+    """The bilinear Fisher form B(w; a, b) of two pairs of x- and
+    v-gradients a = (ax, av) and b = (bx, bv): the quadratures of w ax.bx,
+    w av.bv and w ax.bv."""
+    return tuple(_quadrature(_weighted_dot(w, a, b), wv)
+                 for a, b in ((ax, bx), (av, bv), (ax, bv)))
+
+
 def fisher(w, gx, gv, wv):
-    """Weighted squares and cross term of the two gradients."""
-    gx2 = (gx * gx).sum(axis=0)
-    gv2 = (gv * gv).sum(axis=0)
-    mix = (gx * gv).sum(axis=0)
-    return _quadrature(w * gx2, wv), _quadrature(w * gv2, wv), _quadrature(w * mix, wv)
+    """Weighted squares and cross term of the two gradients: the diagonal
+    B(w; g, g) of `fisher_form`."""
+    return fisher_form(w, gx, gv, gx, gv, wv)
 
 
 def weighted_fisher(w, g, wv):

@@ -1,18 +1,23 @@
-"""Exact one-parameter sub-flows for the three generators.
+"""Exact one-parameter sub-flows for the three generators, and the
+generators themselves.
 
 Transport is a per-velocity Fourier phase shift, relaxation toward the
 velocity average is an explicit exponential mixture, and the
 velocity-space Ornstein-Uhlenbeck operator decays Hermite coefficients.
 None of the flows carries time-stepping error, so operator splitting is
-the only discretization of the composed dynamics.
+the only discretization of the composed dynamics. Each flow's
+t-derivative at 0 is a module-level function too: `transport_generator`,
+`bgk_generator` and `fokker_planck_generator`, from which the verifier
+takes exact rates.
 
 The collision flows act on v alone and so commute with the Fourier
 transform in x: each collision kind builds one `velocity_flow` of a given
 length over the last (velocity) axis, which flows nodal values and the
 half-spectrum x-modes of `phase_space.to_modes` alike. `collision_flow`
-makes it the nodal flow that the verifier differentiates, and `simulate`
-steps the x-modes with it, on which transport is the diagonal table of
-`transport_phases`.
+makes it the nodal flow, and `simulate` steps the x-modes with it, on
+which transport is the diagonal table of `transport_phases`. Its
+`velocity_generator` acts on the same last axis; the matrix of either is
+its action on the nodal identity.
 
 Each flow acts on a state that stacks members on leading axes of h in one
 numpy call, every member as it would flow alone.
@@ -31,13 +36,14 @@ from .phase_space import (
     Grid,
     State,
     floor_immaterial,
+    grad_x_field,
     to_modes,
     to_nodes,
 )
 
-# a collision flow of one length over the last (velocity) axis of nodal
-# values or of the x-modes of to_modes
-VelocityFlow = Callable[[np.ndarray], np.ndarray]
+# a linear map over the last (velocity) axis of nodal values or of the
+# x-modes of to_modes: a collision's flow of one length, or its generator
+VelocityOperator = Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -52,11 +58,20 @@ class BGK:
         if not self.rate > 0:
             raise ValueError(f"relaxation rate must be positive, got {self.rate}")
 
+    @property
+    def flow_rate(self) -> float:
+        """The rate that velocity_flow and velocity_generator relax at:
+        .rate, except in the test hook `verifier.CorruptedBGK`."""
+        return self.rate
+
     def flow(self, state: State, t: float) -> State:
         return collision_flow(self, state, t)
 
-    def velocity_flow(self, grid: Grid, t: float) -> VelocityFlow:
-        return functools.partial(bgk_relax, grid=grid, rate=self.rate, t=t)
+    def velocity_flow(self, grid: Grid, t: float) -> VelocityOperator:
+        return functools.partial(bgk_relax, grid=grid, rate=self.flow_rate, t=t)
+
+    def velocity_generator(self, grid: Grid) -> VelocityOperator:
+        return functools.partial(bgk_generator, grid=grid, rate=self.flow_rate)
 
 
 @dataclass(frozen=True)
@@ -68,9 +83,12 @@ class FokkerPlanck:
     def flow(self, state: State, t: float) -> State:
         return collision_flow(self, state, t)
 
-    def velocity_flow(self, grid: Grid, t: float) -> VelocityFlow:
+    def velocity_flow(self, grid: Grid, t: float) -> VelocityOperator:
         return functools.partial(fokker_planck_diffuse, grid=grid,
                                  propagator=fokker_planck_propagator(grid, t))
+
+    def velocity_generator(self, grid: Grid) -> VelocityOperator:
+        return functools.partial(fokker_planck_generator, grid=grid)
 
 
 @dataclass(frozen=True)
@@ -126,6 +144,17 @@ def transport_flow(state: State, t: float) -> State:
     return state.replace(to_nodes(modes, grid), time=state.time + t)
 
 
+def transport_generator(h: np.ndarray, grid: Grid,
+                        grad_x: np.ndarray | None = None) -> np.ndarray:
+    """-sum_i v_i d_xi h, the t-derivative at 0 of transport_flow: on the
+    x-modes it multiplies by -i k.v, the exponent of transport_phases, with
+    the Nyquist mode zeroed. `grad_x` is grad_x_field of h if the caller
+    has it."""
+    if grad_x is None:
+        grad_x = grad_x_field(h, grid)
+    return -sum(grid.v_nodes[:, axis] * grad_x[axis] for axis in range(grid.dim))
+
+
 def bgk_relax(values: np.ndarray, grid: Grid, rate: float, t: float) -> np.ndarray:
     """Exponential mixing toward the velocity average over the last axis.
 
@@ -142,20 +171,28 @@ def bgk_relax(values: np.ndarray, grid: Grid, rate: float, t: float) -> np.ndarr
     return decay * values + (1.0 - decay) * (values @ grid.v_weights)[..., None]
 
 
-def fokker_planck_propagator(grid: Grid, t: float) -> np.ndarray:
-    """(nv, nv) nodal matrix of the Ornstein-Uhlenbeck flow of time t along
-    one velocity axis.
+def bgk_generator(values: np.ndarray, grid: Grid, rate: float) -> np.ndarray:
+    """rate (pi h - h) over the last axis: the t-derivative at 0 of
+    bgk_relax, on nodal values and spatial Fourier modes alike."""
+    return rate * ((values @ grid.v_weights)[..., None] - values)
 
-    The flow decays orthonormal Hermite coefficient n by exp(-n t). In the
-    sqrt-weight frame, where the Hermite transform O is orthogonal, that is
-    O^T diag(exp(-n t)) O; this is the same matrix in nodal values.
-    """
-    if t < 0:
-        raise ValueError(f"diffusion flow needs t >= 0, got {t}")
+
+def _hermite_diagonal(grid: Grid, factors: np.ndarray) -> np.ndarray:
+    """(nv, nv) nodal matrix that multiplies orthonormal Hermite coefficient
+    n by factors[n] along one velocity axis. In the sqrt-weight frame, where
+    the Hermite transform O is orthogonal, that is O^T diag(factors) O; this
+    is the same matrix in nodal values."""
     ortho = grid.hermite_ortho
     sqw = ortho[0]  # phi_0 = 1, so the first row of the transform is sqrt(w)
-    decay = np.exp(-np.arange(grid.spec.nv) * t)
-    return (ortho.T * decay) @ ortho / sqw[:, None] * sqw[None, :]
+    return (ortho.T * factors) @ ortho / sqw[:, None] * sqw[None, :]
+
+
+def fokker_planck_propagator(grid: Grid, t: float) -> np.ndarray:
+    """(nv, nv) nodal matrix of the Ornstein-Uhlenbeck flow of time t along
+    one velocity axis: it decays Hermite coefficient n by exp(-n t)."""
+    if t < 0:
+        raise ValueError(f"diffusion flow needs t >= 0, got {t}")
+    return _hermite_diagonal(grid, np.exp(-np.arange(grid.spec.nv) * t))
 
 
 def fokker_planck_diffuse(fld: np.ndarray, grid: Grid, propagator: np.ndarray) -> np.ndarray:
@@ -176,3 +213,24 @@ def fokker_planck_diffuse(fld: np.ndarray, grid: Grid, propagator: np.ndarray) -
         tens += mean
         fld = tens.swapaxes(axis + 1, -1).reshape(fld.shape)
     return fld
+
+
+def fokker_planck_generator(fld: np.ndarray, grid: Grid) -> np.ndarray:
+    """The Ornstein-Uhlenbeck generator on nodal values or x-modes whose last
+    axis holds the velocity nodes: the t-derivative at 0 of
+    `fokker_planck_diffuse` with the propagator of time t.
+
+    Along one axis it is O^T diag(-n) O, the t-derivative of
+    `fokker_planck_propagator`, applied to the fluctuation about the
+    velocity average, which it annihilates. The flows along the axes
+    commute and compose, so their generators add.
+    """
+    generator = _hermite_diagonal(grid, -np.arange(grid.spec.nv, dtype=float))
+    w = grid.hermite_ortho[0] ** 2
+
+    def along(axis):
+        tens = fld.reshape(-1, *grid.v_shape()).swapaxes(axis + 1, -1)
+        rate = (tens - (tens @ w)[..., None]) @ generator.T
+        return rate.swapaxes(axis + 1, -1).reshape(fld.shape)
+
+    return sum(along(axis) for axis in range(grid.dim))

@@ -668,7 +668,8 @@ def _c_encode(obj, item_separator: str) -> str:
 
 
 def _is_flat(values) -> bool:
-    return not any(isinstance(v, (list, tuple, dict)) for v in values)
+    """No value is a list, tuple or dict: tested once per distinct type."""
+    return not any(issubclass(t, (list, tuple, dict)) for t in set(map(type, values)))
 
 
 def _column_texts(column: list) -> list | None:
@@ -677,7 +678,8 @@ def _column_texts(column: list) -> list | None:
     if _is_flat(column):
         # the encoder escapes every newline inside a string
         return _c_encode(column, "\n")[1:-1].split("\n")
-    if all(isinstance(v, dict) and _is_flat(v.values()) for v in column):
+    if (all(issubclass(t, dict) for t in set(map(type, column)))
+            and _is_flat([v for row in column for v in row.values()])):
         # a separator inside a dict is followed by a key, never by "{"
         parts = _c_encode(column, "," + _ITEM)[2:-2].split("}," + _ITEM + "{")
         return ["{" + _ITEM + part + _FIELD + "}" if part else "{}" for part in parts]

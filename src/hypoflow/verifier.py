@@ -1,12 +1,12 @@
 """Numerical verification of the dissipation identities and inequalities.
 
-Each check compares a semigroup finite difference of a functional (the
-sub-flows are exact, so differencing error is the probe step squared)
-against the closed-form combination of diagnostics the theory predicts.
-Each state gets one full report, and each state a probe flows it to one
-composite report of the five columns the rows difference; every row
-reads from those reports. `run_suite` stacks its states, so one report
-and one probe pass serve a whole stack. Equality checks report a
+Each check compares the time derivative of a functional along one
+generator against the closed-form combination of diagnostics the theory
+predicts. The derivatives are exact, with no flow and no differencing:
+the generator's tangent g = G h enters the product rule on the gradients
+that the state's report already read (`functionals.composite_rates`).
+`run_suite` stacks its states, so one set of gradients serves a stack's
+report and its rates along both generators. Equality checks report a
 residual, inequality checks a slack; both carry the tolerance they were
 judged against.
 """
@@ -20,11 +20,11 @@ import numpy as np
 
 from . import functionals as fns
 from .certificate import estimate_functional_constant
-from .functionals import FunctionalReport, PIndex, build_report, composite_report
+from .functionals import FunctionalReport, PIndex, ReportBasis, build_report, report_basis
 from .initial import random_band_limited
 from .integrator import Trajectory
-from .operators import BGK, CollisionKind, Transport, VelocityFlow, time_scale
-from .phase_space import Grid, State, write_json
+from .operators import BGK, CollisionKind, Transport, transport_generator
+from .phase_space import Grid, State, grad_x_field, write_json
 
 Generator = Transport | CollisionKind
 
@@ -92,8 +92,9 @@ class DecayFit:
 
 @dataclass(frozen=True)
 class CorruptedBGK(BGK):
-    """Test hook: its `velocity_flow`, which both `flow` and `simulate`
-    step with, relaxes at rate * (1 + skew), not at its .rate.
+    """Test hook: its `flow_rate`, which its `velocity_flow` (stepped by
+    `flow` and `simulate`) and its `velocity_generator` (differentiated by
+    `report_derivatives`) both read, is rate * (1 + skew), not its .rate.
 
     Predictions still use .rate, so with any nonzero skew every equality
     row of the derivative table must fail; used to prove the verifier can
@@ -107,33 +108,9 @@ class CorruptedBGK(BGK):
         if not self.skew > -1.0:
             raise ValueError(f"skew must exceed -1, got {self.skew}")
 
-    def velocity_flow(self, grid: Grid, t: float) -> VelocityFlow:
-        return BGK(self.rate * (1.0 + self.skew)).velocity_flow(grid, t)
-
-
-def default_probe_step(generator: Generator) -> float:
-    return 1e-4 * time_scale(generator)
-
-
-def semigroup_derivative(state: State, generator: Generator,
-                         functional: Callable[[State], float | np.ndarray],
-                         delta: float | None = None) -> float | np.ndarray:
-    """d/dt of the functional along the generator's flow at this state.
-
-    Transport is a group, so a centered difference applies; the collision
-    semigroups only run forward and use a one-sided difference with one
-    Richardson extrapolation step. Both are second-order in the probe.
-    """
-    if delta is None:
-        delta = default_probe_step(generator)
-    if isinstance(generator, Transport):
-        up = functional(generator.flow(state, +delta))
-        dn = functional(generator.flow(state, -delta))
-        return (up - dn) / (2.0 * delta)
-    f0 = functional(state)
-    f_half = functional(generator.flow(state, 0.5 * delta))
-    f_full = functional(generator.flow(state, delta))
-    return (4.0 * f_half - 3.0 * f0 - f_full) / delta
+    @property
+    def flow_rate(self) -> float:
+        return self.rate * (1.0 + self.skew)
 
 
 def _equality(check_id, lhs, rhs, abs_tol, rel_tol, desc="", params=None):
@@ -160,18 +137,26 @@ def report_derivatives(state: State, rep: FunctionalReport,
                        generator: Generator, p: PIndex) -> FunctionalReport:
     """d/dt of the COMPOSITE_COLUMNS along the generator's flow at `state`,
     whose report is `rep`: a report with `rep`'s time and entropy label that
-    holds those five rates, every other column None. Each flowed state gets
-    one composite_report, and the five columns are differenced together.
-    A stacked state gets one rate per member in each column."""
+    holds those five rates, every other column None. The rates are exact:
+    the product rule on the gradients of h along the tangent G h, with no
+    flow. A stacked state gets one rate per member in each column."""
+    return _rates(report_basis(state, p), rep, generator)
 
-    def columns_at(s: State) -> np.ndarray:
-        # the one-sided collision difference also evaluates the state itself
-        at = rep if s is state else composite_report(s, p)
-        return np.array([getattr(at, c) for c in fns.COMPOSITE_COLUMNS])
 
-    d = semigroup_derivative(state, generator, columns_at)
-    return FunctionalReport(time=rep.time, p=rep.p, **dict(
-        zip(fns.COMPOSITE_COLUMNS, d.tolist() if d.ndim == 1 else d)))
+def _rates(basis: ReportBasis, rep: FunctionalReport,
+           generator: Generator) -> FunctionalReport:
+    """report_derivatives from the basis of `rep`. Only transport pays an
+    x-transform: a collision generator acts on v alone, so it commutes
+    with the x-gradient."""
+    grid, h = basis.state.grid, basis.state.h
+    if isinstance(generator, Transport):
+        g = transport_generator(h, grid, grad_x=basis.gx)
+        grad_x_g = grad_x_field(g, grid)
+    else:
+        along_v = generator.velocity_generator(grid)
+        g, grad_x_g = along_v(h), along_v(basis.gx)
+    return FunctionalReport(time=rep.time, p=rep.p,
+                            **fns.composite_rates(basis, g, grad_x_g))
 
 
 def check_lemma_table(rep: FunctionalReport, rates: FunctionalReport,
@@ -376,18 +361,18 @@ def fit_decay(trajectory: Trajectory,
 def run_suite(grid: Grid, collision: CollisionKind, p: PIndex,
               n_states: int = 100, seed0: int = 0,
               amplitude: float = 0.25) -> list[LemmaCheckResult]:
-    """Full verification sweep over seeded random states, differencing
-    along the flow of `collision`: BGK (with the transport, projection and
+    """Full verification sweep over seeded random states, with rates along
+    the generator of `collision`: BGK (with the transport, projection and
     mixed-term rows), FokkerPlanck, or the test hook CorruptedBGK, whose
-    skewed flow must break equality rows. The relaxation functional
+    skewed generator must break equality rows. The relaxation functional
     inequality row reads the ratio constant of
     `estimate_functional_constant`.
 
     The states of seeds seed0, seed0 + 1, ... are drawn and verified in
     stacks of STACK_VALUES nodal values: one random_band_limited draw, one
-    build_report and one report_derivatives per generator serve a stack.
-    The rows come seed by seed, each bit for bit what that state alone
-    would give.
+    report_basis, and from it one build_report and the rates along each
+    generator, serve a stack. The rows come seed by seed, each bit for bit
+    what that state alone would give.
     """
     relaxation = isinstance(collision, BGK)
     C = estimate_functional_constant(grid, p).value if relaxation else None
@@ -398,10 +383,11 @@ def run_suite(grid: Grid, collision: CollisionKind, p: PIndex,
     for start in range(0, n_states, stack):
         members = seeds[start:start + stack]
         state = random_band_limited(grid, members, amplitude=amplitude)
-        reps = build_report(state, p, model=collision.name)
-        rates = report_derivatives(state, reps, collision, p)
+        basis = report_basis(state, p)
+        reps = build_report(state, p, model=collision.name, basis=basis)
+        rates = _rates(basis, reps, collision)
         if relaxation:
-            drifts = report_derivatives(state, reps, Transport(), p)
+            drifts = _rates(basis, reps, Transport())
         for i, seed in enumerate(members):
             rep, rate = reps.member(i), rates.member(i)
             if relaxation:

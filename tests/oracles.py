@@ -4,9 +4,11 @@ Everything here deliberately avoids the package's own quadrature and
 differentiation machinery: Gauss-Hermite rules come from a Golub-Welsch
 eigendecomposition, phase-space integrals from dense composite quadrature
 against the explicit Gaussian weight, and all derivatives are analytic.
-The verification loop at the end is the one exception: it runs the
-package's own checks one state at a time, the reference of the stacked
-suite.
+Two kinds of code are the exceptions. The time-derivative oracles
+differentiate the package's own discrete functionals, by finite
+differences along its flows and by complex step through its spectral
+gradients. The verification loop at the end runs the package's own
+checks one state at a time, the reference of the stacked suite.
 """
 
 from __future__ import annotations
@@ -262,6 +264,78 @@ def oracle_second_order(field: AnalyticField, x, v, p: float):
             dense_integral(t_vv * t_vv * h**(2.0 - p), x, v),
             dense_integral(h**(p - 4.0) * hv * hv * hx * hx, x, v),
             dense_integral(h**(p - 4.0) * hv**4, x, v))
+
+
+# --- time-derivative oracles ---------------------------------------------------
+#
+# Two routes to the d/dt of the composite columns along a generator that
+# share nothing with the product rule of `verifier.report_derivatives`: a
+# semigroup finite difference along the exact flows, and the complex step
+# on the columns' own formulas.
+
+def default_probe_step(generator) -> float:
+    from hypoflow.operators import time_scale
+    return 1e-4 * time_scale(generator)
+
+
+def semigroup_derivative(state, generator, functional, delta=None):
+    """d/dt of the functional along the generator's flow at this state.
+
+    Transport is a group, so a centered difference applies; the collision
+    semigroups only run forward and use a one-sided difference with one
+    Richardson extrapolation step. Both are second-order in the probe: with
+    f3 the third t-derivative, the error is f3 delta^2 / 6 centered and
+    -f3 delta^2 / 12 one-sided.
+    """
+    from hypoflow.operators import Transport
+
+    if delta is None:
+        delta = default_probe_step(generator)
+    if isinstance(generator, Transport):
+        up = functional(generator.flow(state, +delta))
+        dn = functional(generator.flow(state, -delta))
+        return (up - dn) / (2.0 * delta)
+    f0 = functional(state)
+    f_half = functional(generator.flow(state, 0.5 * delta))
+    f_full = functional(generator.flow(state, delta))
+    return (4.0 * f_half - 3.0 * f0 - f_full) / delta
+
+
+def complex_step_rates(state, g, p: float, eps: float = 1e-30) -> dict:
+    """d/dt of the five composite columns along the tangent g of h, by
+    column name: Im F(h + i eps g) / eps, exact to round-off with no
+    cancellation (Squire-Trapp, SIAM Rev. 1998).
+
+    Each column's formula is evaluated on complex values, with no
+    conjugate or modulus, so it stays holomorphic in h. The spectral
+    gradients are linear and act on the real and imaginary parts apart,
+    since rfft needs real input; the quadrature is written out here.
+    """
+    from hypoflow.phase_space import grad_v_field, grad_x_field
+
+    grid, wv = state.grid, state.grid.v_weights
+    z = state.h + 1j * eps * g
+
+    def grad(op):
+        return op(z.real, grid) + 1j * op(z.imag, grid)
+
+    def quadrature(f):
+        return (f @ wv).mean(axis=-1)
+
+    def entropy_density(u):
+        ent = np.log(u) if p == 1.0 else np.expm1((p - 1.0) * np.log(u)) / (p - 1.0)
+        return (u * ent - (u - 1.0)) / p
+
+    gx, gv = grad(grad_x_field), grad(grad_v_field)
+    w = z ** (p - 2.0)
+    columns = {
+        "entropy": quadrature(entropy_density(z)),
+        "entropy_projected": entropy_density(z @ wv).mean(axis=-1),
+        "fisher_x": quadrature(w * (gx * gx).sum(axis=0)),
+        "fisher_v": quadrature(w * (gv * gv).sum(axis=0)),
+        "fisher_mixed": quadrature(w * (gx * gv).sum(axis=0)),
+    }
+    return {c: value.imag / eps for c, value in columns.items()}
 
 
 # --- reference random draw ---------------------------------------------------

@@ -18,7 +18,8 @@ from hypoflow import (
 )
 from hypoflow.functionals import (
     COMPOSITE_COLUMNS,
-    FunctionalReport,
+    DIAGNOSTIC_COLUMNS,
+    REPORT_COLUMNS,
     composite_report,
     local_mean_velocity,
     write_report_csv,
@@ -383,7 +384,7 @@ class TestCompositeReport:
         full = build_report(s, p, model=model)
         rep = composite_report(s, p)
         assert (rep.time, rep.p) == (full.time, full.p)
-        for c in FunctionalReport.diagnostics():
+        for c in DIAGNOSTIC_COLUMNS:
             if c in COMPOSITE_COLUMNS:
                 assert getattr(rep, c) == getattr(full, c), c
             else:
@@ -404,7 +405,7 @@ class TestStackedReport:
             for i, s in enumerate(states):
                 got, want = stacked.member(i), build(s)
                 assert (got.time, got.p) == (want.time, want.p)
-                for c in FunctionalReport.diagnostics():
+                for c in DIAGNOSTIC_COLUMNS:
                     g, w = getattr(got, c), getattr(want, c)
                     assert type(g) is type(w) and type(w) in (float, type(None)), c
                     if w is not None:
@@ -430,7 +431,7 @@ class TestReportSerialization:
         write_report_csv(reps, path)
         with open(path) as f:
             rows = list(csv.reader(f))
-        assert rows[0] == FunctionalReport.columns()
+        assert rows[0] == list(REPORT_COLUMNS)
         assert len(rows) == 3
         # log row leaves the power-only columns empty
         d = dict(zip(rows[0], rows[1]))

@@ -12,6 +12,7 @@ from hypoflow import (
     project_pi,
     random_band_limited,
     transport_flow,
+    transport_generator,
 )
 from hypoflow.functionals import BOLTZMANN, entropy
 from hypoflow.initial import equilibrium, velocity_perturbation
@@ -188,6 +189,51 @@ def test_propagator_matches_coefficient_decay(dim, nv):
             flowed = FokkerPlanck().flow(State(grid, h), t).h
             for got in (tens.reshape(h.shape), flowed):
                 assert (np.abs(got - want) * sqrt_w).max() < 1e-13
+
+
+@pytest.mark.parametrize("dim,nv", [(1, 32), (2, 16)])
+def test_ou_generator_scales_coefficients_by_minus_degree(dim, nv):
+    # the t-derivative at 0 of coefficient_decay, in the sqrt-weight frame
+    grid = build_grid(GridSpec(dim=dim, nx=8, nv=nv))
+    sqrt_w = np.sqrt(grid.v_weights)
+    degree = np.indices(grid.v_shape()).reshape(grid.dim, -1).sum(axis=0)
+    for seed in range(3):
+        h = random_band_limited(grid, seed=seed, amplitude=0.5).h
+        want = oracles.hermite_series(-degree * hermite_coefficients(h, grid), grid)
+        got = FokkerPlanck().velocity_generator(grid)(h)
+        assert (np.abs(got - want) * sqrt_w).max() < 1e-12 * np.abs(want * sqrt_w).max()
+
+
+class TestGenerators:
+    def test_transport_is_minus_v_dx(self, grid_small):
+        # h = 1 + a cos(2 pi x) f(v) gives G h = 2 pi a v sin(2 pi x) f(v)
+        a, b = 0.3, 0.2
+        x, v = grid_small.x_nodes[:, 0], grid_small.v_nodes[:, 0]
+        f = 1.0 + b * v * np.exp(-v * v / 8.0)
+        want = 2.0 * np.pi * a * np.outer(np.sin(2.0 * np.pi * x), v * f)
+        got = transport_generator(band_limited_state(grid_small, a, b).h, grid_small)
+        assert np.abs(got - want).max() < 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("collision", [BGK(1.3), FokkerPlanck()], ids=["bgk", "fp"])
+    @pytest.mark.parametrize("grid_name", ["grid_small", "grid_2d"])
+    def test_collision_generator_is_the_flow_derivative(self, request, grid_name, collision):
+        # matrices as actions on the nodal identity; the Richardson
+        # difference (4 F(t/2) - 3 I - F(t)) / t misses the derivative by
+        # G^3 t^2 / 12, under 1e-8 of the largest entry of G at t = 1e-5
+        # (the diffusion generator's spectral radius is 14 or 15 here)
+        grid = request.getfixturevalue(grid_name)
+        eye = np.eye(grid.nv_total)
+        gen = collision.velocity_generator(grid)(eye)
+        t = 1e-5
+        flow = [collision.velocity_flow(grid, dt)(eye) for dt in (t / 2.0, t)]
+        diff = (4.0 * flow[0] - 3.0 * eye - flow[1]) / t
+        assert np.abs(diff - gen).max() < 1e-7 * np.abs(gen).max()
+
+    def test_generators_fix_equilibrium(self, grid_small):
+        h = equilibrium(grid_small).h
+        assert np.abs(transport_generator(h, grid_small)).max() == 0.0
+        for collision in (BGK(0.8), FokkerPlanck()):
+            assert np.abs(collision.velocity_generator(grid_small)(h)).max() < 1e-12
 
 
 class TestGeneratorObjects:

@@ -456,7 +456,7 @@ def test_verification_and_report_rows_need_no_json_dumps(tmp_path, monkeypatch, 
                for seed in range(6)]
     want = {
         "verification.json": [r.to_dict() for r in results],
-        "functionals.json": [{c: getattr(rep, c) for c in functionals.FunctionalReport.columns()}
+        "functionals.json": [{c: getattr(rep, c) for c in functionals.REPORT_COLUMNS}
                              for rep in reports],
     }
     want = {name: (json.dumps(rows, indent=1, sort_keys=True) + "\n").encode()

@@ -18,15 +18,16 @@ from hypoflow import (
     random_band_limited,
     report_derivatives,
     run_suite,
-    semigroup_derivative,
     simulate,
+    transport_generator,
 )
-from hypoflow import functionals, verifier
-from hypoflow.functionals import build_report, entropy
+from hypoflow import operators, verifier
+from hypoflow.functionals import COMPOSITE_COLUMNS, build_report, composite_report, entropy
 from hypoflow.initial import cosine, equilibrium, velocity_perturbation
 from hypoflow.verifier import CorruptedBGK, check_correction_weight, save_results, summarize
 
 import oracles
+from oracles import default_probe_step, semigroup_derivative
 
 
 def lemma_rows(state, generator, p, **kw):
@@ -76,33 +77,62 @@ class TestSemigroupDerivative:
         assert d == pytest.approx(-iv, rel=1e-5, abs=1e-8)
 
 
+# each generator at the entropy indices its table is stated for
+RATE_CASES = ([(Transport(), p) for p in (1.0, 1.5, 2.0)]
+              + [(BGK(lam), p) for lam in (0.5, 2.0) for p in (1.0, 1.5, 2.0)]
+              + [(FokkerPlanck(), p) for p in (1.5, 2.0)])
+RATE_IDS = [f"{getattr(g, 'name', 'transport')}{getattr(g, 'rate', '')}-{p}"
+            for g, p in RATE_CASES]
+RATE_GRIDS = [GridSpec(dim=1, nx=64, nv=32), GridSpec(dim=2, nx=16, nv=8)]
+
+
+def stack_and_rates(spec, generator, p):
+    """A 3-member stack of random states, its report and its rates."""
+    s = random_band_limited(build_grid(spec), [0, 1, 2])
+    rep = build_report(s, p, model=getattr(generator, "name", BGK.name))
+    return s, rep, report_derivatives(s, rep, generator, p)
+
+
+def column_scales(rep):
+    """The size each rate column is judged against: H for the entropies,
+    Ix + Iv for the Fisher terms."""
+    fisher = rep.fisher_x + rep.fisher_v
+    return {c: rep.entropy if c.startswith("entropy") else fisher for c in COMPOSITE_COLUMNS}
+
+
 class TestReportDerivatives:
-    @pytest.mark.parametrize("generator,p", [
-        (BGK(1.0), BOLTZMANN), (BGK(1.0), PIndex(1.5)), (FokkerPlanck(), PIndex(1.5)),
-    ], ids=["bgk-log", "bgk-1.5", "fp-1.5"])
-    def test_rows_match_per_column_differences(self, grid_accept, generator, p):
-        # reference: one semigroup derivative per column, every probe
-        # reported afresh
-        model = generator.name
-        s = random_band_limited(grid_accept, 11)
-        rep = build_report(s, p, model=model)
-        gens = [generator] if model == "fokker-planck" else [Transport(), generator]
-        rates = {}
-        for gen in gens:
-            rates[gen] = report_derivatives(s, rep, gen, p)
-            rows = check_lemma_table(rep, rates[gen], gen, p, splitters=(0.1, 1.0, 10.0))
-            for r in rows:
-                col = next(c for c in ("fisher_x", "fisher_v", "fisher_mixed")
-                           if r.check_id.split(".")[1].startswith(c))
-                expect = semigroup_derivative(
-                    s, gen, lambda st, c=col: getattr(build_report(st, p, model=model), c))
-                assert r.lhs == expect, r.check_id
-        if model == "bgk":
-            rows = check_projection_inequalities(rep, rates[gens[0]], rates[generator])
-            hpi = lambda st: build_report(st, p, model="bgk").entropy_projected
-            assert rows[-1].check_id == "projected_entropy_rate.formula"
-            assert rows[-1].lhs == (semigroup_derivative(s, Transport(), hpi)
-                                    + semigroup_derivative(s, BGK(1.0), hpi))
+    @pytest.mark.parametrize("generator,p", RATE_CASES, ids=RATE_IDS)
+    @pytest.mark.parametrize("spec", RATE_GRIDS, ids=["64x32", "16^2x8^2"])
+    def test_rates_match_complex_step(self, spec, generator, p):
+        s, rep, rates = stack_and_rates(spec, generator, PIndex(p))
+        if isinstance(generator, Transport):
+            g = transport_generator(s.h, s.grid)
+        else:
+            g = generator.velocity_generator(s.grid)(s.h)
+        want = oracles.complex_step_rates(s, g, p)
+        for c, scale in column_scales(rep).items():
+            err = np.abs(getattr(rates, c) - want[c])
+            assert np.all(err <= 1e-12 * scale), (c, err / scale)
+
+    @pytest.mark.parametrize("generator,p", RATE_CASES, ids=RATE_IDS)
+    @pytest.mark.parametrize("spec", RATE_GRIDS, ids=["64x32", "16^2x8^2"])
+    def test_rates_within_differenced_error(self, spec, generator, p):
+        # the flows, not the generators, are differenced. At probe delta the
+        # difference is second order: its error, c delta^2, is 4/3 of its
+        # change when delta halves, so twice that change bounds it. A column
+        # computed to 1e-13 of its scale adds at most 8e-13 scale / delta.
+        s, rep, rates = stack_and_rates(spec, generator, PIndex(p))
+
+        def columns(st):
+            at = composite_report(st, PIndex(p))
+            return np.array([getattr(at, c) for c in COMPOSITE_COLUMNS])
+
+        delta = default_probe_step(generator)
+        coarse = semigroup_derivative(s, generator, columns, delta)
+        fine = semigroup_derivative(s, generator, columns, delta / 2.0)
+        for i, (c, scale) in enumerate(column_scales(rep).items()):
+            bound = 2.0 * np.abs(coarse[i] - fine[i]) + 8e-13 * scale / delta
+            assert np.all(np.abs(getattr(rates, c) - coarse[i]) <= bound), c
 
 
 class TestLemmaTables:
@@ -236,30 +266,42 @@ class TestSuite:
         # + 3 mixed-term etas
         assert len(results) == n_states * 17
 
-    @pytest.mark.parametrize("collision,p,probes", [
-        (BGK(1.0), BOLTZMANN, 4), (BGK(1.0), PIndex(1.5), 4),
-        (FokkerPlanck(), PIndex(1.5), 2),
+    @pytest.mark.parametrize("collision,p", [
+        (BGK(1.0), BOLTZMANN), (BGK(1.0), PIndex(1.5)), (FokkerPlanck(), PIndex(1.5)),
     ], ids=["bgk-log", "bgk-1.5", "fp-1.5"])
-    def test_one_report_per_flowed_state(self, grid_accept, monkeypatch,
-                                         collision, p, probes):
-        # one full report of each stack of base states; each stack of probe
-        # states (transport at +-delta and a collision flow at delta/2 and
-        # delta for BGK, the collision flows alone for FP) gets only the
-        # composite columns. One state more than a stack makes two stacks.
-        calls = {"build_report": 0, "composite_report": 0}
+    def test_one_report_per_stack_and_no_flow(self, grid_accept, monkeypatch,
+                                              collision, p):
+        # one full report of each stack, and exact rates that flow nothing.
+        # One state more than a stack makes two stacks.
+        calls = []
 
-        def counting(name):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return getattr(functionals, name)(*args, **kwargs)
-            return wrapper
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return build_report(*args, **kwargs)
 
-        for name in calls:
-            monkeypatch.setattr(verifier, name, counting(name))
+        def refuse(*args, **kwargs):
+            raise AssertionError("the verifier flowed a state")
+
+        monkeypatch.setattr(verifier, "build_report", counting)
+        monkeypatch.setattr(operators, "transport_flow", refuse)
+        monkeypatch.setattr(operators, "collision_flow", refuse)
         stack = verifier.STACK_VALUES // (grid_accept.nx_total * grid_accept.nv_total)
         assert stack == 8
-        run_suite(grid_accept, collision, p, n_states=stack + 1)
-        assert calls == {"build_report": 2, "composite_report": 2 * probes}
+        results = run_suite(grid_accept, collision, p, n_states=stack + 1)
+        assert results and all(r.passed for r in results)
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("p", [BOLTZMANN, PIndex(1.5), PIndex(2.0)])
+    def test_exact_rows_hold_to_round_off(self, grid_accept, p):
+        # finite differences left 3.6e-9, 2.2e-10, 6.9e-12 and 2.2e-5 in
+        # these rows
+        results = run_suite(grid_accept, BGK(1.0), p, n_states=100)
+        for check_id in ("relaxation.fisher_v_rate", "transport.fisher_v_rate",
+                         "transport.fisher_mixed_rate", "projected_entropy_rate.formula"):
+            rows = [r for r in results if r.check_id == check_id]
+            assert len(rows) == 100
+            worst = max(abs(r.residual_or_slack) / max(abs(r.lhs), abs(r.rhs)) for r in rows)
+            assert worst <= 1e-11, (check_id, worst)
 
     @pytest.mark.parametrize("collision,p", [
         (BGK(1.0), BOLTZMANN), (BGK(1.0), PIndex(1.5)),
@@ -291,7 +333,8 @@ class TestSuite:
         assert failed_eq
 
     def test_corruption_hook_skews_simulate(self):
-        # flow and simulate both step with velocity_flow, the hook's one override
+        # flow and simulate both step with velocity_flow, which reads the
+        # hook's one override
         state = cosine(build_grid(GridSpec(dim=1, nx=16, nv=8)), amplitude=0.3)
 
         def final(collision):
@@ -302,6 +345,13 @@ class TestSuite:
         assert not np.array_equal(corrupted, final(BGK(1.0)))
         flowed = CorruptedBGK(rate=1.0, skew=0.5).flow(state, 0.1).h
         assert flowed.tobytes() == BGK(1.5).flow(state, 0.1).h.tobytes()
+        # the verifier's rates read the same skewed rate
+        p = PIndex(1.5)
+        rep = build_report(state, p)
+        skewed = report_derivatives(state, rep, CorruptedBGK(rate=1.0, skew=0.5), p)
+        want = report_derivatives(state, rep, BGK(1.5), p)
+        for c in COMPOSITE_COLUMNS:
+            assert np.float64(getattr(skewed, c)).tobytes() == np.float64(getattr(want, c)).tobytes(), c
 
     def test_diffusion_sweep(self, grid_accept):
         results = run_suite(grid_accept, FokkerPlanck(), PIndex(1.5), n_states=3)
