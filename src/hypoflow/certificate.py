@@ -63,7 +63,7 @@ class CertificateParams:
     """Full audit of one certificate: coefficients, splitters, rate,
     statement-level prefactors, and the constraint evaluations."""
 
-    model: str                      # bgk-log | bgk-power | fokker-planck-power
+    model: str  # bgk-log | bgk-power | fokker-planck-power (p in [1, 2])
     lam: float | None = None
     p: float = 1.0
     A1: float = 0.0
@@ -199,7 +199,8 @@ def paper_constants_bgk(lam: float, C: float = math.inf, eta: float = 1.0 / 3.0,
 
 
 def paper_constants_fp(C: float, p: float = 1.5) -> CertificateParams:
-    """Velocity-diffusion certificate: no free parameter.
+    """Velocity-diffusion certificate for p in [1, 2], p = 1 being Villani's
+    case: no free parameter, and no constraint involves p.
 
     A1 = A2 = A3 = 1, eps = 4, entropy weight 27/4; certified rate
     k = min(1/12, 4/(216 C)) where C is the phase-space entropy/Fisher
@@ -208,8 +209,8 @@ def paper_constants_fp(C: float, p: float = 1.5) -> CertificateParams:
     """
     if not C > 0:
         raise ValueError(f"C must be positive, got {C}")
-    if not (1.0 < p <= 2.0):
-        raise ValueError(f"p must lie in (1, 2], got {p}")
+    if not (1.0 <= p <= 2.0):
+        raise ValueError(f"p must lie in [1, 2], got {p}")
     A1 = A2 = A3 = 1.0
     eps = 4.0 * A3
     A4 = 27.0 / 4.0

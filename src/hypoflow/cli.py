@@ -176,9 +176,6 @@ def _model_from_config(cfg):
             raise ConfigError("the relaxation model needs lambda")
         return _validated("model", BGK, rate=lam), p
     if kind == FokkerPlanck.name:
-        if p.is_log:
-            raise ConfigError("the velocity-diffusion model is analyzed for "
-                              "power entropies; set p in (1, 2]")
         return FokkerPlanck(), p
     raise ConfigError(f"unknown model kind {kind!r}")
 

@@ -242,7 +242,8 @@ def build_report(state: State, p: PIndex, model: str = BGK.name,
     - bgk: fisher_x_projected, projected_entropy_rate, cross_dissipation,
       correction_x, correction_v and fisher_v_scaled; at p = 1 the correction
       weight vanishes and the other two are fisher_x_ratio and fisher_v_ratio;
-    - fokker-planck with p in (1, 2]: hess_xv, hess_vv, quartic_xv, quartic_v.
+    - fokker-planck: hess_xv, hess_vv, quartic_xv, quartic_v; at p = 1
+      hess_vv is Villani's Gamma_2 term, the integral of h |d_v d_v log h|^2.
     """
     if model not in (BGK.name, FokkerPlanck.name):
         raise ValueError(f"unknown model {model!r}")
@@ -273,7 +274,7 @@ def build_report(state: State, p: PIndex, model: str = BGK.name,
             wc = w * correction_weight(ratio, p.p)
             rep.correction_x = kernels.weighted_fisher(wc, gx, wv)
             rep.correction_v = kernels.weighted_fisher(wc, gv, wv)
-    elif not p.is_log:
+    else:
         # hess[i, j]: d/dv_i of the j-th gradient component
         rep.hess_xv = kernels.hessian_norm(w, h, grad_v_field(gx, grid), gv, gx, wv, p.p)
         rep.hess_vv = kernels.hessian_norm(w, h, grad_v_field(gv, grid), gv, gv, wv, p.p)

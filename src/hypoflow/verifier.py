@@ -166,10 +166,10 @@ def check_lemma_table(rep: FunctionalReport, rates: FunctionalReport,
                       rel_tol: float = DEFAULT_REL_TOL) -> list[LemmaCheckResult]:
     """Derivative table of the Fisher components along one generator, read
     from the report `rep` and its derivatives `rates` along the generator
-    (see `report_derivatives`). Covers the transport rows (shared by both
-    entropy families), the relaxation rows (log and power variants) and
-    the velocity-diffusion rows (power only). Equality rows appear once,
-    relaxation inequality rows once per Young splitter.
+    (see `report_derivatives`). Covers the transport and velocity-diffusion
+    rows, the same for every p, and the relaxation rows (log and power
+    variants). Equality rows appear once, relaxation inequality rows once
+    per Young splitter.
     """
     meta = {"time": rep.time, "p": p.label()}
     if isinstance(generator, Transport):
@@ -222,9 +222,7 @@ def check_lemma_table(rep: FunctionalReport, rates: FunctionalReport,
                                    dict(meta, **dict.fromkeys(split_keys, eps))))
         return out
 
-    # velocity diffusion rows (power entropies)
-    if p.is_log:
-        raise ValueError("the diffusion derivative table is stated for power entropies")
+    # velocity diffusion rows
     return [
         _equality("diffusion.fisher_x_rate", rates.fisher_x,
                   -2.0 * rep.hess_xv - (2.0 - p.p) * (p.p - 1.0) * rep.quartic_xv,

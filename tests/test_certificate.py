@@ -223,9 +223,12 @@ class TestCertify:
         with pytest.raises(ValueError, match="splitter"):
             certify(grid_small, FokkerPlanck(), PIndex(1.5), eta=0.5)
 
-    def test_fokker_planck_needs_a_power_entropy(self, grid_small):
-        with pytest.raises(ValueError, match="p must lie"):
-            certify(grid_small, FokkerPlanck(), BOLTZMANN)
+    def test_fokker_planck_log_entropy_has_the_power_rate(self, grid_small):
+        # the diffusion recipe's constraints do not involve p, and the
+        # phase-space ratio constant is the Gaussian 1/2 at both p
+        log = certify(grid_small, FokkerPlanck(), BOLTZMANN)
+        assert log.p == 1.0 and log.feasible
+        assert log.rate == certify(grid_small, FokkerPlanck(), PIndex(1.5)).rate
 
     @pytest.mark.parametrize("collision,entropy_column", [
         (BGK(1.0), "entropy_projected"), (FokkerPlanck(), "entropy"),

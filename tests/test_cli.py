@@ -124,11 +124,16 @@ class TestSimulate:
         assert record["grid"] == trajectory["grid"] == {
             "dim": 1, "nx": 32, "nv": 16, "period": 1.0}
 
-    def test_fokker_planck_needs_power_entropy(self, tmp_path):
-        text = BASE.format(out=tmp_path / "o").replace(
-            "kind = bgk", "kind = fokker-planck")
+    def test_fokker_planck_log_entropy_run(self, tmp_path, capsys):
+        # p = 1 is a member of the power family the diffusion model runs
+        out = tmp_path / "o"
+        text = BASE.format(out=out).replace("kind = bgk", "kind = fokker-planck")
+        text = text.replace("nv = 16", "nv = 32").replace("t_end = 5.0", "t_end = 1.0")
         cfg = write_config(tmp_path, text)
-        assert main(["simulate", cfg]) == 1
+        assert main(["simulate", cfg]) == 0
+        assert capsys.readouterr().err == ""
+        header, body = read_csv(out / "functionals.csv")
+        assert body and all(row[header.index("hess_vv")] for row in body)
 
     def test_fokker_planck_run(self, tmp_path, capsys):
         out = tmp_path / "fp"
@@ -213,6 +218,23 @@ class TestCertify:
             assert cert["model"] == "bgk-power"
             assert cert["eps1"] == cert["eps2"] == 2.0 / lam
             assert cert["rate"] == pytest.approx(0.1 / 6.0, rel=1e-12)
+
+
+    def test_fp_log_entropy_config_is_valid(self, tmp_path, capsys):
+        # p = 1 certifies the diffusion model at the rate of p = 1.5
+        text = BASE + "\n[certificate]\nC = 1000000.0\n"
+        rates = {}
+        for p in ("1", "1.5"):
+            out = tmp_path / p
+            model = FP_MODEL.replace("1.5", p)
+            cfg = write_config(tmp_path, text.format(out=out).replace(BGK_MODEL, model))
+            assert main(["certify", cfg]) == 0
+            cert = json.loads((out / "certificate.json").read_text())
+            assert cert["model"] == "fokker-planck-power"
+            assert cert["feasibility"]["feasible"]
+            rates[cert["p"]] = cert["rate"]
+        assert capsys.readouterr().err == ""
+        assert rates[1.0] == pytest.approx(rates[1.5], rel=1e-12)
 
 
 class TestVerify:
@@ -482,8 +504,6 @@ def _one_config_error_line(capsys):
     pytest.param("certify", BGK_MODEL, FP_MODEL.replace("fokker-planck", "fp"),
                  id="certify-kind-fp"),
     pytest.param("certify", "p = boltzmann", "p = none", id="certify-p-none"),
-    # the velocity-diffusion model is analyzed for p in (1, 2] only
-    pytest.param("certify", BGK_MODEL, FP_MODEL.replace("1.5", "1"), id="certify-fp-p-1"),
     # numpy's generator takes no negative seed, and exp(1000 g) overflows
     ("verify", "n_states = 2", "n_states = 2\nseed = -1"),
     ("verify", "n_states = 2", "n_states = 2\namplitude = 1000"),

@@ -279,7 +279,7 @@ class TestSecondOrderTerms:
 
     @pytest.mark.parametrize("nv", [32, pytest.param(64, marks=pytest.mark.xfail(
         strict=True, reason="the v-second-order columns blow up in the far velocity "
-                            "tail at nv = 64 (ROADMAP item 10)"))])
+                            "tail at nv = 64 (ROADMAP item 12)"))])
     @pytest.mark.parametrize("p", [1.5, 2.0])
     def test_vs_oracle(self, field_exp, dense_xy, nv, p):
         grid = build_grid(GridSpec(dim=1, nx=64, nv=nv))
@@ -373,6 +373,18 @@ class TestFokkerPlanckReport:
     def test_unknown_model_rejected(self, grid_small):
         with pytest.raises(ValueError):
             build_report(random_band_limited(grid_small, 0), BOLTZMANN, model="nope")
+
+    def test_p_to_one_continuity(self, grid_accept):
+        # the log entropy is the p = 1 member of the family the diffusion
+        # columns are written for: at p = 1 hess_vv is Villani's Gamma_2
+        # term, the integral of h |d_v d_v log h|^2
+        s = random_band_limited(grid_accept, 3, amplitude=0.5)
+        log = build_report(s, BOLTZMANN, model="fokker-planck")
+        near = build_report(s, PIndex(1.0 + 1e-8), model="fokker-planck")
+        for c in ("entropy", "fisher_x", "fisher_v", "fisher_mixed",
+                  "hess_xv", "hess_vv", "quartic_xv", "quartic_v"):
+            a, b = getattr(near, c), getattr(log, c)
+            assert b > 0.0 and abs(a - b) <= 1e-6 * b, (c, a, b)
 
 
 class TestCompositeReport:
