@@ -7,17 +7,17 @@ discretization error and the scheme is second order.
 Both collision operators act on v alone, so they commute with the Fourier
 transform in x. `simulate` therefore carries the state as its half-spectrum
 x-modes, where transport is a diagonal phase table and the collision its
-`velocity_flow`, both built once per step length. Diffusion floors the
-nodal values after the collision and again at the end of the step, as
-`collision_flow` does on a nodal state. The positivity and mass checks
-still read the physical h after every step. On a grid of SPLIT_VALUES nodal
-values or more, half of each step's transforms back to nodes runs on one
-helper thread, which `simulate` joins before it returns.
+`velocity_flow`, both built once per step length. Every step is checked:
+its mass is read from the zero x-mode, and its positivity from
+`nodes_lower_bound` of the modes after the collision. A step that stores
+a snapshot, or whose bound falls below H_MIN, is transformed back to nodal
+values: diffusion floors them after the collision and again at the end of
+the step, as `collision_flow` does on a nodal state, and the nodal h is
+checked for positivity and finiteness. Any other step stays on the modes.
 """
 
 from __future__ import annotations
 
-import contextlib
 import json
 import math
 import os
@@ -28,14 +28,14 @@ import numpy as np
 
 from .operators import BGK, CollisionKind, FokkerPlanck, time_scale, transport_phases
 from .phase_space import (
-    ColumnHelper,
+    H_MIN,
     Grid,
     GridSpec,
     State,
     build_grid,
     floor_immaterial,
-    integrate_mu,
     load_state,
+    nodes_lower_bound,
     save_state,
     to_modes,
     to_nodes,
@@ -48,11 +48,6 @@ TRAJECTORY_FORMAT_VERSION = 1
 # STEP_MASS_TOL, or when min h falls below STEP_POSITIVITY_FLOOR.
 STEP_MASS_TOL = 1e-9
 STEP_POSITIVITY_FLOOR = -1e-8
-
-# simulate transforms each step's x-modes back to nodes on two threads, half
-# the velocity columns each, when the grid has at least this many nodal
-# values: below about 2**14 the hand-off costs more than the half it saves.
-SPLIT_VALUES = 2**16
 
 
 class SimulationError(RuntimeError):
@@ -120,20 +115,10 @@ def strang_step(state: State, dt: float, collision: CollisionKind) -> State:
     return simulate(state, Schedule(dt=dt, t_end=dt, collision=collision)).final()
 
 
-def _nodes_helper(grid: Grid):
-    """A ColumnHelper when the grid has SPLIT_VALUES nodal values or more
-    and this process may run on two CPUs or more, else a null context."""
-    if grid.nx_total * grid.nv_total < SPLIT_VALUES:
-        return contextlib.nullcontext()
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-    return ColumnHelper(grid) if cpus >= 2 else contextlib.nullcontext()
-
-
-def _floored(modes: np.ndarray, grid: Grid, helper) -> tuple[np.ndarray, np.ndarray]:
+def _floored(modes: np.ndarray, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     """The nodal values of `modes` through floor_immaterial, and their modes:
     transformed again only when the floor repaired a value."""
-    h = to_nodes(modes, grid, helper)
+    h = to_nodes(modes, grid)
     floored = floor_immaterial(h, grid)
     return (modes, h) if floored is h else (to_modes(floored, grid), floored)
 
@@ -152,50 +137,54 @@ def simulate(initial: State, schedule: Schedule) -> Trajectory:
 
     grid = initial.grid
     n_steps = int(np.ceil(schedule.t_end / schedule.dt - 1e-12))
-    state = initial
-    t0 = initial.time
+    t0 = now = initial.time
     modes = to_modes(initial.h, grid)
+    dc = (0,) * grid.dim
     diffusion = isinstance(schedule.collision, FokkerPlanck)
     table_dt = phases = collide = None
-    with _nodes_helper(grid) as helper:
-        for step in range(1, n_steps + 1):
-            target = min(t0 + step * schedule.dt, t0 + schedule.t_end)
-            # one set of flows serves every step within n_steps' round-off slack of dt
-            dt = schedule.dt
-            if step == n_steps and abs(target - state.time - dt) > 1e-12 * dt:
-                dt = target - state.time
-            if dt != table_dt:
-                # a step so long that k.v dt/2 overflows makes NaN phases,
-                # and the checks below refuse the state they give
-                with np.errstate(over="ignore", invalid="ignore"):
-                    table_dt, phases = dt, transport_phases(grid, 0.5 * dt)
-                    collide = schedule.collision.velocity_flow(grid, dt)
-            modes = collide(modes * phases)
-            if diffusion:
-                # the floor of collision_flow, where the nodal flow has it
-                modes = _floored(modes, grid, helper)[0]
-            modes *= phases
+    for step in range(1, n_steps + 1):
+        target = min(t0 + step * schedule.dt, t0 + schedule.t_end)
+        # one set of flows serves every step within n_steps' round-off slack of dt
+        dt = schedule.dt
+        if step == n_steps and abs(target - now - dt) > 1e-12 * dt:
+            dt = target - now
+        if dt != table_dt:
+            # a step so long that k.v dt/2 overflows makes NaN phases,
+            # and the checks below refuse the state they give
+            with np.errstate(over="ignore", invalid="ignore"):
+                table_dt, phases = dt, transport_phases(grid, 0.5 * dt)
+                collide = schedule.collision.velocity_flow(grid, dt)
+        modes = collide(modes * phases)
+        snapshot = step % schedule.snapshot_every == 0 or step == n_steps
+        # the closing transport half-step multiplies each mode by a unit
+        # phase and the zero mode by 1, so a bound that clears the modes
+        # after the collision clears the step: no floor would repair
+        nodal = snapshot or not nodes_lower_bound(modes, grid) >= H_MIN
+        if nodal and diffusion:
+            # the floor of collision_flow, where the nodal flow has it
+            modes = _floored(modes, grid)[0]
+        modes *= phases
+        if nodal:
             if diffusion:
                 # the closing transport half-step can shift a repaired far-tail
                 # column below the floor again by an equally immaterial amount
-                modes, h = _floored(modes, grid, helper)
+                modes, h = _floored(modes, grid)
             else:
-                h = to_nodes(modes, grid, helper)
-            state = State(grid, h, time=target)
+                h = to_nodes(modes, grid)
             hmin = float(h.min())
             if hmin < STEP_POSITIVITY_FLOOR:
                 raise SimulationError(
                     f"positivity violated, min h = {hmin:.3e}", step)
-            try:
-                mass = integrate_mu(h, grid)
-            except ValueError:
-                # integrate_mu refuses a field with non-finite entries
-                raise SimulationError("h has non-finite entries", step) from None
-            if abs(mass - 1.0) > STEP_MASS_TOL:
-                raise SimulationError(
-                    f"mass drifted to {mass!r}", step)
-            if step % schedule.snapshot_every == 0 or step == n_steps:
-                snaps.append((state.time, state))
+            if not np.isfinite(h).all():
+                raise SimulationError("h has non-finite entries", step)
+        # the integral against mu of the nodal h, read from its zero x-mode
+        mass = float(modes[dc].real @ grid.v_weights) / grid.nx_total
+        if abs(mass - 1.0) > STEP_MASS_TOL:
+            raise SimulationError(
+                f"mass drifted to {mass!r}", step)
+        now = target
+        if snapshot:
+            snaps.append((now, State(grid, h, time=now)))
     return Trajectory(snaps, schedule)
 
 

@@ -12,7 +12,6 @@ import contextlib
 import json
 import math
 import os
-import threading
 from dataclasses import dataclass, field
 from json.encoder import c_make_encoder, encode_basestring_ascii
 
@@ -261,81 +260,56 @@ def to_modes(fld: np.ndarray, grid: Grid) -> np.ndarray:
     return modes
 
 
-def _inverse_x(modes: np.ndarray, grid: Grid, scratch: np.ndarray | None = None,
-               out: np.ndarray | None = None) -> np.ndarray:
-    """to_nodes before its reshape: ifft over the spatial axes but the last,
-    into `scratch` when one is given, then irfft over the last, into `out`
-    when one is given. Each column is transformed on its own, so its bits
-    do not depend on the columns passed with it."""
+def to_nodes(modes: np.ndarray, grid: Grid) -> np.ndarray:
+    """Inverse of to_modes: a (..., nx_total, columns) nodal field. Each
+    column is transformed on its own, so its bits do not depend on the
+    columns passed with it."""
     for axis in range(-grid.dim - 1, -2):
-        modes = np.fft.ifft(modes, axis=axis, out=scratch)
-    return np.fft.irfft(modes, n=grid.spec.nx, axis=-2, out=out)
-
-
-def to_nodes(modes: np.ndarray, grid: Grid, helper: ColumnHelper | None = None) -> np.ndarray:
-    """Inverse of to_modes: a (..., nx_total, columns) nodal field. With a
-    helper, its thread transforms the upper half of the columns while this
-    one transforms the lower half, with the same bits."""
-    if helper is None:
-        fld = _inverse_x(modes, grid)
-    else:
-        fld = np.empty((*modes.shape[:-2], grid.spec.nx, modes.shape[-1]))
-        half = modes.shape[-1] // 2
-        helper.start(_inverse_x, modes[..., half:], grid, helper.scratch[..., half:],
-                     fld[..., half:])
-        try:
-            _inverse_x(modes[..., :half], grid, helper.scratch[..., :half], fld[..., :half])
-        finally:
-            helper.wait()
+        modes = np.fft.ifft(modes, axis=axis)
+    fld = np.fft.irfft(modes, n=grid.spec.nx, axis=-2)
     return fld.reshape(*fld.shape[:-grid.dim - 1], grid.nx_total, -1)
 
 
-class ColumnHelper:
-    """One thread that runs the upper half of every to_nodes call given it,
-    for the x-modes of a nodal field of `grid`, and the complex scratch
-    that both halves transform the leading spatial axes into. Used as a
-    context manager: the thread is joined on exit."""
+# The round-off of to_nodes that nodes_lower_bound allows for, relative to
+# the l1 norm of a column's x-spectrum.
+BOUND_MARGIN = 1e-10
 
-    def __init__(self, grid: Grid):
-        x_modes = (*grid.x_shape()[:-1], grid.spec.nx // 2 + 1)
-        self.scratch = np.empty((*x_modes, grid.nv_total), complex)
-        self._task = self._error = None
-        self._go, self._done = threading.Semaphore(0), threading.Semaphore(0)
-        self._thread = threading.Thread(target=self._serve, name="hypoflow-to-nodes",
-                                        daemon=True)
-        self._thread.start()
 
-    def _serve(self) -> None:
-        while True:
-            self._go.acquire()
-            if self._task is None:
-                return
-            fn, args = self._task
-            try:
-                fn(*args)
-            except BaseException as exc:  # wait() raises it on the caller's thread
-                self._error = exc
-            self._done.release()
+def nodes_lower_bound(modes: np.ndarray, grid: Grid) -> float:
+    """A lower bound on every value of to_nodes(modes, grid), read from the
+    x-modes (nx, ..., nx // 2 + 1, columns) of one field alone.
 
-    def start(self, fn, *args) -> None:
-        """Run fn(*args) on the thread; one task at a time, until wait()."""
-        self._task = (fn, args)
-        self._go.release()
+    A column's nodal values are (1/nx_total) sum_k M_k e^{ik.x}, summed
+    over the full spectrum. The half spectrum holds a bin strictly inside
+    the last spatial axis for itself and its conjugate, and irfft keeps
+    only the real part of a bin at that axis's DC or Nyquist index, which
+    |Re z| <= |z| bounds. So every value of the column is at least
+    (Re M_0 - sum_{k != 0} c_k |M_k|) / nx_total, with c_k = 2 inside the
+    last axis and 1 at its ends; the bound is the least over the columns.
 
-    def wait(self) -> None:
-        """Wait for the task of start(); its exception is raised here."""
-        self._done.acquire()
-        error, self._error = self._error, None
-        if error is not None:
-            raise error
+    BOUND_MARGIN times the column's l1 norm sum_k c_k |M_k| covers the
+    transforms' round-off. A floating-point FFT of n points errs by at most
+    about 6 log2(n) eps in the 2-norm (Higham, Accuracy and Stability of
+    Numerical Algorithms, section 24.1), so one value errs by at most
+    6 log2(n) eps l1 / sqrt(n), and the margin's l1 / n scale covers that
+    while log2(n) sqrt(n) <= 7e4: on every grid up to 2**20 x-points. It also
+    covers multiplying each mode by a unit phase, which changes |M_k| by a
+    few eps and leaves M_0 as it is when the phase of k = 0 is exactly 1,
+    as transport's is.
 
-    def __enter__(self) -> ColumnHelper:
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self._task = None
-        self._go.release()
-        self._thread.join()
+    A non-finite mode, or an l1 norm that overflows, makes the bound NaN or
+    -inf, which no comparison with a positive floor passes.
+    """
+    spectrum = tuple(range(modes.ndim - 1))
+    dc = (0,) * (modes.ndim - 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        size = np.abs(modes)
+        # the ends of the last spatial axis (its DC and Nyquist bins) count once
+        l1 = (2.0 * size.sum(axis=spectrum)
+              - size[..., ::size.shape[-2] - 1, :].sum(axis=spectrum))
+        # l1 counts |M_0| once, which Re M_0 + |M_0| cancels
+        column = modes[dc].real + size[dc] - (1.0 + BOUND_MARGIN) * l1
+        return float(column.min()) / grid.nx_total
 
 
 def grad_x_field(fld: np.ndarray, grid: Grid) -> np.ndarray:

@@ -1,8 +1,6 @@
 import json
 import math
 import os
-import sys
-import threading
 
 import numpy as np
 import pytest
@@ -350,6 +348,89 @@ class TestFloorImmaterial:
             phase_space.floor_immaterial(h, grid_small)
 
 
+BOUND_GRIDS = [GridSpec(dim=1, nx=16, nv=4), GridSpec(dim=2, nx=8, nv=4)]
+
+
+@pytest.mark.parametrize("spec", BOUND_GRIDS, ids=["1d", "2d"])
+class TestNodesLowerBound:
+    """nodes_lower_bound against the values to_nodes computes."""
+
+    def _check(self, modes, grid, tight=False):
+        bound = phase_space.nodes_lower_bound(modes, grid)
+        least = phase_space.to_nodes(modes, grid).min()
+        assert bound <= least
+        if tight:
+            assert bound >= least - 1e-9
+        return bound
+
+    def _field(self, grid, profile):
+        """A nodal field whose every velocity column is `profile` of the
+        x-node index tuples."""
+        idx = np.indices(grid.x_shape()).reshape(grid.dim, -1)
+        col = np.linspace(0.5, 1.5, grid.nv_total)
+        return np.outer(profile(idx), col) + 1.0
+
+    def test_square_wave(self, spec):
+        grid = build_grid(spec)
+        nx = spec.nx
+        for profile in (lambda i: 0.95 * np.sign(nx / 2 - 0.5 - i[-1]),
+                        lambda i: 0.95 * np.sign(nx / 2 - 0.5 - i[0]),
+                        lambda i: 0.9 * np.sign((nx / 2 - 0.5 - i[0]) * (nx / 2 - 0.5 - i[-1]))):
+            self._check(phase_space.to_modes(self._field(grid, profile), grid), grid)
+
+    def test_single_modes_are_tight(self, spec):
+        # one cosine or Nyquist mode reaches 1 - a at a node, and the bound
+        # is that value up to its margin
+        grid = build_grid(spec)
+        nx = spec.nx
+        for axis in range(spec.dim):
+            for profile in (lambda i: -0.4 * (-1.0) ** i[axis],
+                            lambda i: 0.4 * np.cos(2 * np.pi * i[axis] / nx),
+                            lambda i: 0.4 * np.cos(2 * np.pi * 3 * i[axis] / nx)):
+                h = self._field(grid, profile)
+                self._check(phase_space.to_modes(h, grid), grid, tight=True)
+
+    def test_imaginary_dc_and_nyquist_bins(self, spec):
+        # irfft drops the imaginary part of these bins, which the field's
+        # own transform leaves 0
+        grid = build_grid(spec)
+        h = self._field(grid, lambda i: 0.3 * np.cos(2 * np.pi * i[0] / spec.nx))
+        modes = phase_space.to_modes(h, grid)
+        rng = np.random.default_rng(0)
+        for edge in (0, -1):
+            shape = modes[..., edge, :].shape
+            modes[..., edge, :] += 1j * rng.normal(scale=spec.nx, size=shape)
+        self._check(modes, grid)
+
+    def test_random_complex_modes(self, spec):
+        grid = build_grid(spec)
+        rng = np.random.default_rng(1)
+        shape = phase_space.to_modes(np.ones((grid.nx_total, grid.nv_total)), grid).shape
+        for scale in (1.0, 1e-3, 1e3):
+            modes = scale * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
+            # a zero mode large enough that some columns clear zero
+            modes[(0,) * spec.dim] += scale * rng.uniform(0, 3, grid.nv_total) * modes.size
+            self._check(modes, grid)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf,
+                                       complex(math.inf, math.nan), complex(0, math.inf)])
+    @pytest.mark.parametrize("where", ["dc", "interior", "nyquist"])
+    def test_non_finite_modes_do_not_clear(self, spec, value, where):
+        grid = build_grid(spec)
+        modes = phase_space.to_modes(np.ones((grid.nx_total, grid.nv_total)), grid)
+        index = {"dc": (0,) * spec.dim, "interior": (0,) * (spec.dim - 1) + (1,),
+                 "nyquist": (1,) * (spec.dim - 1) + (-1,)}[where]
+        modes[index + (1,)] = value
+        assert not phase_space.nodes_lower_bound(modes, grid) >= phase_space.H_MIN
+
+    def test_overflowing_norm_does_not_clear(self, spec):
+        grid = build_grid(spec)
+        modes = phase_space.to_modes(np.ones((grid.nx_total, grid.nv_total)), grid)
+        modes[(0,) * spec.dim] = 1e308
+        modes[(0,) * (spec.dim - 1) + (1,)] = 1e308
+        assert not phase_space.nodes_lower_bound(modes, grid) >= phase_space.H_MIN
+
+
 def _write_text(path, text):
     with phase_space.open_fresh(path) as f:
         f.write(text)
@@ -554,33 +635,6 @@ class TestTwoDimensional:
         v = grid_2d.v_nodes
         h = 1.0 + np.tile(v[:, 0] * v[:, 1], (grid_2d.nx_total, 1))
         assert np.abs(project_pi(h, grid_2d) - 1.0).max() < 1e-12
-
-    def test_split_to_nodes_matches_serial_under_fast_switching(self, grid_2d):
-        # caller and helper share the task, the error and the output: a
-        # switch between any two bytecodes must not lose or mix a column
-        modes = phase_space.to_modes(random_band_limited(grid_2d, seed=1).h, grid_2d)
-        want = phase_space.to_nodes(modes, grid_2d).tobytes()
-        before = threading.active_count()
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with phase_space.ColumnHelper(grid_2d) as helper:
-                got = [phase_space.to_nodes(modes, grid_2d, helper).tobytes()
-                       for _ in range(200)]
-        finally:
-            sys.setswitchinterval(interval)
-        assert threading.active_count() == before
-        assert all(g == want for g in got)
-
-    def test_column_helper_raises_its_task_error_and_serves_on(self, grid_2d):
-        done = []
-        with phase_space.ColumnHelper(grid_2d) as helper:
-            helper.start(divmod, 1, 0)
-            with pytest.raises(ZeroDivisionError):
-                helper.wait()
-            helper.start(done.append, 1)
-            helper.wait()
-        assert done == [1]
 
 
 def phi(n, v):
