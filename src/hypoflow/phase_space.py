@@ -13,7 +13,6 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
-from json.encoder import c_make_encoder, encode_basestring_ascii
 
 import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
@@ -100,7 +99,6 @@ class Grid:
     """
 
     spec: GridSpec
-    x_axis: np.ndarray          # (nx,) lattice on [0, period)
     # per spatial axis, the wavenumbers 2*pi*m/period of to_modes (Nyquist
     # zeroed), shaped to broadcast over its output
     k_modes: tuple
@@ -170,7 +168,7 @@ def build_grid(spec: GridSpec) -> Grid:
         raise ValueError(f"nv = {nv}: the Hermite transform has non-finite entries")
     degrees = np.indices((nv,) * d).reshape(d, -1)
     return Grid(
-        spec=spec, x_axis=x, k_modes=k_modes,
+        spec=spec, k_modes=k_modes,
         x_nodes=_tensor_nodes(x, d), v_nodes=_tensor_nodes(v, d),
         v_weights=_tensor_product(w, d),
         hermite_ortho=ortho, sqrt_w=_tensor_product(sqw, d), hermite_deriv=deriv,
@@ -613,78 +611,28 @@ def open_fresh(path, mode: str = "w", **kwargs):
 
 # --- JSON artifacts ----------------------------------------------------------
 #
-# json.dump with an indent runs json's pure-Python encoder, which is slow on
-# the two large artifacts, verification.json and functionals.json. Each is a
-# list of rows: dicts of one key set whose every column is all scalars or all
-# flat dicts. Their text is built from json's C encoder, which writes a
-# container on one line with a given item separator: each column of
-# _ROW_BLOCK rows is encoded in one call and split into its values, which
-# fill one row template. Any other block of a list, and any other object,
-# is json.dumps itself; every other artifact is a few KB (the trajectory
-# manifest, the largest, takes about 60 bytes a snapshot).
+# verification.json and functionals.json, the two large artifacts, are lists
+# of rows. json encodes in C only without an indent, so each row goes on a
+# line of its own; every other artifact is a few KB and keeps indent=1.
 
-_refuse = json.JSONEncoder().default  # json's TypeError for a value it cannot encode
-
-# Rows encoded at a time; bounds the column texts held to about 200 KB.
+# Rows per write
 _ROW_BLOCK = 256
-
-# a row's fields are two levels deep, the items of a dict in a field three
-_FIELD = "\n  "
-_ITEM = "\n   "
-
-
-def _c_encode(obj, item_separator: str) -> str:
-    """obj on one line, `item_separator` between the items of every
-    container, keys sorted."""
-    encode = c_make_encoder(None, _refuse, encode_basestring_ascii, None, ": ",
-                            item_separator, True, False, True)
-    return "".join(encode(obj, 0))
-
-
-def _is_flat(values) -> bool:
-    """No value is a list, tuple or dict: tested once per distinct type."""
-    return not any(issubclass(t, (list, tuple, dict)) for t in set(map(type, values)))
-
-
-def _column_texts(column: list) -> list | None:
-    """The JSON text of each value of a column of row fields, with one C
-    call; None unless the column is all scalars or all flat dicts."""
-    if _is_flat(column):
-        # the encoder escapes every newline inside a string
-        return _c_encode(column, "\n")[1:-1].split("\n")
-    if (all(issubclass(t, dict) for t in set(map(type, column)))
-            and _is_flat([v for row in column for v in row.values()])):
-        # a separator inside a dict is followed by a key, never by "{"
-        parts = _c_encode(column, "," + _ITEM)[2:-2].split("}," + _ITEM + "{")
-        return ["{" + _ITEM + part + _FIELD + "}" if part else "{}" for part in parts]
-    return None
-
-
-def _block_text(block: list) -> str:
-    """The items of a non-empty list one level deep, as
-    json.dumps(block, indent=1, sort_keys=True) writes them inside its
-    brackets."""
-    first = block[0]
-    if (isinstance(first, dict) and first and all(isinstance(k, str) for k in first)
-            and all(isinstance(row, dict) and row.keys() == first.keys() for row in block)):
-        keys = sorted(first)
-        columns = [_column_texts([row[k] for row in block]) for k in keys]
-        if None not in columns:
-            template = "{" + ",".join(_FIELD + encode_basestring_ascii(k).replace("%", "%%")
-                                      + ": %s" for k in keys) + "\n }"
-            return ",\n ".join(template % values for values in zip(*columns))
-    return json.dumps(block, indent=1, sort_keys=True)[3:-2]
 
 
 def write_json(path, obj) -> None:
-    """Write `obj` in the one format of every JSON artifact: the bytes of
-    json.dumps(obj, indent=1, sort_keys=True) plus a trailing newline. An
-    old file at `path` is replaced, not rewritten in place."""
+    """Write `obj` in the one format of every JSON artifact. A non-empty
+    list is "[", then one line per item holding the bytes of
+    json.dumps(item, sort_keys=True) with a comma after all but the last,
+    then "]"; any other object is json.dumps(obj, indent=1,
+    sort_keys=True). Either ends in a newline. An old file at `path` is
+    replaced, not rewritten in place."""
     with open_fresh(path) as f:
         if not (isinstance(obj, list) and obj):
             f.write(json.dumps(obj, indent=1, sort_keys=True) + "\n")
             return
-        f.write("[\n ")
+        encode = json.JSONEncoder(sort_keys=True).encode
+        f.write("[")
         for start in range(0, len(obj), _ROW_BLOCK):
-            f.write((",\n " if start else "") + _block_text(obj[start:start + _ROW_BLOCK]))
+            f.write(("," if start else "") + "\n"
+                    + ",\n".join(map(encode, obj[start:start + _ROW_BLOCK])))
         f.write("\n]\n")

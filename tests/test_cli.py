@@ -937,8 +937,10 @@ WORKLOADS = {
 
 @pytest.mark.parametrize("workload", sorted(WORKLOADS))
 def test_json_artifacts_are_json_dumps(tmp_path, workload):
-    # every JSON file holds the bytes json.dumps(..., indent=1, sort_keys=True)
-    # gives for its own content
+    # a JSON file that holds a list of rows is "[", one compact
+    # json.dumps(row, sort_keys=True) per line, then "]"; every other one
+    # holds the bytes json.dumps(..., indent=1, sort_keys=True) gives for
+    # its own content
     text, commands = WORKLOADS[workload]
     out = tmp_path / "out"
     cfg = write_config(tmp_path, text.format(out=out))
@@ -946,6 +948,14 @@ def test_json_artifacts_are_json_dumps(tmp_path, workload):
         assert main([command, cfg, "--output-dir", str(out), "--seed", "0"]) == 0
     paths = sorted(out.rglob("*.json"))
     assert len(paths) >= 2
+    row_lists = set()
     for path in paths:
         data = path.read_bytes()
-        assert data == (json.dumps(json.loads(data), indent=1, sort_keys=True) + "\n").encode(), path
+        content = json.loads(data)
+        if isinstance(content, list) and content:
+            row_lists.add(path.name)
+            want = "[\n" + ",\n".join(json.dumps(row, sort_keys=True) for row in content) + "\n]\n"
+        else:
+            want = json.dumps(content, indent=1, sort_keys=True) + "\n"
+        assert data == want.encode(), path
+    assert row_lists == ({"verification.json"} if "verify" in commands else {"functionals.json"})

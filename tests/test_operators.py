@@ -229,6 +229,23 @@ class TestGenerators:
         diff = (4.0 * flow[0] - 3.0 * eye - flow[1]) / t
         assert np.abs(diff - gen).max() < 1e-7 * np.abs(gen).max()
 
+    @pytest.mark.parametrize("t", [0.01, 1.0])
+    @pytest.mark.parametrize("collision", [BGK(1.3), FokkerPlanck()], ids=["bgk", "fp"])
+    @pytest.mark.parametrize("spec", [GridSpec(dim=1, nx=8, nv=32), GridSpec(dim=1, nx=8, nv=64),
+                                      GridSpec(dim=2, nx=8, nv=16)], ids=["1d-32", "1d-64", "2d-16"])
+    def test_collision_flow_is_the_generator_exponential(self, spec, collision, t):
+        # matrices as actions on the nodal identity; in the sqrt-weight
+        # frame the generator is symmetric, so eigh gives its exponential
+        grid = build_grid(spec)
+        eye = np.eye(grid.nv_total)
+        s = np.sqrt(grid.v_weights)
+        gen = collision.velocity_generator(grid)(eye) * s[None, :] / s[:, None]
+        flow = collision.velocity_flow(grid, t)(eye) * s[None, :] / s[:, None]
+        assert np.abs(gen - gen.T).max() <= 1e-15 * np.abs(gen).max()
+        lam, vec = np.linalg.eigh(gen)
+        exp = (vec * np.exp(t * lam)) @ vec.T
+        assert np.abs(flow - exp).max() <= 1e-12 * np.abs(flow).max()
+
     def test_generators_fix_equilibrium(self, grid_small):
         h = equilibrium(grid_small).h
         assert np.abs(transport_generator(h, grid_small)).max() == 0.0

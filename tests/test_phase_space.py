@@ -480,42 +480,65 @@ def _json_containers(children):
 _JSON_VALUES = st.recursive(_JSON_SCALARS, _json_containers, max_leaves=40)
 
 
+def _json_text(obj) -> str:
+    # a non-empty list holds one compact item per line; anything else is
+    # the indent=1 text
+    if isinstance(obj, list) and obj:
+        return "[\n" + ",\n".join(json.dumps(item, sort_keys=True) for item in obj) + "\n]\n"
+    return json.dumps(obj, indent=1, sort_keys=True) + "\n"
+
+
 @given(_JSON_VALUES)
 @settings(max_examples=300, deadline=None)
 def test_write_json_is_json_dumps(tmp_path_factory, obj):
     path = tmp_path_factory.mktemp("json") / "out.json"
     phase_space.write_json(path, obj)
-    assert path.read_bytes() == (json.dumps(obj, indent=1, sort_keys=True) + "\n").encode()
+    text = path.read_bytes()
+    assert text == _json_text(obj).encode()
+    assert json.dumps(json.loads(text), sort_keys=True) == json.dumps(obj, sort_keys=True)
 
 
 def test_write_json_rows_in_blocks(tmp_path, monkeypatch):
-    # a top-level row list is written _ROW_BLOCK rows at a time, each block
-    # from one C call per column of scalars or of flat dicts
-    rows = [{"b": i, "a": {"x": -0.5 * i} if i % 3 else {}, "c": f"%s{i}"} for i in range(10)]
+    # a top-level row list is written _ROW_BLOCK rows at a time, one row
+    # per line
+    rows = [{"b": i, "a": {"x": -0.5 * i} if i % 3 else {}, "c": f"%s{i}\n"} for i in range(10)]
     monkeypatch.setattr(phase_space, "_ROW_BLOCK", 4)
-    encoded = []
+    writes = []
+    open_fresh = phase_space.open_fresh
 
-    def column_texts(column, encode=phase_space._column_texts):
-        encoded.append(len(column))
-        return encode(column)
+    class Recorder:
+        def __init__(self, path):
+            self.file = open_fresh(path)
 
-    monkeypatch.setattr(phase_space, "_column_texts", column_texts)
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.file.close()
+
+        def write(self, text):
+            writes.append(text)
+            return self.file.write(text)
+
+    monkeypatch.setattr(phase_space, "open_fresh", Recorder)
     phase_space.write_json(tmp_path / "rows.json", rows)
-    assert ((tmp_path / "rows.json").read_text()
-            == json.dumps(rows, indent=1, sort_keys=True) + "\n")
-    assert encoded == [4] * 3 + [4] * 3 + [2] * 3
+    assert (tmp_path / "rows.json").read_text() == _json_text(rows)
+    assert writes[0] == "[" and writes[-1] == "\n]\n"
+    assert [len(w.lstrip(",").split("\n")) - 1 for w in writes[1:-1]] == [4, 4, 2]
 
 
 def test_write_json_block_of_other_items(tmp_path, monkeypatch):
-    # a block that is not rows of one key set, or holds a nested column, is
-    # json.dumps text between blocks that are
+    # items that are not rows of one key set, or that nest, each take one
+    # line all the same
     rows = [{"a": i, "b": {"x": i}} for i in range(12)]
     rows[5] = {"a": 5, "b": {"x": [5]}}
     rows[9] = 9
     monkeypatch.setattr(phase_space, "_ROW_BLOCK", 4)
     phase_space.write_json(tmp_path / "rows.json", rows)
-    assert ((tmp_path / "rows.json").read_text()
-            == json.dumps(rows, indent=1, sort_keys=True) + "\n")
+    text = (tmp_path / "rows.json").read_text()
+    assert text == _json_text(rows)
+    assert len(text.splitlines()) == 12 + 2
+    assert json.loads(text) == rows
 
 
 @pytest.mark.parametrize("obj", [
@@ -525,13 +548,12 @@ def test_write_json_block_of_other_items(tmp_path, monkeypatch):
 ], ids=["int-key-dict-of-list", "int-key-flat-dict-column", "int-key-rows"])
 def test_write_json_non_str_keys(tmp_path, obj):
     phase_space.write_json(tmp_path / "out.json", obj)
-    assert ((tmp_path / "out.json").read_text()
-            == json.dumps(obj, indent=1, sort_keys=True) + "\n")
+    assert (tmp_path / "out.json").read_text() == _json_text(obj)
 
 
 def test_verification_and_report_rows_need_no_json_dumps(tmp_path, monkeypatch, grid_small):
     # verification.json and functionals.json, the two large artifacts, are
-    # written by the C path alone
+    # written one row per line without json.dumps
     results = run_suite(grid_small, BGK(1.0), PIndex(1.5), n_states=1)
     reports = [build_report(random_band_limited(grid_small, seed), PIndex(1.5))
                for seed in range(6)]
@@ -540,8 +562,7 @@ def test_verification_and_report_rows_need_no_json_dumps(tmp_path, monkeypatch, 
         "functionals.json": [{c: getattr(rep, c) for c in functionals.REPORT_COLUMNS}
                              for rep in reports],
     }
-    want = {name: (json.dumps(rows, indent=1, sort_keys=True) + "\n").encode()
-            for name, rows in want.items()}
+    want = {name: _json_text(rows).encode() for name, rows in want.items()}
 
     def refuse(*args, **kwargs):
         raise AssertionError("json.dumps called")

@@ -322,10 +322,13 @@ class TestSuite:
                 assert np.float64(got[key]).tobytes() == np.float64(want[key]).tobytes()
 
     def test_corruption_hook_breaks_equalities(self, grid_accept):
-        results = run_suite(grid_accept, CorruptedBGK(rate=1.0, skew=0.02), BOLTZMANN,
-                            n_states=1)
-        failed_eq = [r for r in results if r.kind == "equality" and not r.passed]
-        assert failed_eq
+        # a 1% skew of the relaxation rate fails an equality row on every
+        # state, not just on some
+        for p in (BOLTZMANN, PIndex(1.5)):
+            results = run_suite(grid_accept, CorruptedBGK(rate=1.0, skew=0.01), p,
+                                n_states=16, amplitude=1.0)
+            failed = {r.params["seed"] for r in results if r.kind == "equality" and not r.passed}
+            assert failed == set(range(16)), p
 
     def test_corruption_hook_skews_simulate(self):
         # flow and simulate both step with velocity_flow, which reads the
